@@ -41,8 +41,7 @@ from .mdp_static import (
 )
 from .numerics import (
     gaussian_q,
-    kronecker,
-    null_space_vector,
+    gth_stationary,
     spectral_radius,
     stationary_distribution,
 )

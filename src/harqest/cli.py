@@ -29,15 +29,9 @@ from .mdp_markov import (
     solve_rvi_markov,
     verify_switching_markov,
 )
-from .mdp_static import (
-    build_static_mdp,
-    check_stability_static,
-    high_snr_optimal_static,
-    solve_rvi,
-    verify_switching,
-)
+from .mdp_static import static_policy
 from .policy_io import load_policy, save_policy
-from .simulator import PolicyEntry, PolicySpec, evaluate_policies, run
+from .simulator import PolicyEntry, PolicySpec, evaluate_policies
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -107,9 +101,21 @@ def _ladder(cfg: Config):
 
 
 def _omega_caps(cfg: Config):
+    """Attempt caps per gain state; a static link caps its one state at r_max."""
+    if cfg.is_static:
+        if cfg.solver.r_max < 2:
+            raise ConfigError("r_max must be at least 2")
+        return (cfg.solver.r_max,)
     if cfg.solver.omega_caps is not None:
         return cfg.solver.omega_caps
     return (4,) * cfg.channel.size
+
+
+def _solve(cfg: Config, harq: HarqModel, ladder, cost_mode: str):
+    """Solve the truncated MDP; returns the policy and its switching report."""
+    mdp = build_markov_mdp(harq, cfg.channel, ladder, _omega_caps(cfg), cfg.solver.q_max, cost_mode)
+    policy = solve_rvi_markov(mdp, tol=cfg.solver.tol, max_iters=cfg.solver.max_iters)
+    return policy, verify_switching_markov(policy)
 
 
 def cmd_stability(args) -> int:
@@ -118,16 +124,13 @@ def cmd_stability(args) -> int:
     lines = [f"rho^2(A) = {rho_sq:.6f}"]
     if cfg.is_static:
         worst = worst_retransmission_error_static(cfg.harq, cfg.channel.gains[0], cfg.solver.r_max)
-        report = check_stability_static(worst.value, rho_sq)
-        lines += [
+        lambdas = [worst.value]
+        lines.append(
             f"Lambda0 = {worst.value:.6e} (attempt {worst.argmax_attempts}, "
-            f"monotone decreasing: {worst.monotone_decreasing})",
-            f"product = {report.product:.6e}",
-            f"verdict = {'stable: product < 1' if report.stable else 'existence not guaranteed'}",
-        ]
+            f"monotone decreasing: {worst.monotone_decreasing})"
+        )
     else:
-        caps = _omega_caps(cfg)
-        budget = sum(caps)
+        budget = sum(_omega_caps(cfg))
         worsts = [
             worst_retransmission_error_markov(cfg.harq, cfg.channel.gains, i, budget)
             for i in range(cfg.channel.size)
@@ -137,15 +140,16 @@ def cmd_stability(args) -> int:
                 f"Lambda_{i} = {worst.value:.6e} (history {worst.argmax_counts}, "
                 f"at budget boundary: {worst.at_budget_boundary})"
             )
-        report = check_stability_markov(cfg.channel.pi, [w.value for w in worsts], rho_sq)
-        lines += [
-            f"product = {report.product:.6e}",
-            f"verdict = {'stable: product < 1' if report.stable else 'existence not guaranteed'}",
-        ]
-        if cfg.channel.size == 2:
-            grid_path = os.path.join(out_dir, "stability_region.csv")
-            _write_region_grid(cfg.channel, args.rho_sq, args.grid_steps, grid_path)
-            lines.append(f"region sweep written to {grid_path}")
+        lambdas = [w.value for w in worsts]
+    report = check_stability_markov(cfg.channel.pi, lambdas, rho_sq)
+    lines += [
+        f"product = {report.product:.6e}",
+        f"verdict = {'stable: product < 1' if report.stable else 'existence not guaranteed'}",
+    ]
+    if cfg.channel.size == 2:
+        grid_path = os.path.join(out_dir, "stability_region.csv")
+        _write_region_grid(cfg.channel, args.rho_sq, args.grid_steps, grid_path)
+        lines.append(f"region sweep written to {grid_path}")
     text = "\n".join(lines)
     print(text)
     with open(os.path.join(out_dir, "stability.txt"), "w", encoding="utf-8") as fh:
@@ -154,7 +158,7 @@ def cmd_stability(args) -> int:
 
 
 def _write_region_grid(ch: MarkovChannel, rho_sq_values, steps: int, path):
-    grid = np.linspace(0.0, 1.0, steps)
+    grid = np.linspace(0.0, 1.0, steps).tolist()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("lambda1,lambda2,rho_sq,stable\n")
         for rho_sq in rho_sq_values:
@@ -168,21 +172,10 @@ def cmd_solve(args) -> int:
     cfg, out_dir = _prepare(args)
     cost_mode = args.cost if args.cost is not None else cfg.solver.cost_mode
     ladder, _ = _ladder(cfg)
+    policy, switching = _solve(cfg, cfg.harq, ladder, cost_mode)
     if cfg.is_static:
-        mdp = build_static_mdp(
-            cfg.harq, cfg.channel.gains[0], ladder,
-            cfg.solver.r_max, cfg.solver.q_max, cost_mode,
-        )
-        policy = solve_rvi(mdp, tol=cfg.solver.tol, max_iters=cfg.solver.max_iters)
-        switching = verify_switching(policy)
-        name = f"policy_static_{cost_mode}.txt"
-    else:
-        mdp = build_markov_mdp(
-            cfg.harq, cfg.channel, ladder, _omega_caps(cfg), cfg.solver.q_max, cost_mode,
-        )
-        policy = solve_rvi_markov(mdp, tol=cfg.solver.tol, max_iters=cfg.solver.max_iters)
-        switching = verify_switching_markov(policy)
-        name = f"policy_markov_{cost_mode}.txt"
+        policy = static_policy(policy)  # static files keep the (r, q) layout
+    name = f"policy_{policy.kind}_{cost_mode}.txt"
     path = os.path.join(out_dir, name)
     save_policy(policy, path)
     print(f"states = {len(policy.states)}")
@@ -211,15 +204,13 @@ def _policy_spec(token: str) -> PolicyEntry:
 def cmd_simulate(args) -> int:
     cfg, out_dir = _prepare(args)
     ladder, _ = _ladder(cfg)
-    entries = [_policy_spec(args.policy)]
-    for token in args.compare:
-        entries.append(_policy_spec(token))
-    trace = run(cfg.harq, cfg.channel, ladder, entries[0].spec, cfg.sim, replicate=0)
+    entries = [_policy_spec(token) for token in (args.policy, *args.compare)]
+    table = evaluate_policies(entries, cfg.harq, cfg.channel, ladder, cfg.sim)
+    trace = table.first_trace
     trace_path = os.path.join(out_dir, f"trace_{entries[0].label}_rep0.csv")
     trace.to_csv(trace_path)
     print(f"replicate-0 trace written to {trace_path}"
           + (f" (diverged at slot {trace.diverged_slot})" if trace.diverged else ""))
-    table = evaluate_policies(entries, cfg.harq, cfg.channel, ladder, cfg.sim)
     table_path = os.path.join(out_dir, "comparison.csv")
     table.to_csv(table_path)
     for row in table.rows:
@@ -229,34 +220,30 @@ def cmd_simulate(args) -> int:
         path = os.path.join(out_dir, f"trajectory_{label}.csv")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("k,mean_running_avg\n")
-            for k, value in enumerate(trajectory, start=1):
+            for k, value in enumerate(trajectory.tolist(), start=1):
                 fh.write(f"{k},{value!r}\n")
     print(f"comparison written to {table_path}")
-    diverged = trace.diverged or any(row.n_diverged for row in table.rows)
-    return EXIT_DIVERGENCE if diverged else EXIT_OK
+    return EXIT_DIVERGENCE if any(row.n_diverged for row in table.rows) else EXIT_OK
 
 
 def cmd_highsnr(args) -> int:
     cfg, out_dir = _prepare(args)
     ladder, _ = _ladder(cfg)
-    ladder = ladder.extended(max(args.theta_max, 2) + 1)
     lambda_primes = tuple(block_error_prob(cfg.harq, (g,)) for g in cfg.channel.gains)
+    result = high_snr_markov(ladder, cfg.channel, lambda_primes, args.theta_max)
     if cfg.is_static:
-        result = high_snr_optimal_static(ladder, lambda_primes[0], args.theta_max)
         lines = [
             f"lambda_prime = {lambda_primes[0]!r}",
-            f"theta_star = {result.theta_star}",
+            f"theta_star = {result.theta_star[0]}",
             f"zeta_star = {result.zeta_star!r}",
         ]
-        lines += [f"zeta({t}) = {z!r}" for t, z in enumerate(result.zetas, start=1)]
+        lines += [f"zeta({t}) = {z!r}" for (t,), z in result.evaluated.items()]
     else:
-        result = high_snr_markov(ladder, cfg.channel, lambda_primes, args.theta_max)
         lines = [
             f"lambda_primes = {lambda_primes!r}",
             f"theta_star = {result.theta_star}",
             f"zeta_star = {result.zeta_star!r}",
-            f"evaluated = {len(result.evaluated)} threshold vectors"
-            + (f", skipped {len(result.skipped)}" if result.skipped else ""),
+            f"evaluated = {len(result.evaluated)} threshold vectors",
         ]
     text = "\n".join(lines)
     print(text)
@@ -273,19 +260,7 @@ def cmd_sweep(args) -> int:
     for snr_db in args.snr_db:
         for scheme in args.schemes:
             model = HarqModel.from_db(scheme, snr_db, cfg.harq.blocklength, cfg.harq.rate)
-            if cfg.is_static:
-                mdp = build_static_mdp(
-                    model, cfg.channel.gains[0], ladder,
-                    cfg.solver.r_max, cfg.solver.q_max, "mse",
-                )
-                policy = solve_rvi(mdp, tol=cfg.solver.tol, max_iters=cfg.solver.max_iters)
-                switching = verify_switching(policy)
-            else:
-                mdp = build_markov_mdp(
-                    model, cfg.channel, ladder, _omega_caps(cfg), cfg.solver.q_max, "mse",
-                )
-                policy = solve_rvi_markov(mdp, tol=cfg.solver.tol, max_iters=cfg.solver.max_iters)
-                switching = verify_switching_markov(policy)
+            policy, switching = _solve(cfg, model, ladder, "mse")
             verdict = "pass" if switching.passed else f"FAIL({len(switching.violations)})"
             rows.append((snr_db, scheme, policy.zeta, policy.iterations, verdict))
             all_pass = all_pass and switching.passed

@@ -24,7 +24,7 @@ __all__ = ["SolverSettings", "Config", "load_config"]
 class SolverSettings:
     r_max: int = 20
     q_max: int = 20
-    omega_caps: tuple = None  # defaults to r_max per gain state at build time
+    omega_caps: tuple = None  # default (4, ..., 4); a static link uses (r_max,)
     tol: float = 1e-9
     max_iters: int = 100_000
     cost_mode: str = "mse"

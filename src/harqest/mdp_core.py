@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, ModelError
+from .numerics import gth_stationary
 
 __all__ = ["FiniteAverageCostMdp", "Policy", "relative_value_iteration", "policy_average_cost"]
 
@@ -64,9 +65,6 @@ class Policy:
 
     def index(self) -> dict:
         return {s: i for i, s in enumerate(self.states)}
-
-    def action_of(self, state) -> int:
-        return int(self.actions[self.index()[state]])
 
 
 def relative_value_iteration(
@@ -141,50 +139,20 @@ def relative_value_iteration(
 
 
 def policy_average_cost(mdp: FiniteAverageCostMdp, actions) -> float:
-    """Exact long-run average cost of a fixed policy.
+    """Exact long-run average cost of a fixed policy started at the reference state.
 
-    Restricts to the states reachable from the reference state, solves the
-    stationary distribution of the induced chain there, and averages the
-    one-stage costs. Assumes the reachable chain has a single recurrent class.
+    Averages the one-stage costs under the stationary distribution of the
+    closed class the induced chain reaches, found by subtraction-free
+    elimination (`gth_stationary`). Stage costs near 1e15 weight tail
+    probabilities near 1e-16, which a dense balance solve gets wrong in the
+    leading digits. The induced chain is held as a dense S x S matrix.
     """
     actions = np.asarray(actions, dtype=int)
-    if any(not mdp.available[s, actions[s]] for s in range(mdp.n_states)):
+    states = np.arange(mdp.n_states)
+    if not mdp.available[states, actions].all():
         raise ValueError("policy selects an unavailable action")
-    reachable = _reachable_from(mdp, actions, mdp.ref)
-    order = sorted(reachable)
-    pos = {s: i for i, s in enumerate(order)}
-    m = len(order)
-    p = np.zeros((m, m))
-    cost = np.empty(m)
-    for s in order:
-        i = pos[s]
-        idx, prob = mdp.row(s, actions[s])
-        for j, pr in zip(idx, prob):
-            if pr > 0.0:
-                p[pos[int(j)], i] += pr
-        cost[i] = mdp.costs[s, actions[s]]
-    a = p - np.eye(m)
-    a[-1, :] = 1.0
-    b = np.zeros(m)
-    b[-1] = 1.0
-    try:
-        dist = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError:
-        dist, *_ = np.linalg.lstsq(a, b, rcond=None)
-    dist = np.clip(dist, 0.0, None)
-    dist = dist / dist.sum()
-    return float(dist @ cost)
-
-
-def _reachable_from(mdp: FiniteAverageCostMdp, actions, start: int) -> set:
-    seen = {start}
-    stack = [start]
-    while stack:
-        s = stack.pop()
-        idx, prob = mdp.row(s, actions[s])
-        for j, pr in zip(idx, prob):
-            j = int(j)
-            if pr > 0.0 and j not in seen:
-                seen.add(j)
-                stack.append(j)
-    return seen
+    p = np.zeros((mdp.n_states, mdp.n_states))
+    for a, (idx, prob) in enumerate(mdp.transitions):
+        chosen = actions == a
+        np.add.at(p, (idx[chosen], states[chosen, None]), prob[chosen])
+    return float(gth_stationary(p, start=mdp.ref) @ mdp.costs[states, actions])

@@ -1,9 +1,11 @@
-"""Average-cost MDP for the finite-state Markov channel, plus the
-perfect-retransmission reduced chain and its closed-form average cost.
+"""Average-cost MDP for a finite-state Markov channel, plus the
+perfect-retransmission reduced chain and its average cost.
 
 States are (omega, q, xi): omega counts the pending round's attempts per gain
 state, q is the age of the freshest delivered estimate, and xi is the current
-gain index. The one-state channel reduces exactly to the static grid.
+gain index. Action 0 transmits a fresh estimate, action 1 retransmits the
+pending one. A constant-gain link is the one-state chain, so every static
+solve runs here too; `mdp_static` only relabels its states (r, q).
 """
 
 from dataclasses import dataclass
@@ -16,14 +18,16 @@ from .errors import ConfigError, ModelError
 from .harq_model import HarqModel, HistoryCounter, conditional_error_prob
 from .lti_estimation import CostLadder
 from .mdp_core import FiniteAverageCostMdp, Policy, relative_value_iteration
-from .mdp_static import StabilityReport, SwitchingReport
-from .numerics import null_space_vector, spectral_radius
+from .numerics import gth_stationary, spectral_radius
 
 __all__ = [
+    "StabilityReport",
     "check_stability_markov",
     "MarkovMdp",
+    "assemble_markov_mdp",
     "build_markov_mdp",
     "solve_rvi_markov",
+    "SwitchingReport",
     "verify_switching_markov",
     "HighSnrChain",
     "build_high_snr_chain",
@@ -32,11 +36,21 @@ __all__ = [
 ]
 
 
-def check_stability_markov(pi, lambdas, rho_sq_a: float) -> StabilityReport:
-    """rho(Pi @ diag(worst retransmission errors)) times rho^2(A), verdict < 1.
+@dataclass(frozen=True)
+class StabilityReport:
+    """Sufficient-condition check: product < 1 guarantees a bounded-MSE policy
+    exists; product >= 1 only means the guarantee is silent."""
 
-    Sufficient only, exactly as in the static case.
-    """
+    product: float
+    stable: bool
+
+    @property
+    def margin(self) -> float:
+        return 1.0 - self.product
+
+
+def check_stability_markov(pi, lambdas, rho_sq_a: float) -> StabilityReport:
+    """rho(Pi @ diag(worst retransmission errors)) times rho^2(A), verdict < 1."""
     pi = np.asarray(pi, dtype=float)
     lambdas = np.asarray(lambdas, dtype=float)
     product_value = spectral_radius(pi @ np.diag(lambdas)) * float(rho_sq_a)
@@ -55,7 +69,7 @@ class MarkovMdp:
     q_max: int
     cost_mode: str
     ladder: CostLadder
-    new_tx_error: tuple  # g~(0, xi) per gain index
+    errors: dict  # (omega, xi) -> error of the next attempt; all-zero omega is a fresh one
 
 
 def build_markov_mdp(
@@ -66,11 +80,32 @@ def build_markov_mdp(
     q_max: int,
     cost_mode: str = "mse",
 ) -> MarkovMdp:
+    """Truncated MDP with error probabilities taken from the link model."""
+
+    def attempt_error(omega, xi):
+        history = HistoryCounter(counts=omega, gains=ch.gains)
+        return conditional_error_prob(harq, history, ch.gains[xi])
+
+    return assemble_markov_mdp(attempt_error, ch, ladder, omega_caps, q_max, cost_mode)
+
+
+def assemble_markov_mdp(
+    attempt_error,
+    ch: MarkovChannel,
+    ladder: CostLadder,
+    omega_caps,
+    q_max: int,
+    cost_mode: str = "mse",
+) -> MarkovMdp:
     """Enumerate the truncated state space and assemble the kernel.
 
-    Truncation: omega is capped per gain state, q is clamped at q_max on
-    failure, and a retransmission is unavailable when it would push the
-    current gain's count past its cap.
+    attempt_error(omega, xi) is the error probability of an attempt under gain
+    index xi after a round that buffered the attempts omega (all zeros for a
+    fresh transmission); it is called once per pair. Truncation: omega is
+    capped per gain state, q is clamped at q_max on failure, and a
+    retransmission is unavailable when it would push the current gain's count
+    past its cap. A retransmission success lands at age sum(omega) + 1, at
+    most sum(omega_caps), so q_max >= sum(omega_caps) keeps it on the grid.
     """
     b = ch.size
     caps = tuple(int(c) for c in omega_caps)
@@ -78,73 +113,52 @@ def build_markov_mdp(
         raise ConfigError(f"omega_caps has {len(caps)} entries, channel has {b} states")
     if any(c < 1 for c in caps):
         raise ConfigError("every omega cap must be at least 1")
-    if q_max < sum(caps) + 1:
-        raise ConfigError(f"q_max must be at least sum(omega_caps) + 1 = {sum(caps) + 1}")
+    if q_max < sum(caps):
+        raise ConfigError(f"q_max must be at least sum(omega_caps) = {sum(caps)}")
     if cost_mode not in ("mse", "delay"):
         raise ConfigError(f"cost_mode must be 'mse' or 'delay', got {cost_mode!r}")
     ladder = ladder.extended(q_max)
 
-    states = []
-    for omega in product(*[range(c + 1) for c in caps]):
-        attempts = sum(omega)
-        if attempts < 1:
-            continue
-        for q in range(attempts, q_max + 1):
-            for xi in range(b):
-                states.append((omega, q, xi))
-    states = tuple(states)
+    omegas = [omega for omega in product(*[range(c + 1) for c in caps]) if sum(omega) >= 1]
+    states = tuple(
+        (omega, q, xi) for omega in omegas for q in range(sum(omega), q_max + 1) for xi in range(b)
+    )
     index = {s: i for i, s in enumerate(states)}
     n = len(states)
+    units = [tuple(1 if j == i else 0 for j in range(b)) for i in range(b)]
+    fresh = (0,) * b
+    errors = {(fresh, xi): attempt_error(fresh, xi) for xi in range(b)}
+    for omega in omegas:
+        for xi in range(b):
+            if omega[xi] < caps[xi]:
+                errors[(omega, xi)] = attempt_error(omega, xi)
 
-    new_tx_error = tuple(
-        conditional_error_prob(harq, HistoryCounter.zero(ch.gains), ch.gains[xi])
-        for xi in range(b)
-    )
-
-    width = 2 * b  # (success, failure) per next gain index
-    idx0 = np.zeros((n, width), dtype=np.int64)
-    prob0 = np.zeros((n, width))
-    idx1 = np.zeros((n, width), dtype=np.int64)
-    prob1 = np.zeros((n, width))
+    # Row s of action a lists (success, failure) successors per next gain
+    # index; a forbidden retransmission keeps an all-zero row.
+    width = 2 * b
+    kernel = [(np.zeros((n, width), dtype=np.int64), np.zeros((n, width))) for _ in range(2)]
     available = np.zeros((n, 2), dtype=bool)
     available[:, 0] = True
+    pi = ch.pi.tolist()
     for s, (omega, q, xi) in enumerate(states):
-        unit = tuple(1 if j == xi else 0 for j in range(b))
         q_fail = min(q + 1, q_max)
-        g0 = new_tx_error[xi]
-        col = 0
-        for xi_next in range(b):
-            p_ch = ch.pi[xi_next, xi]
-            idx0[s, col] = index[(unit, 1, xi_next)]
-            prob0[s, col] = p_ch * (1.0 - g0)
-            idx0[s, col + 1] = index[(unit, q_fail, xi_next)]
-            prob0[s, col + 1] = p_ch * g0
-            col += 2
-        if omega[xi] + 1 <= caps[xi]:
+        moves = [(units[xi], 1, errors[(fresh, xi)])]  # action 0
+        if omega[xi] < caps[xi]:
             available[s, 1] = True
-            history = HistoryCounter(counts=omega, gains=ch.gains)
-            g_retx = conditional_error_prob(harq, history, ch.gains[xi])
-            omega_next = tuple(o + u for o, u in zip(omega, unit))
-            q_success = sum(omega) + 1
-            col = 0
-            for xi_next in range(b):
-                p_ch = ch.pi[xi_next, xi]
-                idx1[s, col] = index[(omega_next, q_success, xi_next)]
-                prob1[s, col] = p_ch * (1.0 - g_retx)
-                idx1[s, col + 1] = index[(omega_next, q_fail, xi_next)]
-                prob1[s, col + 1] = p_ch * g_retx
-                col += 2
+            bumped = tuple(o + u for o, u in zip(omega, units[xi]))
+            moves.append((bumped, sum(omega) + 1, errors[(omega, xi)]))  # action 1
+        for (idx, prob), (omega_next, q_success, g) in zip(kernel, moves):
+            idx[s] = [index[(omega_next, age, xn)] for xn in range(b) for age in (q_success, q_fail)]
+            prob[s] = [pi[xn][xi] * p for xn in range(b) for p in (1.0 - g, g)]
     if cost_mode == "mse":
         stage = np.array([ladder.trace(q) for (_, q, _) in states])
     else:
         stage = np.array([float(q) for (_, q, _) in states])
-    costs = np.stack([stage, stage], axis=1)
-    ref_omega = tuple(1 if j == 0 else 0 for j in range(b))
     core = FiniteAverageCostMdp(
-        costs=costs,
-        transitions=[(idx0, prob0), (idx1, prob1)],
+        costs=np.stack([stage, stage], axis=1),
+        transitions=kernel,
         available=available,
-        ref=index[(ref_omega, 1, 0)],
+        ref=index[(units[0], 1, 0)],
     )
     return MarkovMdp(
         core=core,
@@ -155,7 +169,7 @@ def build_markov_mdp(
         q_max=q_max,
         cost_mode=cost_mode,
         ladder=ladder,
-        new_tx_error=new_tx_error,
+        errors=errors,
     )
 
 
@@ -179,6 +193,12 @@ def solve_rvi_markov(mdp: MarkovMdp, tol: float = 1e-9, max_iters: int = 100_000
             "gains": mdp.channel.gains,
         },
     )
+
+
+@dataclass(frozen=True)
+class SwitchingReport:
+    passed: bool
+    violations: tuple
 
 
 def verify_switching_markov(policy: Policy) -> SwitchingReport:
@@ -227,7 +247,8 @@ class HighSnrChain:
 def build_high_snr_chain(
     ch: MarkovChannel, lambda_primes, thetas, ladder: CostLadder
 ) -> HighSnrChain:
-    """Assemble the reduced chain, its stationary vector, and its average cost.
+    """Assemble the reduced chain, its stationary vector (by GTH elimination on
+    its closed class), and its average cost.
 
     lambda_primes[i] is the fresh-transmission error probability in gain
     state i; retransmissions always succeed. thetas[i] is the age threshold
@@ -263,8 +284,8 @@ def build_high_snr_chain(
             m[rows, cols] = ch.pi[xi_next, i] * within
     block_costs = [ladder.trace(2)] + [ladder.trace(q) for q in range(1, top + 2)]
     costs = np.array(block_costs * b)
-    e = null_space_vector(m - np.eye(b * block))
-    stationary = e / e.sum()
+    # Position 1 of block 0 (age 1 under gain 0) is reached from every state.
+    stationary = gth_stationary(m, start=1)
     zeta = float(costs @ stationary)
     return HighSnrChain(
         thetas=thetas,
@@ -280,30 +301,21 @@ def build_high_snr_chain(
 class HighSnrMarkovResult:
     theta_star: tuple
     zeta_star: float
-    evaluated: dict
-    skipped: tuple
+    evaluated: dict  # thetas -> zeta
 
 
 def high_snr_markov(
     ladder: CostLadder, ch: MarkovChannel, lambda_primes, theta_max_search: int = 8
 ) -> HighSnrMarkovResult:
-    """Exhaustive threshold-vector search over {1..theta_max_search}^B."""
+    """Exhaustive threshold-vector search over {1..theta_max_search}^B.
+
+    The first minimizer in lexicographic order wins ties.
+    """
     if theta_max_search < 1:
         raise ValueError("theta_max_search must be at least 1")
-    evaluated = {}
-    skipped = []
-    best_theta, best_zeta = None, np.inf
-    for thetas in product(range(1, theta_max_search + 1), repeat=ch.size):
-        try:
-            chain = build_high_snr_chain(ch, lambda_primes, thetas, ladder)
-        except ModelError:
-            skipped.append(thetas)
-            continue
-        evaluated[thetas] = chain.zeta
-        if chain.zeta < best_zeta:
-            best_theta, best_zeta = thetas, chain.zeta
-    if best_theta is None:
-        raise ModelError("every threshold vector produced a degenerate chain")
-    return HighSnrMarkovResult(
-        theta_star=best_theta, zeta_star=best_zeta, evaluated=evaluated, skipped=tuple(skipped)
-    )
+    evaluated = {
+        thetas: build_high_snr_chain(ch, lambda_primes, thetas, ladder).zeta
+        for thetas in product(range(1, theta_max_search + 1), repeat=ch.size)
+    }
+    best = min(evaluated, key=evaluated.__getitem__)
+    return HighSnrMarkovResult(theta_star=best, zeta_star=evaluated[best], evaluated=evaluated)

@@ -1,20 +1,33 @@
-"""Average-cost MDP for the constant-gain channel: kernel, solver, stability
-and structure checks, the myopic rule, and the perfect-retransmission closed
-form.
+"""The constant-gain channel under its own state labels, plus the myopic rule
+and the perfect-retransmission closed form.
 
-States are pairs (r, q): r counts the consecutive attempts of the pending
-round, q is the age of the freshest delivered estimate, and r <= q always.
-Action 0 transmits a fresh estimate, action 1 retransmits the pending one.
+A constant-gain link is the one-state Markov chain, and every function here
+solves it through `mdp_markov`. States are pairs (r, q): r counts the
+consecutive attempts of the pending round, q is the age of the freshest
+delivered estimate, and r <= q always. The one-state label ((r,), q, 0) is
+written (r, q) here, and policy files keep that layout.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .channel import static_channel
 from .errors import ConfigError
-from .harq_model import HarqModel, HistoryCounter, conditional_error_prob
+from .harq_model import HarqModel
 from .lti_estimation import CostLadder
-from .mdp_core import FiniteAverageCostMdp, Policy, relative_value_iteration
+from .mdp_core import FiniteAverageCostMdp, Policy
+from .mdp_markov import (
+    MarkovMdp,
+    StabilityReport,
+    SwitchingReport,
+    assemble_markov_mdp,
+    build_markov_mdp,
+    check_stability_markov,
+    high_snr_markov,
+    solve_rvi_markov,
+    verify_switching_markov,
+)
 
 __all__ = [
     "StabilityReport",
@@ -23,6 +36,8 @@ __all__ = [
     "build_static_mdp",
     "build_static_mdp_from_error_probs",
     "solve_rvi",
+    "static_policy",
+    "markov_policy",
     "SwitchingReport",
     "verify_switching",
     "myopic_policy",
@@ -35,29 +50,19 @@ __all__ = [
 _RELIABILITY_TIE = 1e-15
 
 
-@dataclass(frozen=True)
-class StabilityReport:
-    """Sufficient-condition check: product < 1 guarantees a bounded-MSE policy
-    exists; product >= 1 only means the guarantee is silent."""
-
-    product: float
-    stable: bool
-
-    @property
-    def margin(self) -> float:
-        return 1.0 - self.product
-
-
 def check_stability_static(lambda0: float, rho_sq_a: float) -> StabilityReport:
     """Worst retransmission error times the squared spectral radius of A."""
-    product = float(lambda0) * float(rho_sq_a)
-    return StabilityReport(product=product, stable=product < 1.0)
+    return check_stability_markov(np.ones((1, 1)), [lambda0], rho_sq_a)
 
 
 @dataclass(frozen=True, eq=False)
 class StaticMdp:
-    """Truncated (r, q) grid with its kernel, costs, and error-probability table."""
+    """The one-state Markov MDP with its states relabelled (r, q).
 
+    g_table[r] is the error probability of the r-th consecutive attempt.
+    """
+
+    markov: MarkovMdp
     core: FiniteAverageCostMdp
     states: tuple
     index: dict
@@ -66,7 +71,25 @@ class StaticMdp:
     r_max: int
     q_max: int
     cost_mode: str
-    gain: float = float("nan")
+    gain: float
+
+
+def _static_mdp(markov: MarkovMdp, gain: float) -> StaticMdp:
+    if markov.omega_caps[0] < 2:
+        raise ConfigError("r_max must be at least 2")
+    states = tuple((omega[0], q) for omega, q, _ in markov.states)
+    return StaticMdp(
+        markov=markov,
+        core=markov.core,
+        states=states,
+        index={s: i for i, s in enumerate(states)},
+        g_table={omega[0] + 1: g for (omega, _), g in markov.errors.items()},
+        ladder=markov.ladder,
+        r_max=markov.omega_caps[0],
+        q_max=markov.q_max,
+        cost_mode=markov.cost_mode,
+        gain=gain,
+    )
 
 
 def build_static_mdp_from_error_probs(
@@ -77,64 +100,19 @@ def build_static_mdp_from_error_probs(
     cost_mode: str = "mse",
     gain: float = float("nan"),
 ) -> StaticMdp:
-    """Assemble the truncated MDP from an explicit attempt -> error-probability map.
+    """Truncated MDP from an explicit attempt -> error-probability map.
 
-    g_table[r] is the error probability of the r-th consecutive attempt;
-    entries 1..r_max are required. Failure transitions clamp q at q_max, and
-    action 1 is unavailable at r = r_max so the kernel stays closed.
+    Entries 1..r_max of g_table are required. Failure transitions clamp q at
+    q_max, and action 1 is unavailable at r = r_max so the kernel stays closed.
     """
-    if r_max < 2:
-        raise ConfigError("r_max must be at least 2")
-    if q_max < r_max:
-        raise ConfigError("q_max must be at least r_max")
-    if cost_mode not in ("mse", "delay"):
-        raise ConfigError(f"cost_mode must be 'mse' or 'delay', got {cost_mode!r}")
     missing = [r for r in range(1, r_max + 1) if r not in g_table]
     if missing:
         raise ConfigError(f"g_table is missing attempts {missing}")
-    ladder = ladder.extended(q_max)
-
-    states = tuple((r, q) for r in range(1, r_max + 1) for q in range(r, q_max + 1))
-    index = {s: i for i, s in enumerate(states)}
-    n = len(states)
-    idx0 = np.zeros((n, 2), dtype=np.int64)
-    prob0 = np.zeros((n, 2))
-    idx1 = np.zeros((n, 2), dtype=np.int64)
-    prob1 = np.zeros((n, 2))
-    available = np.zeros((n, 2), dtype=bool)
-    available[:, 0] = True
-    g1 = g_table[1]
-    for s, (r, q) in enumerate(states):
-        q_fail = min(q + 1, q_max)
-        idx0[s] = (index[(1, 1)], index[(1, q_fail)])
-        prob0[s] = (1.0 - g1, g1)
-        if r < r_max:
-            g_next = g_table[r + 1]
-            idx1[s] = (index[(r + 1, r + 1)], index[(r + 1, q_fail)])
-            prob1[s] = (1.0 - g_next, g_next)
-            available[s, 1] = True
-    if cost_mode == "mse":
-        stage = np.array([ladder.trace(q) for (_, q) in states])
-    else:
-        stage = np.array([float(q) for (_, q) in states])
-    costs = np.stack([stage, stage], axis=1)
-    core = FiniteAverageCostMdp(
-        costs=costs,
-        transitions=[(idx0, prob0), (idx1, prob1)],
-        available=available,
-        ref=index[(1, 1)],
+    markov = assemble_markov_mdp(
+        lambda omega, xi: g_table[omega[0] + 1], static_channel(1.0), ladder, (r_max,), q_max,
+        cost_mode,
     )
-    return StaticMdp(
-        core=core,
-        states=states,
-        index=index,
-        g_table=dict(g_table),
-        ladder=ladder,
-        r_max=r_max,
-        q_max=q_max,
-        cost_mode=cost_mode,
-        gain=gain,
-    )
+    return _static_mdp(markov, gain)
 
 
 def build_static_mdp(
@@ -146,37 +124,32 @@ def build_static_mdp(
     cost_mode: str = "mse",
 ) -> StaticMdp:
     """Truncated MDP with error probabilities taken from the link model."""
-    g_table = {}
-    for r in range(1, r_max + 1):
-        history = HistoryCounter(counts=(r - 1,), gains=(float(gain),))
-        g_table[r] = conditional_error_prob(harq, history, float(gain))
-    return build_static_mdp_from_error_probs(
-        g_table, ladder, r_max, q_max, cost_mode, gain=float(gain)
+    markov = build_markov_mdp(harq, static_channel(gain), ladder, (r_max,), q_max, cost_mode)
+    return _static_mdp(markov, float(gain))
+
+
+def static_policy(policy: Policy) -> Policy:
+    """A one-state Markov policy relabelled on the (r, q) grid."""
+    return replace(
+        policy,
+        states=tuple((omega[0], q) for omega, q, _ in policy.states),
+        kind="static",
+        params={"r_max": policy.params["omega_caps"][0], "q_max": policy.params["q_max"]},
     )
+
+
+def markov_policy(policy: Policy) -> Policy:
+    """A static (r, q) policy relabelled as the one-state Markov policy."""
+    params = policy.params
+    if params:
+        params = {"omega_caps": (params["r_max"],), "q_max": params["q_max"]}
+    states = tuple(((r,), q, 0) for r, q in policy.states)
+    return replace(policy, states=states, kind="markov", params=params)
 
 
 def solve_rvi(mdp: StaticMdp, tol: float = 1e-9, max_iters: int = 100_000) -> Policy:
     """Relative value iteration with reference state (1, 1)."""
-    actions, zeta, span, iterations, converged = relative_value_iteration(
-        mdp.core, tol=tol, max_iters=max_iters
-    )
-    return Policy(
-        actions=actions,
-        states=mdp.states,
-        zeta=zeta,
-        span=span,
-        iterations=iterations,
-        converged=converged,
-        cost_mode=mdp.cost_mode,
-        kind="static",
-        params={"r_max": mdp.r_max, "q_max": mdp.q_max},
-    )
-
-
-@dataclass(frozen=True)
-class SwitchingReport:
-    passed: bool
-    violations: tuple
+    return static_policy(solve_rvi_markov(mdp.markov, tol=tol, max_iters=max_iters))
 
 
 def verify_switching(policy: Policy) -> SwitchingReport:
@@ -184,20 +157,13 @@ def verify_switching(policy: Policy) -> SwitchingReport:
 
     (i) action 0 at (r, q) forces action 0 at every (r + z, q);
     (ii) action 1 at (r, q) forces action 1 at every (r, q + z).
-    Checking immediate neighbors covers all z because the grid rows and
-    columns are contiguous.
     """
-    index = policy.index()
-    violations = []
-    for s, (r, q) in enumerate(policy.states):
-        a = policy.actions[s]
-        up_r = index.get((r + 1, q))
-        if a == 0 and up_r is not None and policy.actions[up_r] != 0:
-            violations.append(((r, q), (r + 1, q)))
-        up_q = index.get((r, q + 1))
-        if a == 1 and up_q is not None and policy.actions[up_q] != 1:
-            violations.append(((r, q), (r, q + 1)))
-    return SwitchingReport(passed=not violations, violations=tuple(violations))
+    report = verify_switching_markov(markov_policy(policy))
+    violations = tuple(
+        ((omega[0], q), (omega_next[0], q_next))
+        for (omega, q, _), (omega_next, q_next, _) in report.violations
+    )
+    return SwitchingReport(passed=report.passed, violations=violations)
 
 
 def myopic_policy(mdp: StaticMdp) -> Policy:
@@ -239,7 +205,8 @@ def high_snr_zeta_static(ladder: CostLadder, lambda_prime0: float, theta: int) -
 
     Closed form of the stationary distribution of the reduced chain
     {(2,2)} + {(1,q)}: the threshold policy retransmits only at r = 1,
-    q > theta, and such a retransmission lands in (2, 2).
+    q > theta, and such a retransmission lands in (2, 2). The solver uses the
+    reduced chain itself (`build_high_snr_chain`); this form cross-checks it.
     """
     if theta < 1:
         raise ValueError("theta must be at least 1")
@@ -265,9 +232,9 @@ class HighSnrStaticResult:
 def high_snr_optimal_static(
     ladder: CostLadder, lambda_prime0: float, theta_max: int
 ) -> HighSnrStaticResult:
-    """Scan the switching threshold and return the minimizer of the closed form."""
-    if theta_max < 1:
-        raise ValueError("theta_max must be at least 1")
-    zetas = tuple(high_snr_zeta_static(ladder, lambda_prime0, t) for t in range(1, theta_max + 1))
-    best = min(range(theta_max), key=zetas.__getitem__)
-    return HighSnrStaticResult(theta_star=best + 1, zeta_star=zetas[best], zetas=zetas)
+    """Scan the switching threshold on the one-state reduced chain."""
+    result = high_snr_markov(ladder, static_channel(1.0), (lambda_prime0,), theta_max)
+    zetas = tuple(result.evaluated[(t,)] for t in range(1, theta_max + 1))
+    return HighSnrStaticResult(
+        theta_star=result.theta_star[0], zeta_star=result.zeta_star, zetas=zetas
+    )

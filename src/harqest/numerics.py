@@ -13,9 +13,8 @@ from .errors import ModelError
 __all__ = [
     "spectral_radius",
     "gaussian_q",
-    "kronecker",
     "stationary_distribution",
-    "null_space_vector",
+    "gth_stationary",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -34,11 +33,6 @@ def spectral_radius(m) -> float:
 def gaussian_q(x: float) -> float:
     """Upper tail probability of the standard normal, Q(x) = P[Z > x]."""
     return 0.5 * math.erfc(x / _SQRT2)
-
-
-def kronecker(a, b) -> np.ndarray:
-    """Kronecker product of two matrices."""
-    return np.kron(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
 
 
 def stationary_distribution(p, tol: float = 1e-9) -> np.ndarray:
@@ -86,25 +80,54 @@ def stationary_distribution(p, tol: float = 1e-9) -> np.ndarray:
     return e
 
 
-def null_space_vector(m, rank_tol: float = 1e-8) -> np.ndarray:
-    """Nonnegative null-space vector of a matrix with rank deficiency one.
+def gth_stationary(p, start: int = 0) -> np.ndarray:
+    """Stationary distribution of the closed class a chain reaches from `start`.
 
-    Returns v with ||m @ v||_inf <= 1e-8 * ||v||_inf, sign-flipped so the
-    entries are nonnegative. Raises if the null space is empty, has dimension
-    greater than one, or mixes signs beyond round-off.
+    Grassmann-Taksar-Heyman elimination (Grassmann, Taksar and Heyman, 1985)
+    on that class of the column-stochastic matrix p. The elimination only
+    adds, multiplies and divides nonnegative numbers, so even tail
+    probabilities near 1e-300 keep full relative precision. States outside
+    the class get probability 0. Raises ModelError when more than one closed
+    class can be reached from `start`.
     """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ModelError(f"null space extraction needs a square matrix, got shape {m.shape}")
-    _, svals, vt = np.linalg.svd(m)
-    scale = svals[0] if svals[0] > 0 else 1.0
-    if svals[-1] > rank_tol * scale:
-        raise ModelError(f"matrix has full rank (smallest singular value {svals[-1]:.3e})")
-    if m.shape[0] > 1 and svals[-2] <= rank_tol * scale:
-        raise ModelError("rank deficiency exceeds one; null-space vector is not unique")
-    v = vt[-1]
-    if v.sum() < 0:
-        v = -v
-    if np.min(v) < -1e-8 * max(np.max(np.abs(v)), 1e-300):
-        raise ModelError(f"null-space vector has mixed signs: {v}")
-    return np.clip(v, 0.0, None)
+    p = np.asarray(p, dtype=float)
+    if p.ndim != 2 or p.shape[0] != p.shape[1]:
+        raise ModelError(f"transition matrix must be square, got shape {p.shape}")
+    if np.min(p) < 0.0 or np.max(np.abs(p.sum(axis=0) - 1.0)) > 1e-9:
+        raise ModelError("matrix is not column-stochastic")
+    linked = p > 0.0  # linked[j, i]: one step leads from i to j
+    ahead = _reachable(linked, start)
+    cls, centre = ahead, start
+    while True:
+        strays = np.flatnonzero(cls & ~_reachable(linked.T, centre))
+        if not len(strays):
+            break
+        centre = strays[0]  # cannot return to centre: its closed class lies further on
+        cls = _reachable(linked, centre)
+    if centre != start and (ahead & ~_reachable(linked.T, cls)).any():
+        raise ModelError("more than one closed class is reachable; the stationary vector is not unique")
+    members = np.flatnonzero(cls)
+    a = p[np.ix_(members, members)].T.copy()  # row-stochastic on the class
+    # Censor the states from the last one down: a[:k, k] becomes the flow
+    # into k per unit leaving it, and paths through k fold into a[:k, :k].
+    for k in range(len(members) - 1, 0, -1):
+        a[:k, k] /= a[k, :k].sum()
+        a[:k, :k] += a[:k, k, None] * a[k, :k]
+    x = np.zeros(len(members))  # unnormalized, back-substituted from state 0
+    x[0] = 1.0
+    for k in range(1, len(members)):
+        x[k] = x[:k] @ a[:k, k]
+    e = np.zeros(p.shape[0])
+    e[members] = x / x.sum()
+    return e
+
+
+def _reachable(linked, seeds) -> np.ndarray:
+    """Mask of the states reachable from the seed state(s) along `linked`."""
+    seen = np.zeros(linked.shape[0], dtype=bool)
+    seen[seeds] = True
+    frontier = seen.copy()
+    while frontier.any():
+        frontier = linked[:, frontier].any(axis=1) & ~seen
+        seen |= frontier
+    return seen

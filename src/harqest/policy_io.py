@@ -79,7 +79,7 @@ def load_policy(path) -> Policy:
         raise ConfigError(f"{path}: unknown policy kind {kind!r}")
     if not actions:
         raise ConfigError(f"{path}: no actions listed")
-    states = tuple(sorted((_parse_state(kind, key) for key in actions), key=_sort_key))
+    states = tuple(sorted(_parse_state(kind, key) for key in actions))
     table = np.array([actions[_state_key(kind, s)] for s in states], dtype=np.int8)
     if kind == "static":
         params = {"r_max": int(meta["r_max"]), "q_max": int(meta["q_max"])}
@@ -100,10 +100,3 @@ def load_policy(path) -> Policy:
         kind=kind,
         params=params,
     )
-
-
-def _sort_key(state):
-    if isinstance(state[0], tuple):
-        omega, q, xi = state
-        return (omega, q, xi)
-    return state

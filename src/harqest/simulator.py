@@ -20,7 +20,7 @@ from .harq_model import HarqModel, HistoryCounter, block_error_prob, conditional
 from .lti_estimation import CostLadder
 from .mdp_core import Policy
 from .mdp_markov import build_high_snr_chain
-from .mdp_static import high_snr_zeta_static
+from .mdp_static import markov_policy
 
 __all__ = [
     "PolicySpec",
@@ -104,8 +104,6 @@ class SimulationTrace:
     trace_mse: np.ndarray
     running_avg: np.ndarray
     omega: np.ndarray  # per-slot attempt counter, kept for conformance checks
-    seed: int
-    replicate: int
     diverged: bool = False
     diverged_slot: int = None
 
@@ -114,13 +112,11 @@ class SimulationTrace:
         return float(self.running_avg[-1]) if len(self.running_avg) else math.inf
 
     def to_csv(self, path):
+        columns = (self.k, self.a, self.gamma, self.r, self.q, self.xi, self.trace_mse, self.running_avg)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("k,a,gamma,r,q,xi,trace_mse,running_avg\n")
-            for i in range(len(self.k)):
-                fh.write(
-                    f"{self.k[i]},{self.a[i]},{self.gamma[i]},{self.r[i]},"
-                    f"{self.q[i]},{self.xi[i]},{self.trace_mse[i]!r},{self.running_avg[i]!r}\n"
-                )
+            for row in zip(*(column.tolist() for column in columns)):
+                fh.write(",".join(map(repr, row)) + "\n")
             if self.diverged:
                 fh.write(f"# diverged at slot {self.diverged_slot}\n")
 
@@ -139,23 +135,16 @@ class _GrowableLadder:
 
 def _action_fn(spec: PolicySpec, harq: HarqModel, ch: MarkovChannel, glad: _GrowableLadder):
     if spec.kind in ("table", "delay_optimal_table"):
-        table = spec.table
-        index = table.index()
-        actions = table.actions
-        if table.kind == "static":
-            r_max = table.params["r_max"]
-            q_max = table.params["q_max"]
+        # A static (r, q) table is the one-state table keyed ((r,), q, 0).
+        table = markov_policy(spec.table) if spec.table.kind == "static" else spec.table
+        action = dict(zip(table.states, table.actions.tolist()))
+        caps = tuple(table.params["omega_caps"])
+        q_max = table.params["q_max"]
+        if len(caps) != ch.size:
+            raise ValueError(f"table was solved for {len(caps)} gain states, channel has {ch.size}")
 
-            def act(r, q, omega, xi):
-                return int(actions[index[(min(r, r_max), min(q, q_max))]])
-
-        else:
-            caps = tuple(table.params["omega_caps"])
-            q_max = table.params["q_max"]
-
-            def act(r, q, omega, xi):
-                clamped = tuple(min(o, c) for o, c in zip(omega.counts, caps))
-                return int(actions[index[(clamped, min(q, q_max), xi)]])
+        def act(r, q, omega, xi):
+            return action[(tuple(map(min, omega.counts, caps)), min(q, q_max), xi)]
 
         return act
     if spec.kind == "myopic":
@@ -262,67 +251,9 @@ def run(
         trace_mse=cost_rec,
         running_avg=running,
         omega=col_omega[sl],
-        seed=cfg.seed,
-        replicate=replicate,
         diverged=diverged,
         diverged_slot=diverged_slot,
     )
-
-
-def replay_raw_trajectories(sys, kal, trace: SimulationTrace, seed: int = 0) -> dict:
-    """Demonstration-only replay of the raw process behind a recorded trace.
-
-    Draws process, measurement, and initial-state noise, runs the sensor's
-    steady-state filter, and forms the receiver's estimate by propagating the
-    freshest delivered sensor estimate forward by the recorded age. The
-    per-slot squared estimation errors fluctuate around the trace's
-    deterministic Tr(P_k) values; nothing here feeds back into the loop.
-
-    Only short horizons are meaningful when the process is unstable: the raw
-    state grows like rho(A)^k while the estimation error stays bounded, so
-    float64 cancellation swamps the error once rho(A)^k nears 1e13 (about 35
-    slots at rho = 2.4). This is one reason the main loop reads costs off the
-    ladder instead of simulating trajectories.
-    """
-    rng = np.random.default_rng([seed, trace.seed, trace.replicate])
-    n = sys.n
-    m = sys.C.shape[0]
-    slots = len(trace.k)
-    chol_w = np.linalg.cholesky(sys.Q_w + 1e-15 * np.eye(n))
-    chol_v = np.linalg.cholesky(sys.Q_v + 1e-15 * np.eye(m))
-    chol_0 = np.linalg.cholesky(sys.Sigma0 + 1e-15 * np.eye(n))
-    x = np.zeros((slots + 1, n))
-    y = np.zeros((slots + 1, m))
-    sensor = np.zeros((slots + 1, n))
-    receiver = np.zeros((slots, n))
-    squared_error = np.zeros(slots)
-    x[0] = chol_0 @ rng.standard_normal(n)
-    a_pow = {0: np.eye(n)}
-
-    def power(p):
-        if p not in a_pow:
-            a_pow[p] = sys.A @ power(p - 1)
-        return a_pow[p]
-
-    for k in range(slots + 1):
-        if k > 0:
-            x[k] = sys.A @ x[k - 1] + chol_w @ rng.standard_normal(n)
-        y[k] = sys.C @ x[k] + chol_v @ rng.standard_normal(m)
-        prior = sys.A @ sensor[k - 1] if k > 0 else np.zeros(n)
-        sensor[k] = prior + kal.K_bar @ (y[k] - sys.C @ prior)
-    for i in range(slots):
-        k = int(trace.k[i])
-        q = int(trace.q[i])
-        origin = max(k - q, 0)
-        receiver[i] = power(q) @ sensor[origin]
-        squared_error[i] = float(np.sum((x[k] - receiver[i]) ** 2))
-    return {
-        "x": x[1:],
-        "y": y[1:],
-        "sensor_estimate": sensor[1:],
-        "receiver_estimate": receiver,
-        "squared_error": squared_error,
-    }
 
 
 @dataclass(frozen=True)
@@ -348,6 +279,7 @@ class ComparisonRow:
 class ComparisonTable:
     rows: tuple
     trajectories: dict  # label -> per-slot mean running average (non-diverged only)
+    first_trace: SimulationTrace  # replicate 0 of the first entry
 
     def row(self, label: str) -> ComparisonRow:
         for row in self.rows:
@@ -378,6 +310,7 @@ def evaluate_policies(
         raise ValueError(f"duplicate comparison labels: {labels}")
     rows = []
     trajectories = {}
+    first_trace = None
     for entry in entries:
         model = entry.harq if entry.harq is not None else harq
         finals = []
@@ -385,6 +318,8 @@ def evaluate_policies(
         n_diverged = 0
         for rep in range(cfg.replicates):
             trace = run(model, ch, ladder, entry.spec, cfg, replicate=rep)
+            if first_trace is None:
+                first_trace = trace
             if trace.diverged:
                 n_diverged += 1
             else:
@@ -409,7 +344,7 @@ def evaluate_policies(
                 n_diverged=n_diverged,
             )
         )
-    return ComparisonTable(rows=tuple(rows), trajectories=trajectories)
+    return ComparisonTable(rows=tuple(rows), trajectories=trajectories, first_trace=first_trace)
 
 
 @dataclass(frozen=True)
@@ -433,10 +368,7 @@ def empirical_vs_closed_form(
     thetas = tuple(int(t) for t in thetas)
     cfg = replace(cfg, force_success_retransmissions=True)
     lambda_primes = tuple(block_error_prob(harq, (g,)) for g in ch.gains)
-    if ch.size == 1:
-        zeta = high_snr_zeta_static(ladder, lambda_primes[0], thetas[0])
-    else:
-        zeta = build_high_snr_chain(ch, lambda_primes, thetas, ladder).zeta
+    zeta = build_high_snr_chain(ch, lambda_primes, thetas, ladder).zeta
     spec = PolicySpec(kind="threshold", thetas=thetas, label=f"threshold{thetas}")
     finals = [
         run(harq, ch, ladder, spec, cfg, replicate=rep).final_average

@@ -192,6 +192,25 @@ class TestCliSolveAndSimulate:
         assert main(["simulate", "--config", str(path), "--policy", "psi"]) == 0
         assert (out / "trace_psi_rep0.csv").read_bytes() == first
 
+    def test_simulate_runs_each_replicate_once(self, static_cfg, monkeypatch):
+        # the replicate-0 trace file comes from the evaluation itself
+        import harqest.cli
+        import harqest.simulator
+
+        calls = []
+        original = harqest.simulator.run
+
+        def counting_run(*args, **kwargs):
+            calls.append(kwargs.get("replicate", 0))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(harqest.simulator, "run", counting_run)
+        monkeypatch.setattr(harqest.cli, "run", counting_run, raising=False)
+        path, out = static_cfg
+        assert main(["simulate", "--config", str(path), "--policy", "psi"]) == 0
+        assert sorted(calls) == [0, 1, 2]
+        assert (out / "trace_psi_rep0.csv").exists()
+
     def test_simulate_divergence_exit_code(self, tmp_path):
         # a dead link grows the age every slot, overflowing the cost ladder
         out = tmp_path / "out"

@@ -171,6 +171,21 @@ class TestSolveRvi:
             assert optimal_gain <= policy_average_cost(mdp.core, other) + slack
 
 
+class TestExactPolicyCost:
+    # Costs of the solved tables on the constant-gain r_max = q_max = 20 grid,
+    # recomputed from the link model and the Riccati recursion in 60-digit
+    # arithmetic. Stage costs reach 1e15 there, so an evaluation that loses
+    # tail probabilities near 1e-16 is off in the fourth digit (5715.74 and
+    # 136.41 from a dense balance solve).
+    @pytest.mark.parametrize(
+        "snr_db, exact", [(5.0, 5714.7546366891265), (8.5, 135.97696834499507)]
+    )
+    def test_rvi_policy_cost_matches_60_digit_value(self, ref_ladder, snr_db, exact):
+        mdp = build_static_mdp(HarqModel.from_db("cc", snr_db, 100, 4.0), 2.0, ref_ladder, 20, 20)
+        cost = policy_average_cost(mdp.core, solve_rvi(mdp).actions)
+        assert cost == pytest.approx(exact, rel=1e-9)
+
+
 class TestSwitchingSweep:
     def test_switching_holds_wherever_existence_condition_does(self, ref_ladder, ref_system):
         # SNR x gain x scheme sweep; the threshold structure is guaranteed

@@ -6,8 +6,7 @@ import pytest
 from harqest import (
     ModelError,
     gaussian_q,
-    kronecker,
-    null_space_vector,
+    gth_stationary,
     spectral_radius,
     stationary_distribution,
 )
@@ -81,39 +80,6 @@ class TestGaussianQ:
         assert gaussian_q(x) + gaussian_q(-x) == pytest.approx(1.0, abs=1e-12)
 
 
-class TestKronecker:
-    def test_identity_factor_is_block_diagonal(self):
-        b = np.array([[1.0, 2.0], [3.0, 4.0]])
-        out = kronecker(np.eye(2), b)
-        expected = np.block([[b, np.zeros((2, 2))], [np.zeros((2, 2)), b]])
-        np.testing.assert_array_equal(out, expected)
-
-    def test_column_times_row(self):
-        out = kronecker(np.array([[1.0], [1.0]]), np.array([[2.0, 3.0]]))
-        np.testing.assert_array_equal(out, np.array([[2.0, 3.0], [2.0, 3.0]]))
-
-    def test_definition_loop_oracle(self):
-        rng = np.random.default_rng(7)
-        a = rng.normal(size=(2, 2))
-        b = rng.normal(size=(3, 2))
-        out = kronecker(a, b)
-        assert out.shape == (6, 4)
-        for i in range(2):
-            for j in range(2):
-                for k in range(3):
-                    for l in range(2):
-                        assert out[i * 3 + k, j * 2 + l] == pytest.approx(a[i, j] * b[k, l])
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_mixed_product_property(self, seed):
-        rng = np.random.default_rng(200 + seed)
-        a, c = rng.normal(size=(2, 3)), rng.normal(size=(3, 2))
-        b, d = rng.normal(size=(2, 2)), rng.normal(size=(2, 3))
-        left = kronecker(a, b) @ kronecker(c, d)
-        right = kronecker(a @ c, b @ d)
-        np.testing.assert_allclose(left, right, atol=1e-12)
-
-
 class TestStationaryDistribution:
     def test_symmetric_two_state(self):
         out = stationary_distribution(np.array([[0.5, 0.5], [0.5, 0.5]]))
@@ -150,28 +116,60 @@ class TestStationaryDistribution:
 
 
 class TestNullSpaceVector:
+    """`gth_stationary` returns the nonnegative null-space vector of P - I,
+    normalized, on the closed class reached from the start state."""
+
     def test_simple_rank_deficient(self):
-        v = null_space_vector(np.array([[0.0, 0.0], [0.0, 1.0]]))
-        np.testing.assert_allclose(v / np.linalg.norm(v), [1.0, 0.0], atol=1e-12)
+        # P - I = [[0, 0.5], [0, -0.5]] has rank one; state 1 is transient
+        e = gth_stationary(np.array([[1.0, 0.5], [0.0, 0.5]]), start=1)
+        np.testing.assert_array_equal(e, [1.0, 0.0])
 
     def test_matches_stationary_distribution(self):
         p = np.array([[0.8, 0.5], [0.2, 0.5]])
-        v = null_space_vector(p - np.eye(2))
-        np.testing.assert_allclose(v / v.sum(), stationary_distribution(p), atol=1e-10)
+        np.testing.assert_allclose(gth_stationary(p), stationary_distribution(p), atol=1e-12)
 
     def test_residual_bound(self):
         rng = np.random.default_rng(11)
         p = rng.uniform(0.1, 1.0, size=(4, 4))
         p /= p.sum(axis=0, keepdims=True)
-        m = p - np.eye(4)
-        v = null_space_vector(m)
-        assert np.max(np.abs(m @ v)) <= 1e-8 * np.max(np.abs(v))
-        assert np.all(v >= 0)
+        e = gth_stationary(p)
+        assert np.max(np.abs(p @ e - e)) <= 1e-12
+        assert np.all(e >= 0)
+        assert e.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_full_rank(self):
+        # P - I of full rank: P is not a transition matrix
         with pytest.raises(ModelError):
-            null_space_vector(np.array([[2.0, 0.0], [0.0, 1.0]]))
+            gth_stationary(np.array([[3.0, 0.0], [0.0, 2.0]]))
 
     def test_rejects_deficiency_two(self):
+        # from state 1 the chain is absorbed in state 0 or in state 2
+        p = np.array([[1.0, 0.5, 0.0], [0.0, 0.0, 0.0], [0.0, 0.5, 1.0]])
         with pytest.raises(ModelError):
-            null_space_vector(np.zeros((2, 2)))
+            gth_stationary(p, start=1)
+        np.testing.assert_array_equal(gth_stationary(p, start=2), [0.0, 0.0, 1.0])
+
+    def test_start_in_transient_loop(self):
+        # states 0 and 1 swap until the chain leaves for the closed pair {2, 3}
+        p = np.array([
+            [0.0, 0.9, 0.0, 0.0],
+            [0.9, 0.0, 0.0, 0.0],
+            [0.1, 0.1, 0.0, 0.5],
+            [0.0, 0.0, 1.0, 0.5],
+        ])
+        np.testing.assert_allclose(gth_stationary(p), [0.0, 0.0, 1.0 / 3.0, 2.0 / 3.0], rtol=1e-15)
+
+    def test_tail_keeps_relative_precision(self):
+        # birth-death chain: detailed balance gives e[i + 1] / e[i] = up / down
+        # exactly, with the tail near 1e-160
+        n, up, down = 60, 1e-3, 0.5
+        p = np.zeros((n, n))
+        for i in range(n):
+            if i + 1 < n:
+                p[i + 1, i] = up
+            if i > 0:
+                p[i - 1, i] = down
+            p[i, i] = 1.0 - p[:, i].sum()
+        e = gth_stationary(p)
+        assert e[-1] < 1e-150
+        np.testing.assert_allclose(e[1:] / e[:-1], up / down, rtol=1e-13)

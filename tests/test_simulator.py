@@ -187,6 +187,12 @@ class TestTablePolicies:
         )
         assert int(trace.q.max()) >= 5
 
+    def test_table_rejects_channel_with_other_gain_count(self, cc_model, ref_channel, ref_ladder):
+        table = solve_rvi(build_static_mdp(cc_model, 2.0, ref_ladder, 3, 5, "mse"))
+        cfg = SimConfig(slots=10, replicates=1, seed=2)
+        with pytest.raises(ValueError, match="gain states"):
+            run(cc_model, ref_channel, ref_ladder, PolicySpec(kind="table", table=table), cfg)
+
     def test_myopic_table_agrees_with_on_the_fly(self, cc_model, ref_static_channel, ref_ladder):
         mdp = build_static_mdp(cc_model, 2.0, ref_ladder, 20, 20, "mse")
         table = myopic_policy(mdp)
@@ -269,48 +275,6 @@ class TestEmpiricalVsClosedForm:
             high_snr_zeta_static(ref_ladder, 7.27617035635667e-4, 2), rel=1e-12
         )
         assert out.abs_diff <= 3.0 * out.stderr + 1e-6 * out.zeta
-
-
-class TestRawTrajectoryReplay:
-    def test_squared_errors_track_the_ladder(
-        self, ref_system, ref_kalman, cc_model, ref_static_channel, ref_ladder
-    ):
-        from harqest.simulator import replay_raw_trajectories
-
-        # short horizon: the unstable raw state outgrows float64 cancellation
-        # around 35 slots, which is why the main loop never simulates it
-        cfg = SimConfig(slots=30, replicates=1, seed=8)
-        trace = run(
-            cc_model, ref_static_channel, ref_ladder, PolicySpec(kind="myopic"), cfg
-        )
-        raw = replay_raw_trajectories(ref_system, ref_kalman, trace, seed=2)
-        assert raw["x"].shape == (30, 2)
-        assert raw["squared_error"].shape == (30,)
-        # averaging fresh noise draws over many replays, the empirical mean
-        # squared error on the post-transient window tracks the ladder values
-        window = slice(10, 30)
-        total = np.zeros(20)
-        n_replays = 300
-        for k in range(n_replays):
-            total += replay_raw_trajectories(ref_system, ref_kalman, trace, seed=k)[
-                "squared_error"
-            ][window]
-        empirical = float(np.mean(total / n_replays))
-        predicted = float(np.mean(trace.trace_mse[window]))
-        assert empirical == pytest.approx(predicted, rel=0.10)
-
-    def test_deterministic_given_seed(
-        self, ref_system, ref_kalman, cc_model, ref_static_channel, ref_ladder
-    ):
-        from harqest.simulator import replay_raw_trajectories
-
-        cfg = SimConfig(slots=200, replicates=1, seed=8)
-        trace = run(
-            cc_model, ref_static_channel, ref_ladder, PolicySpec(kind="myopic"), cfg
-        )
-        one = replay_raw_trajectories(ref_system, ref_kalman, trace, seed=2)
-        two = replay_raw_trajectories(ref_system, ref_kalman, trace, seed=2)
-        np.testing.assert_array_equal(one["squared_error"], two["squared_error"])
 
 
 class TestPolicySpecValidation:
