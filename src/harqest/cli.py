@@ -120,19 +120,19 @@ def _solve(cfg: Config, harq: HarqModel, ladder, cost_mode: str):
 
 def cmd_stability(args) -> int:
     cfg, out_dir = _prepare(args)
+    caps = _omega_caps(cfg)
     rho_sq = cfg.system.rho_squared
     lines = [f"rho^2(A) = {rho_sq:.6f}"]
     if cfg.is_static:
-        worst = worst_retransmission_error_static(cfg.harq, cfg.channel.gains[0], cfg.solver.r_max)
+        worst = worst_retransmission_error_static(cfg.harq, cfg.channel.gains[0], caps[0])
         lambdas = [worst.value]
         lines.append(
             f"Lambda0 = {worst.value:.6e} (attempt {worst.argmax_attempts}, "
             f"monotone decreasing: {worst.monotone_decreasing})"
         )
     else:
-        budget = sum(_omega_caps(cfg))
         worsts = [
-            worst_retransmission_error_markov(cfg.harq, cfg.channel.gains, i, budget)
+            worst_retransmission_error_markov(cfg.harq, cfg.channel.gains, i, sum(caps))
             for i in range(cfg.channel.size)
         ]
         for i, worst in enumerate(worsts):

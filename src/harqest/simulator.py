@@ -10,11 +10,12 @@ see identical random streams (common random numbers).
 """
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import MarkovChannel, step, update_history
+from .channel import MarkovChannel
 from .errors import DepthError
 from .harq_model import HarqModel, HistoryCounter, block_error_prob, conditional_error_prob
 from .lti_estimation import CostLadder
@@ -121,19 +122,13 @@ class SimulationTrace:
                 fh.write(f"# diverged at slot {self.diverged_slot}\n")
 
 
-class _GrowableLadder:
-    """Chunked on-demand extension of a shared immutable ladder."""
+def _action_fn(spec: PolicySpec, ch: MarkovChannel, new_tx: tuple, retx_error, traces: list, grow):
+    """Compile a policy to act(r, q, counts, xi) -> action over plain ints.
 
-    def __init__(self, ladder: CostLadder):
-        self._ladder = ladder
-
-    def trace(self, n: int) -> float:
-        if n > self._ladder.depth:
-            self._ladder = self._ladder.extended(n + 32)
-        return self._ladder.trace(n)
-
-
-def _action_fn(spec: PolicySpec, harq: HarqModel, ch: MarkovChannel, glad: _GrowableLadder):
+    retx_error(counts, xi) is the true conditional retransmission error;
+    traces is the shared flat cost ladder (index n - 1 holds Tr at age n),
+    which grow(n) extends to cover age n.
+    """
     if spec.kind in ("table", "delay_optimal_table"):
         # A static (r, q) table is the one-state table keyed ((r,), q, 0).
         table = markov_policy(spec.table) if spec.table.kind == "static" else spec.table
@@ -143,28 +138,35 @@ def _action_fn(spec: PolicySpec, harq: HarqModel, ch: MarkovChannel, glad: _Grow
         if len(caps) != ch.size:
             raise ValueError(f"table was solved for {len(caps)} gain states, channel has {ch.size}")
 
-        def act(r, q, omega, xi):
-            return action[(tuple(map(min, omega.counts, caps)), min(q, q_max), xi)]
+        clamped = {}  # counts -> counts clamped to the table's caps
+
+        def act(r, q, counts, xi):
+            c = clamped.get(counts)
+            if c is None:
+                c = clamped[counts] = tuple(map(min, counts, caps))
+            return action[(c, q if q < q_max else q_max, xi)]
 
         return act
     if spec.kind == "myopic":
-        new_tx = tuple(block_error_prob(harq, (g,)) for g in ch.gains)
 
-        def act(r, q, omega, xi):
+        def act(r, q, counts, xi):
+            if q + 1 > len(traces):
+                grow(q + 1)
             g0 = new_tx[xi]
-            g1 = conditional_error_prob(harq, omega, ch.gains[xi])
-            fresh = g0 * glad.trace(q + 1) + (1.0 - g0) * glad.trace(1)
-            retx = g1 * glad.trace(q + 1) + (1.0 - g1) * glad.trace(omega.total + 1)
+            g1 = retx_error(counts, xi)
+            # The round holds r attempts, so a retransmission success lands at age r + 1.
+            fresh = g0 * traces[q] + (1.0 - g0) * traces[0]
+            retx = g1 * traces[q] + (1.0 - g1) * traces[r]
             return 0 if retx >= fresh else 1
 
         return act
     if spec.kind == "no_retransmission":
-        return lambda r, q, omega, xi: 0
+        return lambda r, q, counts, xi: 0
     if spec.kind == "always_retransmit_psi":
-        return lambda r, q, omega, xi: 0 if r == q else 1
+        return lambda r, q, counts, xi: 0 if r == q else 1
     thetas = tuple(int(t) for t in spec.thetas)
 
-    def act(r, q, omega, xi):
+    def act(r, q, counts, xi):
         return 1 if (r == 1 and q > thetas[xi]) else 0
 
     return act
@@ -178,80 +180,108 @@ def run(
     cfg: SimConfig,
     replicate: int = 0,
 ) -> SimulationTrace:
-    """Simulate one replicate. Deterministic given (cfg.seed, replicate)."""
+    """Simulate one replicate. Deterministic given (cfg.seed, replicate).
+
+    The state is plain ints and a counts tuple. All uniforms after the
+    initial-channel draw are drawn in one block and consumed in the order of
+    the per-slot scalar draws (first channel step, then an outcome and a
+    channel step per slot); Generator.random(n) yields the same values as n
+    scalar calls, so traces and common random numbers match slot by slot.
+    """
     rng = np.random.default_rng([cfg.seed, replicate])
-    glad = _GrowableLadder(ladder)
-    act = _action_fn(policy, harq, ch, glad)
-    new_tx = tuple(block_error_prob(harq, (g,)) for g in ch.gains)
+    size = ch.size
+    gains = ch.gains
+    new_tx = tuple(block_error_prob(harq, (g,)) for g in gains)
+    # Column i of the cumulative transition matrix; bisect_right on it is
+    # searchsorted(side="right") on the same floats.
+    columns = [ch._cumulative[:, i].tolist() for i in range(size)]
+    units = [tuple(1 if j == i else 0 for j in range(size)) for i in range(size)]
+
+    retx_errors = {}
+
+    def retx_error(counts, xi):
+        key = (counts, xi)
+        p = retx_errors.get(key)
+        if p is None:
+            history = HistoryCounter(counts, gains)
+            p = retx_errors[key] = conditional_error_prob(harq, history, gains[xi])
+        return p
+
+    traces = list(ladder.traces)
+
+    def grow(n):
+        # Extend to n + 32: whether a DepthError fires depends on how far
+        # each extension reaches, so this chunking fixes the divergence slot.
+        nonlocal ladder
+        ladder = ladder.extended(n + 32)
+        traces.extend(ladder.traces[len(traces) :])
+
+    act = _action_fn(policy, ch, new_tx, retx_error, traces, grow)
+    force = cfg.force_success_retransmissions
 
     if cfg.initial_channel is None:
         stationary = ch.stationary()
         xi_prev = int(np.searchsorted(np.cumsum(stationary), rng.random(), side="right"))
-        xi_prev = min(xi_prev, ch.size - 1)
+        xi_prev = min(xi_prev, size - 1)
     else:
         xi_prev = int(cfg.initial_channel)
-        if not 0 <= xi_prev < ch.size:
+        if not 0 <= xi_prev < size:
             raise ValueError(f"initial_channel {xi_prev} out of range")
-    omega = HistoryCounter.unit(ch.gains, xi_prev)
-    xi = step(ch, xi_prev, rng)
+    slots = cfg.slots
+    uniforms = rng.random(2 * slots + 1).tolist()
+    counts = units[xi_prev]
+    xi = bisect_right(columns[xi_prev], uniforms[0])
     r, q = 1, 1
 
-    slots = cfg.slots
-    col_k = np.arange(1, slots + 1, dtype=np.int64)
-    col_a = np.zeros(slots, dtype=np.int8)
-    col_gamma = np.zeros(slots, dtype=np.int8)
-    col_r = np.zeros(slots, dtype=np.int64)
-    col_q = np.zeros(slots, dtype=np.int64)
-    col_xi = np.zeros(slots, dtype=np.int64)
-    col_cost = np.zeros(slots, dtype=np.float64)
-    col_omega = np.zeros((slots, ch.size), dtype=np.int64)
-    diverged = False
+    col_a, col_gamma, col_r, col_q, col_xi, col_cost, col_omega = [], [], [], [], [], [], []
     diverged_slot = None
-    recorded = slots
-    for i in range(slots):
+    for i, u_outcome, u_channel in zip(range(slots), uniforms[1::2], uniforms[2::2]):
         try:
-            cost = glad.trace(q)
-            a = act(r, q, omega, xi)
+            if q > len(traces):
+                grow(q)
+            cost = traces[q - 1]
+            a = act(r, q, counts, xi)
         except DepthError:
             # The cost (or a lookahead the policy needs) left the
             # representable range: the estimate diverged.
-            diverged = True
             diverged_slot = i + 1
-            recorded = i
             break
         if a == 0:
             p_err = new_tx[xi]
-        elif cfg.force_success_retransmissions:
+        elif force:
             p_err = 0.0
         else:
-            p_err = conditional_error_prob(harq, omega, ch.gains[xi])
-        gamma = 1 if rng.random() >= p_err else 0
-        col_a[i] = a
-        col_gamma[i] = gamma
-        col_r[i] = r
-        col_q[i] = q
-        col_xi[i] = xi
-        col_cost[i] = cost
-        col_omega[i] = omega.counts
-        r_next = 1 if a == 0 else r + 1
-        q_next = r_next if gamma == 1 else q + 1
-        omega = update_history(omega, a, xi)
-        xi = step(ch, xi, rng)
-        r, q = r_next, q_next
-    sl = slice(0, recorded)
-    cost_rec = col_cost[sl]
+            p_err = retx_error(counts, xi)
+        gamma = 1 if u_outcome >= p_err else 0
+        col_a.append(a)
+        col_gamma.append(gamma)
+        col_r.append(r)
+        col_q.append(q)
+        col_xi.append(xi)
+        col_cost.append(cost)
+        col_omega.append(counts)
+        if a == 0:
+            r = 1
+            counts = units[xi]
+        else:
+            r += 1
+            counts = counts[:xi] + (counts[xi] + 1,) + counts[xi + 1 :]
+        q = r if gamma == 1 else q + 1
+        xi = bisect_right(columns[xi], u_channel)
+    recorded = len(col_cost)
+    cost_rec = np.array(col_cost, dtype=np.float64)
     running = np.cumsum(cost_rec) / np.arange(1, recorded + 1) if recorded else np.array([])
     return SimulationTrace(
-        k=col_k[sl],
-        a=col_a[sl],
-        gamma=col_gamma[sl],
-        r=col_r[sl],
-        q=col_q[sl],
-        xi=col_xi[sl],
+        k=np.arange(1, recorded + 1, dtype=np.int64),
+        a=np.array(col_a, dtype=np.int8),
+        gamma=np.array(col_gamma, dtype=np.int8),
+        r=np.array(col_r, dtype=np.int64),
+        q=np.array(col_q, dtype=np.int64),
+        xi=np.array(col_xi, dtype=np.int64),
         trace_mse=cost_rec,
         running_avg=running,
-        omega=col_omega[sl],
-        diverged=diverged,
+        omega=np.array(col_omega, dtype=np.int64).reshape(recorded, size),
+        diverged=diverged_slot is not None,
         diverged_slot=diverged_slot,
     )
 

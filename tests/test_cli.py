@@ -155,6 +155,14 @@ class TestCliStability:
         missing = tmp_path / "absent.cfg"
         assert main(["stability", "--config", str(missing)]) == 2
 
+    @pytest.mark.parametrize("command", ("stability", "solve"))
+    def test_r_max_below_two_is_a_config_error(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        path = tmp_path / "short.cfg"
+        path.write_text(STATIC_CFG.format(out=out).replace("r_max = 8", "r_max = 1"))
+        assert main([command, "--config", str(path)]) == 2
+        assert "config error: r_max must be at least 2" in capsys.readouterr().err
+
 
 class TestCliSolveAndSimulate:
     def test_solve_writes_policy(self, static_cfg, capsys):

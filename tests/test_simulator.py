@@ -3,11 +3,15 @@ import pytest
 
 from harqest import (
     HarqModel,
+    HistoryCounter,
+    MarkovChannel,
     PolicyEntry,
     PolicySpec,
     SimConfig,
+    block_error_prob,
     build_markov_mdp,
     build_static_mdp,
+    conditional_error_prob,
     empirical_vs_closed_form,
     evaluate_policies,
     high_snr_zeta_static,
@@ -16,7 +20,11 @@ from harqest import (
     solve_rvi,
     solve_rvi_markov,
     static_channel,
+    step,
+    update_history,
 )
+from harqest.errors import DepthError
+from harqest.mdp_static import markov_policy
 
 BASELINE = 15.8397
 
@@ -46,6 +54,214 @@ def replay_states(trace, n_gains):
             counts[xi] += 1
         r, q, omega = r_next, q_next, tuple(counts)
     return r_seq, q_seq, omega_seq
+
+
+def reference_run(harq, ch, ladder, spec, cfg, replicate=0):
+    """The simulator's per-slot loop written with the model objects:
+    HistoryCounter attempt histories, channel.step drawing one scalar per
+    channel move, update_history, and a ladder grown on demand by
+    CostLadder.extended(n + 32). run() must reproduce it byte for byte."""
+    rng = np.random.default_rng([cfg.seed, replicate])
+    grown = [ladder]
+
+    def trace(n):
+        if n > grown[0].depth:
+            grown[0] = grown[0].extended(n + 32)
+        return grown[0].trace(n)
+
+    new_tx = tuple(block_error_prob(harq, (g,)) for g in ch.gains)
+    if spec.kind in ("table", "delay_optimal_table"):
+        table = markov_policy(spec.table) if spec.table.kind == "static" else spec.table
+        action = dict(zip(table.states, table.actions.tolist()))
+        caps = tuple(table.params["omega_caps"])
+        q_max = table.params["q_max"]
+
+        def act(r, q, omega, xi):
+            return action[(tuple(map(min, omega.counts, caps)), min(q, q_max), xi)]
+
+    elif spec.kind == "myopic":
+
+        def act(r, q, omega, xi):
+            g0 = new_tx[xi]
+            g1 = conditional_error_prob(harq, omega, ch.gains[xi])
+            fresh = g0 * trace(q + 1) + (1.0 - g0) * trace(1)
+            retx = g1 * trace(q + 1) + (1.0 - g1) * trace(omega.total + 1)
+            return 0 if retx >= fresh else 1
+
+    elif spec.kind == "no_retransmission":
+
+        def act(r, q, omega, xi):
+            return 0
+
+    elif spec.kind == "always_retransmit_psi":
+
+        def act(r, q, omega, xi):
+            return 0 if r == q else 1
+
+    else:
+
+        def act(r, q, omega, xi):
+            return 1 if (r == 1 and q > spec.thetas[xi]) else 0
+
+    if cfg.initial_channel is None:
+        cumulative = np.cumsum(ch.stationary())
+        xi_prev = min(int(np.searchsorted(cumulative, rng.random(), side="right")), ch.size - 1)
+    else:
+        xi_prev = cfg.initial_channel
+    omega = HistoryCounter.unit(ch.gains, xi_prev)
+    xi = step(ch, xi_prev, rng)
+    r, q = 1, 1
+    rows = []
+    diverged_slot = None
+    for i in range(cfg.slots):
+        try:
+            cost = trace(q)
+            a = act(r, q, omega, xi)
+        except DepthError:
+            diverged_slot = i + 1
+            break
+        if a == 0:
+            p_err = new_tx[xi]
+        elif cfg.force_success_retransmissions:
+            p_err = 0.0
+        else:
+            p_err = conditional_error_prob(harq, omega, ch.gains[xi])
+        gamma = 1 if rng.random() >= p_err else 0
+        rows.append((a, gamma, r, q, xi, cost, omega.counts))
+        r_next = 1 if a == 0 else r + 1
+        q = r_next if gamma == 1 else q + 1
+        r = r_next
+        omega = update_history(omega, a, xi)
+        xi = step(ch, xi, rng)
+    n = len(rows)
+    costs = np.array([row[5] for row in rows], dtype=np.float64)
+    return {
+        "k": np.arange(1, n + 1, dtype=np.int64),
+        "a": np.array([row[0] for row in rows], dtype=np.int8),
+        "gamma": np.array([row[1] for row in rows], dtype=np.int8),
+        "r": np.array([row[2] for row in rows], dtype=np.int64),
+        "q": np.array([row[3] for row in rows], dtype=np.int64),
+        "xi": np.array([row[4] for row in rows], dtype=np.int64),
+        "trace_mse": costs,
+        "running_avg": np.cumsum(costs) / np.arange(1, n + 1) if n else np.array([]),
+        "omega": np.array([row[6] for row in rows], dtype=np.int64).reshape(n, ch.size),
+        "diverged": diverged_slot is not None,
+        "diverged_slot": diverged_slot,
+    }
+
+
+def assert_matches_reference(trace, expected):
+    for name, value in expected.items():
+        got = getattr(trace, name)
+        if isinstance(value, np.ndarray):
+            assert got.dtype == value.dtype, name
+            assert got.shape == value.shape, name
+            assert got.tobytes() == value.tobytes(), name
+        else:
+            assert got == value, name
+
+
+def test_block_draw_equals_scalar_draws():
+    # run() draws a replicate's uniforms in one block; that keeps traces and
+    # common random numbers only because the block equals the scalar stream
+    scalar = np.random.default_rng([7, 3])
+    block = np.random.default_rng([7, 3])
+    first = scalar.random()
+    assert block.random() == first
+    expected = [scalar.random() for _ in range(2001)]
+    assert block.random(2001).tolist() == expected
+    assert block.random() == scalar.random()
+
+
+FADING = MarkovChannel(gains=(2.0, 1.0), pi=np.array([[0.8, 0.2], [0.2, 0.8]]))
+STATIC = static_channel(2.0)
+
+
+@pytest.fixture(scope="module")
+def conformance_tables(ref_ladder):
+    """Solved MSE and delay tables per (SNR, link) for the conformance runs."""
+    tables = {}
+    for snr_db in (5.0, 8.5):
+        model = HarqModel.from_db("cc", snr_db, 100, 4.0)
+        for cost_mode in ("mse", "delay"):
+            tables[snr_db, "static", cost_mode] = solve_rvi(
+                build_static_mdp(model, 2.0, ref_ladder, 20, 20, cost_mode)
+            )
+            tables[snr_db, "fading", cost_mode] = solve_rvi_markov(
+                build_markov_mdp(model, FADING, ref_ladder, (4, 4), 10, cost_mode)
+            )
+    return tables
+
+
+def _spec(kind, tables, snr_db, link):
+    if kind == "table":
+        return PolicySpec(kind=kind, table=tables[snr_db, link, "mse"])
+    if kind == "delay_optimal_table":
+        return PolicySpec(kind=kind, table=tables[snr_db, link, "delay"])
+    if kind == "threshold":
+        return PolicySpec(kind=kind, thetas=(3,) if link == "static" else (3, 2))
+    return PolicySpec(kind=kind)
+
+
+_ALL_KINDS = (
+    "table",
+    "delay_optimal_table",
+    "myopic",
+    "no_retransmission",
+    "always_retransmit_psi",
+    "threshold",
+)
+
+
+class TestReferenceConformance:
+    @pytest.mark.parametrize("kind", _ALL_KINDS)
+    @pytest.mark.parametrize("link", ("static", "fading"))
+    @pytest.mark.parametrize("snr_db", (5.0, 8.5))
+    def test_matches_reference_loop(self, kind, link, snr_db, conformance_tables, ref_ladder):
+        model = HarqModel.from_db("cc", snr_db, 100, 4.0)
+        ch = STATIC if link == "static" else FADING
+        spec = _spec(kind, conformance_tables, snr_db, link)
+        cfg = SimConfig(slots=1_500, replicates=1, seed=31)
+        for rep in (0, 1):
+            expected = reference_run(model, ch, ref_ladder, spec, cfg, replicate=rep)
+            assert_matches_reference(run(model, ch, ref_ladder, spec, cfg, replicate=rep), expected)
+
+    @pytest.mark.parametrize("kind", _ALL_KINDS)
+    @pytest.mark.parametrize("link", ("static", "fading"))
+    def test_forced_success_and_initial_channel(self, kind, link, conformance_tables, ref_ladder):
+        model = HarqModel.from_db("ir", 8.5, 100, 4.0)
+        ch = STATIC if link == "static" else FADING
+        spec = _spec(kind, conformance_tables, 8.5, link)
+        for cfg in (
+            SimConfig(slots=1_000, seed=5, force_success_retransmissions=True),
+            SimConfig(slots=1_000, seed=5, initial_channel=ch.size - 1),
+        ):
+            expected = reference_run(model, ch, ref_ladder, spec, cfg)
+            assert_matches_reference(run(model, ch, ref_ladder, spec, cfg), expected)
+
+    @pytest.mark.parametrize("kind", _ALL_KINDS)
+    @pytest.mark.parametrize("link", ("static", "fading"))
+    def test_divergence_matches_reference(self, kind, link, conformance_tables, ref_ladder):
+        # a dead link lets the age grow every slot, past the tables' q_max,
+        # until the ladder overflows; run() must stop at the same slot as
+        # the reference
+        model = HarqModel(scheme="cc", snr=1e-9, blocklength=100, rate=4.0)
+        ch = STATIC if link == "static" else FADING
+        spec = _spec(kind, conformance_tables, 5.0, link)
+        cfg = SimConfig(slots=2_000, seed=2)
+        expected = reference_run(model, ch, ref_ladder, spec, cfg)
+        assert expected["diverged"]
+        assert_matches_reference(run(model, ch, ref_ladder, spec, cfg), expected)
+
+    def test_divergence_at_5_db_matches_reference(self, ref_ladder):
+        # never retransmitting on the fading link at 5 dB diverges through
+        # DepthError after a random number of slots
+        model = HarqModel.from_db("cc", 5.0, 100, 4.0)
+        cfg = SimConfig(slots=3_000, seed=7)
+        spec = PolicySpec(kind="no_retransmission")
+        expected = reference_run(model, FADING, ref_ladder, spec, cfg)
+        assert expected["diverged"]
+        assert_matches_reference(run(model, FADING, ref_ladder, spec, cfg), expected)
 
 
 class TestPerfectLink:
