@@ -30,6 +30,7 @@ from .mdp_markov import (
     verify_switching_markov,
 )
 from .mdp_static import static_policy
+from .numerics import spectral_radius
 from .policy_io import load_policy, save_policy
 from .simulator import PolicyEntry, PolicySpec, evaluate_policies
 
@@ -158,14 +159,18 @@ def cmd_stability(args) -> int:
 
 
 def _write_region_grid(ch: MarkovChannel, rho_sq_values, steps: int, path):
-    grid = np.linspace(0.0, 1.0, steps).tolist()
+    """Verdict of `check_stability_markov` on every (lambda1, lambda2) cell,
+    with the cells' radii taken in one stacked call and reused for each rho^2."""
+    grid = np.linspace(0.0, 1.0, steps)
+    lambdas = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1)
+    radii = spectral_radius(ch.pi * lambdas[..., None, :]).tolist()
+    grid = grid.tolist()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("lambda1,lambda2,rho_sq,stable\n")
         for rho_sq in rho_sq_values:
-            for l1 in grid:
-                for l2 in grid:
-                    verdict = check_stability_markov(ch.pi, [l1, l2], rho_sq)
-                    fh.write(f"{l1!r},{l2!r},{rho_sq!r},{int(verdict.stable)}\n")
+            for l1, row in zip(grid, radii):
+                for l2, radius in zip(grid, row):
+                    fh.write(f"{l1!r},{l2!r},{rho_sq!r},{int(radius * rho_sq < 1.0)}\n")
 
 
 def cmd_solve(args) -> int:

@@ -19,8 +19,9 @@ __all__ = ["FiniteAverageCostMdp", "Policy", "relative_value_iteration", "policy
 
 @dataclass(frozen=True, eq=False)
 class FiniteAverageCostMdp:
-    """costs[s, a]; transitions[a] = (idx, prob) arrays of shape (S, K_a);
-    available[s, a] masks actions that are forbidden at a state."""
+    """costs[s, a]; transitions[a] = (idx, prob) arrays of shape (S, K), with
+    one K for every action; available[s, a] masks actions that are forbidden
+    at a state."""
 
     costs: np.ndarray
     transitions: list
@@ -86,8 +87,25 @@ def relative_value_iteration(
     n, n_actions = mdp.n_states, mdp.n_actions
     if not mdp.available.any(axis=1).all():
         raise ValueError("every state needs at least one available action")
+    # Stack the actions: row a * n + s holds (s, a), so one gather and one
+    # einsum make a sweep. An unavailable action costs inf, which its kernel
+    # row cannot change.
+    idx = np.concatenate([idx_a for idx_a, _ in mdp.transitions])
+    prob = np.concatenate([prob_a for _, prob_a in mdp.transitions])
+    costs = np.where(mdp.available, mdp.costs, np.inf).T.ravel()
     v = np.zeros(n)
-    q = np.empty((n, n_actions))
+    q = np.empty(n_actions * n)
+    q_by_action = q.reshape(n_actions, n)
+    tv = np.empty(n)
+    diff = np.empty(n)
+
+    def bellman():
+        # Keep this einsum: from width 3 on its row sum differs from a
+        # left-to-right sum of products, so a column-wise sum would move the
+        # iterates in the last bit.
+        np.einsum("sk,sk->s", prob, v[idx], out=q)
+        np.add(q, costs, out=q)
+
     best_span = np.inf
     stall = 0
     converged = False
@@ -95,15 +113,12 @@ def relative_value_iteration(
     iterations = 0
     while iterations < max_iters:
         iterations += 1
-        for a in range(n_actions):
-            idx, prob = mdp.transitions[a]
-            q[:, a] = mdp.costs[:, a] + np.einsum("sk,sk->s", prob, v[idx])
-        q[~mdp.available] = np.inf
-        tv = q.min(axis=1)
-        diff = tv - v
+        bellman()
+        np.minimum.reduce(q_by_action, axis=0, out=tv)
+        np.subtract(tv, v, out=diff)
         lo, hi = float(diff.min()), float(diff.max())
         span = hi - lo
-        v = tv - tv[mdp.ref]
+        np.subtract(tv, tv[mdp.ref], out=v)
         if span < tol:
             converged = True
             break
@@ -122,18 +137,16 @@ def relative_value_iteration(
     # Greedy actions off the final Q table. Lower-numbered actions win ties;
     # the tie width scales with the Q magnitude because absolute 1e-12 is
     # below float resolution once costs reach ~1e4.
-    for a in range(n_actions):
-        idx, prob = mdp.transitions[a]
-        q[:, a] = mdp.costs[:, a] + np.einsum("sk,sk->s", prob, v[idx])
-    q[~mdp.available] = np.inf
+    bellman()
     actions = np.zeros(n, dtype=np.int8)
-    best = q[:, 0].copy()
+    best = q_by_action[0].copy()
     for a in range(1, n_actions):
-        finite = np.isfinite(q[:, a])
-        tie = 1e-12 + 1e-9 * np.maximum(np.abs(best), np.where(finite, np.abs(q[:, a]), 0.0))
-        better = q[:, a] < best - tie
+        qa = q_by_action[a]
+        finite = np.isfinite(qa)
+        tie = 1e-12 + 1e-9 * np.maximum(np.abs(best), np.where(finite, np.abs(qa), 0.0))
+        better = qa < best - tie
         actions[better] = a
-        best = np.where(better, q[:, a], best)
+        best = np.where(better, qa, best)
     zeta = (lo + hi) / 2.0
     return actions, float(zeta), float(hi - lo), iterations, converged
 

@@ -50,10 +50,16 @@ class StabilityReport:
 
 
 def check_stability_markov(pi, lambdas, rho_sq_a: float) -> StabilityReport:
-    """rho(Pi @ diag(worst retransmission errors)) times rho^2(A), verdict < 1."""
+    """rho(Pi @ diag(worst retransmission errors)) times rho^2(A), verdict < 1.
+
+    Pi @ diag(lambdas) is formed as pi * lambdas, which scales column j by
+    lambdas[j] and is the same matrix bit for bit.
+    """
     pi = np.asarray(pi, dtype=float)
     lambdas = np.asarray(lambdas, dtype=float)
-    product_value = spectral_radius(pi @ np.diag(lambdas)) * float(rho_sq_a)
+    if lambdas.shape != pi.shape[-1:]:
+        raise ValueError(f"need one lambda per gain state, got shape {lambdas.shape} for pi {pi.shape}")
+    product_value = spectral_radius(pi * lambdas) * float(rho_sq_a)
     return StabilityReport(product=product_value, stable=product_value < 1.0)
 
 

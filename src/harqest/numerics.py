@@ -20,14 +20,16 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 
 
-def spectral_radius(m) -> float:
-    """Largest absolute eigenvalue of a square matrix."""
+def spectral_radius(m):
+    """Largest absolute eigenvalue of a square matrix (a float), or of each
+    matrix in a stack of shape (..., n, n) (an array of shape (...))."""
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"spectral radius needs a square matrix, got shape {m.shape}")
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"spectral radius needs square matrices, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
-    return float(np.max(np.abs(np.linalg.eigvals(m))))
+    radii = np.abs(np.linalg.eigvals(m)).max(axis=-1)
+    return float(radii) if m.ndim == 2 else radii
 
 
 def gaussian_q(x: float) -> float:

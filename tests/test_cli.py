@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from harqest import load_policy
+from harqest import check_stability_markov, load_policy
 from harqest.cli import main
 from harqest.config import load_config
 from harqest.errors import ConfigError
@@ -141,6 +141,21 @@ class TestCliStability:
         ordered = [counts[key] for key in sorted(counts, key=float)]
         assert ordered == sorted(ordered, reverse=True)
         assert ordered[0] > ordered[-1] > 0
+
+    def test_region_grid_matches_per_cell_check(self, markov_cfg):
+        path, out = markov_cfg
+        steps, rho_sq = 17, [1.5, 4.0]
+        argv = ["stability", "--config", str(path), "--grid-steps", str(steps), "--rho-sq"]
+        assert main(argv + [str(r) for r in rho_sq]) == 0
+        pi = load_config(str(path)).channel.pi
+        grid = np.linspace(0.0, 1.0, steps).tolist()
+        expected = ["lambda1,lambda2,rho_sq,stable"] + [
+            f"{l1!r},{l2!r},{r!r},{int(check_stability_markov(pi, [l1, l2], r).stable)}"
+            for r in rho_sq for l1 in grid for l2 in grid
+        ]
+        lines = (out / "stability_region.csv").read_text().splitlines()
+        assert lines == expected
+        assert {line[-1] for line in lines[1:]} == {"0", "1"}
 
     def test_snr_override_drives_product_to_zero(self, tmp_path, capsys):
         out = tmp_path / "out"

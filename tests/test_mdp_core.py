@@ -6,14 +6,21 @@ import pytest
 from harqest import (
     ConvergenceError,
     FiniteAverageCostMdp,
+    HarqModel,
     ModelError,
+    build_markov_mdp,
     policy_average_cost,
     relative_value_iteration,
+    static_channel,
 )
 
 
-def random_mdp(seed, max_states=12, n_actions=2):
-    """Dense random MDP with strictly positive kernels (irreducible, aperiodic)."""
+def random_mdp(seed, max_states=12, n_actions=2, unavailable=0.0):
+    """Dense random MDP with strictly positive kernels (irreducible, aperiodic).
+
+    Each (state, action) pair is unavailable with probability `unavailable`,
+    keeping one random action at every state that would lose them all.
+    """
     rng = np.random.default_rng(seed)
     n = int(rng.integers(3, max_states + 1))
     costs = rng.uniform(0.0, 10.0, size=(n, n_actions))
@@ -23,7 +30,9 @@ def random_mdp(seed, max_states=12, n_actions=2):
         rows /= rows.sum(axis=1, keepdims=True)
         idx = np.tile(np.arange(n), (n, 1))
         transitions.append((idx, rows))
-    available = np.ones((n, n_actions), dtype=bool)
+    available = rng.random((n, n_actions)) >= unavailable
+    stuck = np.flatnonzero(~available.any(axis=1))
+    available[stuck, rng.integers(0, n_actions, size=len(stuck))] = True
     return FiniteAverageCostMdp(costs=costs, transitions=transitions, available=available, ref=0)
 
 
@@ -91,6 +100,114 @@ class TestRelativeValueIteration:
         mdp = random_mdp(1)
         with pytest.raises(ConvergenceError):
             relative_value_iteration(mdp, tol=1e-15, max_iters=2, patience=10_000)
+
+
+def reference_rvi(mdp, tol=1e-9, max_iters=100_000, patience=500):
+    """The per-action sweep `relative_value_iteration` replaced, kept as the
+    reference its stacked sweep must reproduce bit for bit."""
+    n, n_actions = mdp.n_states, mdp.n_actions
+    v = np.zeros(n)
+    q = np.empty((n, n_actions))
+    best_span = np.inf
+    stall = 0
+    converged = False
+    lo = hi = 0.0
+    iterations = 0
+    while iterations < max_iters:
+        iterations += 1
+        for a in range(n_actions):
+            idx, prob = mdp.transitions[a]
+            q[:, a] = mdp.costs[:, a] + np.einsum("sk,sk->s", prob, v[idx])
+        q[~mdp.available] = np.inf
+        tv = q.min(axis=1)
+        diff = tv - v
+        lo, hi = float(diff.min()), float(diff.max())
+        span = hi - lo
+        v = tv - tv[mdp.ref]
+        if span < tol:
+            converged = True
+            break
+        if span < best_span * (1.0 - 1e-6):
+            best_span = span
+            stall = 0
+        else:
+            stall += 1
+            if stall >= patience:
+                break
+    else:
+        raise ConvergenceError(
+            f"relative value iteration did not converge within {max_iters} sweeps "
+            f"(final span {hi - lo:.3e})"
+        )
+    for a in range(n_actions):
+        idx, prob = mdp.transitions[a]
+        q[:, a] = mdp.costs[:, a] + np.einsum("sk,sk->s", prob, v[idx])
+    q[~mdp.available] = np.inf
+    actions = np.zeros(n, dtype=np.int8)
+    best = q[:, 0].copy()
+    for a in range(1, n_actions):
+        finite = np.isfinite(q[:, a])
+        tie = 1e-12 + 1e-9 * np.maximum(np.abs(best), np.where(finite, np.abs(q[:, a]), 0.0))
+        better = q[:, a] < best - tie
+        actions[better] = a
+        best = np.where(better, q[:, a], best)
+    zeta = (lo + hi) / 2.0
+    return actions, float(zeta), float(hi - lo), iterations, converged
+
+
+def assert_same_solve(mdp, **kwargs):
+    """Both solvers return identical values, or raise the same error.
+    Returns how the solve stopped: "tol", "plateau" or "budget"."""
+    try:
+        expected = reference_rvi(mdp, **kwargs)
+    except ConvergenceError as exc:
+        with pytest.raises(ConvergenceError) as info:
+            relative_value_iteration(mdp, **kwargs)
+        assert str(info.value) == str(exc)
+        return "budget"
+    actions, zeta, span, iterations, converged = relative_value_iteration(mdp, **kwargs)
+    assert actions.dtype == expected[0].dtype
+    assert actions.tobytes() == expected[0].tobytes()
+    assert (repr(zeta), repr(span)) == (repr(expected[1]), repr(expected[2]))
+    assert (iterations, converged) == expected[3:]
+    return "tol" if converged else "plateau"
+
+
+class TestReferenceConformance:
+    """The stacked sweep reproduces the per-action sweep bit for bit."""
+
+    @pytest.mark.parametrize("n_actions", [2, 3])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_with_unavailable_actions(self, seed, n_actions):
+        mdp = random_mdp(200 + seed, max_states=30, n_actions=n_actions, unavailable=0.3)
+        assert not mdp.available.all()
+        assert assert_same_solve(mdp, tol=1e-11) == "tol"
+
+    def test_plateau_stop(self):
+        mdp = random_mdp(7, max_states=30, n_actions=3, unavailable=0.3)
+        assert assert_same_solve(mdp, tol=0.0, patience=50) == "plateau"
+
+    def test_budget_failure(self):
+        mdp = random_mdp(8, max_states=30, n_actions=3, unavailable=0.3)
+        assert assert_same_solve(mdp, tol=0.0, max_iters=40, patience=10_000) == "budget"
+
+    @pytest.mark.parametrize("cost_mode", ["mse", "delay"])
+    @pytest.mark.parametrize("scheme", ["cc", "ir"])
+    @pytest.mark.parametrize("snr_db", [5.0, 8.5, 10.0])
+    def test_cli_mdps(self, snr_db, scheme, cost_mode, ref_ladder, ref_channel):
+        # The reference configs' grids: static r_max = q_max = 20, fading
+        # caps (4, 4) with q_max = 10, solved with the CLI's tol and budget.
+        harq = HarqModel.from_db(scheme, snr_db, 100, 4.0)
+        for ch, caps, q_max in ((static_channel(2.0), (20,), 20), (ref_channel, (4, 4), 10)):
+            mdp = build_markov_mdp(harq, ch, ref_ladder, caps, q_max, cost_mode)
+            assert_same_solve(mdp.core, tol=1e-9, max_iters=100_000)
+
+    def test_ir_fading_budget_failure(self, ref_ladder, ref_channel):
+        # IR at 6.5 dB on the {2, 1} chain: the span shrinks too slowly for
+        # either stop to fire, so the budget runs out.
+        harq = HarqModel.from_db("ir", 6.5, 100, 4.0)
+        mdp = build_markov_mdp(harq, ref_channel, ref_ladder, (4, 4), 10)
+        assert assert_same_solve(mdp.core, max_iters=2000) == "budget"
 
 
 class TestPolicyAverageCost:

@@ -48,6 +48,10 @@ class TestStabilityCheck:
         assert markov.product == pytest.approx(static.product, rel=1e-12)
         assert markov.stable == static.stable
 
+    def test_rejects_one_lambda_for_two_states(self, ref_channel):
+        with pytest.raises(ValueError):
+            check_stability_markov(ref_channel.pi, [0.3], 2.0)
+
     def test_region_nesting_in_growth_rate(self):
         # stable cell count shrinks monotonically as rho^2 grows
         pi = np.array([[0.8, 0.5], [0.2, 0.5]])

@@ -57,6 +57,24 @@ class TestSpectralRadius:
         with pytest.raises(ValueError):
             spectral_radius(np.array([[1.0, np.inf], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_stack_equals_single_calls(self, n):
+        rng = np.random.default_rng(n)
+        stack = rng.normal(size=(3, 4, n, n))
+        radii = spectral_radius(stack)
+        assert radii.shape == (3, 4)
+        for cell in np.ndindex(3, 4):
+            single = spectral_radius(stack[cell])
+            assert type(single) is float
+            assert radii[cell].tobytes() == np.float64(single).tobytes()
+
+    @pytest.mark.parametrize(
+        "stack", [np.ones((4, 2, 3)), np.ones(3), np.array([[[1.0, np.nan], [0.0, 1.0]]] * 2)]
+    )
+    def test_stack_rejects_bad_input(self, stack):
+        with pytest.raises(ValueError):
+            spectral_radius(stack)
+
 
 class TestGaussianQ:
     def test_half_at_zero(self):
