@@ -1,7 +1,7 @@
 """Transmission-control policy solver and simulator for real-time remote
 estimation of linear dynamic processes over retransmission-combining links."""
 
-from .channel import MarkovChannel, static_channel, step, update_history
+from .channel import MarkovChannel, static_channel
 from .errors import ConfigError, ConvergenceError, DepthError, HarqestError, ModelError
 from .harq_model import (
     HarqModel,
@@ -22,6 +22,7 @@ from .lti_estimation import (
 from .mdp_core import FiniteAverageCostMdp, Policy, policy_average_cost, relative_value_iteration
 from .mdp_markov import (
     HighSnrChain,
+    StabilityReport,
     build_high_snr_chain,
     build_markov_mdp,
     check_stability_markov,
@@ -29,22 +30,8 @@ from .mdp_markov import (
     solve_rvi_markov,
     verify_switching_markov,
 )
-from .mdp_static import (
-    StabilityReport,
-    build_static_mdp,
-    check_stability_static,
-    high_snr_optimal_static,
-    high_snr_zeta_static,
-    myopic_policy,
-    solve_rvi,
-    verify_switching,
-)
-from .numerics import (
-    gaussian_q,
-    gth_stationary,
-    spectral_radius,
-    stationary_distribution,
-)
+from .mdp_static import build_static_mdp, solve_rvi
+from .numerics import gaussian_q, gth_stationary, spectral_radius
 from .policy_io import load_policy, save_policy
 from .simulator import (
     ComparisonTable,
@@ -52,7 +39,6 @@ from .simulator import (
     PolicySpec,
     SimConfig,
     SimulationTrace,
-    empirical_vs_closed_form,
     evaluate_policies,
     run,
 )

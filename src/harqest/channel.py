@@ -1,4 +1,4 @@
-"""Finite-state Markov channel model and the retransmission-history update rule.
+"""Finite-state Markov channel model.
 
 A static channel is the one-state special case, so every consumer has a
 single code path.
@@ -9,10 +9,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelError
-from .harq_model import HistoryCounter
-from .numerics import stationary_distribution
+from .numerics import gth_stationary
 
-__all__ = ["MarkovChannel", "static_channel", "step", "update_history"]
+__all__ = ["MarkovChannel", "static_channel"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,34 +46,18 @@ class MarkovChannel:
         object.__setattr__(self, "gains", gains)
         object.__setattr__(self, "pi", pi)
         object.__setattr__(self, "_cumulative", np.cumsum(pi, axis=0))
+        object.__setattr__(self, "_stationary", gth_stationary(pi))
 
     @property
     def size(self) -> int:
         return len(self.gains)
 
     def stationary(self) -> np.ndarray:
-        return stationary_distribution(self.pi)
+        """Stationary distribution, found by GTH elimination when the channel is built."""
+        return self._stationary.copy()
 
 
 def static_channel(gain: float) -> MarkovChannel:
     """A constant-gain channel as a one-state Markov chain."""
     return MarkovChannel(gains=(gain,), pi=np.ones((1, 1)))
 
-
-def step(ch: MarkovChannel, current_index: int, rng: np.random.Generator) -> int:
-    """Sample the next gain index. Always consumes exactly one draw from rng."""
-    u = rng.random()
-    if ch.size == 1:
-        return 0
-    return int(np.searchsorted(ch._cumulative[:, current_index], u, side="right"))
-
-
-def update_history(omega: HistoryCounter, last_action: int, last_index: int) -> HistoryCounter:
-    """Advance the per-gain attempt counter given last slot's action and gain index.
-
-    A new transmission starts a fresh round (counter reset to the unit vector
-    at last_index); a retransmission adds last slot's gain to the round.
-    """
-    if last_action == 0:
-        return HistoryCounter.unit(omega.gains, last_index)
-    return omega.incremented(last_index)

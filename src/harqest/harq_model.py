@@ -87,17 +87,6 @@ class HistoryCounter:
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "gains", gains)
 
-    @classmethod
-    def zero(cls, gains) -> "HistoryCounter":
-        gains = tuple(gains)
-        return cls(counts=(0,) * len(gains), gains=gains)
-
-    @classmethod
-    def unit(cls, gains, index: int) -> "HistoryCounter":
-        gains = tuple(gains)
-        counts = tuple(1 if i == index else 0 for i in range(len(gains)))
-        return cls(counts=counts, gains=gains)
-
     @property
     def total(self) -> int:
         """Number of buffered attempts, i.e. the consecutive-attempt counter r."""
@@ -106,10 +95,6 @@ class HistoryCounter:
     @property
     def is_empty(self) -> bool:
         return self.total == 0
-
-    def incremented(self, index: int) -> "HistoryCounter":
-        counts = tuple(c + 1 if i == index else c for i, c in enumerate(self.counts))
-        return HistoryCounter(counts=counts, gains=self.gains)
 
     def gain_multiset(self) -> tuple:
         out = []

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, ModelError
+from .errors import ConvergenceError
 from .numerics import gth_stationary
 
 __all__ = ["FiniteAverageCostMdp", "Policy", "relative_value_iteration", "policy_average_cost"]
@@ -35,19 +35,6 @@ class FiniteAverageCostMdp:
     @property
     def n_actions(self) -> int:
         return self.costs.shape[1]
-
-    def validate_kernel(self, tol: float = 1e-12):
-        """Check that every available (state, action) row sums to one."""
-        for a, (_, prob) in enumerate(self.transitions):
-            rows = self.available[:, a]
-            sums = prob[rows].sum(axis=1)
-            worst = np.max(np.abs(sums - 1.0)) if rows.any() else 0.0
-            if worst > tol:
-                raise ModelError(f"action {a} kernel rows deviate from 1 by {worst:.3e}")
-
-    def row(self, s: int, a: int):
-        idx, prob = self.transitions[a]
-        return idx[s], prob[s]
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,14 +123,16 @@ def relative_value_iteration(
         )
     # Greedy actions off the final Q table. Lower-numbered actions win ties;
     # the tie width scales with the Q magnitude because absolute 1e-12 is
-    # below float resolution once costs reach ~1e4.
+    # below float resolution once costs reach ~1e4. An unavailable action's
+    # inf adds no width, so any available action beats it.
     bellman()
     actions = np.zeros(n, dtype=np.int8)
     best = q_by_action[0].copy()
     for a in range(1, n_actions):
         qa = q_by_action[a]
-        finite = np.isfinite(qa)
-        tie = 1e-12 + 1e-9 * np.maximum(np.abs(best), np.where(finite, np.abs(qa), 0.0))
+        magnitude = np.maximum(np.where(np.isfinite(best), np.abs(best), 0.0),
+                               np.where(np.isfinite(qa), np.abs(qa), 0.0))
+        tie = 1e-12 + 1e-9 * magnitude
         better = qa < best - tie
         actions[better] = a
         best = np.where(better, qa, best)

@@ -13,7 +13,6 @@ from .errors import ModelError
 __all__ = [
     "spectral_radius",
     "gaussian_q",
-    "stationary_distribution",
     "gth_stationary",
 ]
 
@@ -35,51 +34,6 @@ def spectral_radius(m):
 def gaussian_q(x: float) -> float:
     """Upper tail probability of the standard normal, Q(x) = P[Z > x]."""
     return 0.5 * math.erfc(x / _SQRT2)
-
-
-def stationary_distribution(p, tol: float = 1e-9) -> np.ndarray:
-    """Stationary distribution of a column-stochastic transition matrix.
-
-    Solves the balance equations directly (one balance row replaced by the
-    normalization constraint), which is exact for the small chains used here.
-
-    Parameters
-    ----------
-    p : array_like
-        Column-stochastic matrix: entry (j, i) is the probability of moving
-        to state j given the current state i.
-
-    Returns
-    -------
-    np.ndarray
-        Probability vector e with p @ e = e, entries >= 0, summing to 1.
-    """
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 2 or p.shape[0] != p.shape[1]:
-        raise ModelError(f"transition matrix must be square, got shape {p.shape}")
-    n = p.shape[0]
-    col_sums = p.sum(axis=0)
-    if np.max(np.abs(col_sums - 1.0)) > tol:
-        raise ModelError(
-            "matrix is not column-stochastic (column sums "
-            f"{col_sums}); transpose a row-stochastic matrix before calling"
-        )
-    a = p - np.eye(n)
-    a[-1, :] = 1.0
-    b = np.zeros(n)
-    b[-1] = 1.0
-    try:
-        e = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        raise ModelError(f"stationary distribution is not unique: {exc}") from exc
-    if np.min(e) < -1e-10:
-        raise ModelError(f"balance solution has negative mass: {e}")
-    e = np.clip(e, 0.0, None)
-    e = e / e.sum()
-    residual = np.max(np.abs(p @ e - e))
-    if residual > 1e-10:
-        raise ModelError(f"fixed-point residual {residual:.3e} exceeds 1e-10; chain may be reducible")
-    return e
 
 
 def gth_stationary(p, start: int = 0) -> np.ndarray:

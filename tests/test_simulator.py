@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
+from reference import (
+    empirical_vs_closed_form,
+    high_snr_zeta_static,
+    myopic_policy,
+    step,
+    unit_history,
+    update_history,
+)
 
 from harqest import (
     HarqModel,
-    HistoryCounter,
     MarkovChannel,
     PolicyEntry,
     PolicySpec,
@@ -12,16 +19,11 @@ from harqest import (
     build_markov_mdp,
     build_static_mdp,
     conditional_error_prob,
-    empirical_vs_closed_form,
     evaluate_policies,
-    high_snr_zeta_static,
-    myopic_policy,
     run,
     solve_rvi,
     solve_rvi_markov,
     static_channel,
-    step,
-    update_history,
 )
 from harqest.errors import DepthError
 from harqest.mdp_static import markov_policy
@@ -58,8 +60,8 @@ def replay_states(trace, n_gains):
 
 def reference_run(harq, ch, ladder, spec, cfg, replicate=0):
     """The simulator's per-slot loop written with the model objects:
-    HistoryCounter attempt histories, channel.step drawing one scalar per
-    channel move, update_history, and a ladder grown on demand by
+    HistoryCounter attempt histories, `step` drawing one scalar per channel
+    move, `update_history`, and a ladder grown on demand by
     CostLadder.extended(n + 32). run() must reproduce it byte for byte."""
     rng = np.random.default_rng([cfg.seed, replicate])
     grown = [ladder]
@@ -108,7 +110,7 @@ def reference_run(harq, ch, ladder, spec, cfg, replicate=0):
         xi_prev = min(int(np.searchsorted(cumulative, rng.random(), side="right")), ch.size - 1)
     else:
         xi_prev = cfg.initial_channel
-    omega = HistoryCounter.unit(ch.gains, xi_prev)
+    omega = unit_history(ch.gains, xi_prev)
     xi = step(ch, xi_prev, rng)
     r, q = 1, 1
     rows = []
@@ -410,8 +412,7 @@ class TestTablePolicies:
             run(cc_model, ref_channel, ref_ladder, PolicySpec(kind="table", table=table), cfg)
 
     def test_myopic_table_agrees_with_on_the_fly(self, cc_model, ref_static_channel, ref_ladder):
-        mdp = build_static_mdp(cc_model, 2.0, ref_ladder, 20, 20, "mse")
-        table = myopic_policy(mdp)
+        table = myopic_policy(build_static_mdp(cc_model, 2.0, ref_ladder, 20, 20, "mse"))
         cfg = SimConfig(slots=5_000, replicates=1, seed=11)
         via_table = run(
             cc_model, ref_static_channel, ref_ladder,

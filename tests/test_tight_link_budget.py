@@ -21,7 +21,7 @@ from harqest import (
     block_error_prob,
     build_markov_mdp,
     build_static_mdp,
-    check_stability_static,
+    check_stability_markov,
     evaluate_policies,
     solve_rvi,
     solve_rvi_markov,
@@ -60,7 +60,7 @@ class TestStatic8dB:
         # fresh transmissions fail hard, yet the existence condition holds
         assert fresh * ref_system.rho_squared > 1.0
         worst = worst_retransmission_error_static(model, 2.0, 20)
-        assert check_stability_static(worst.value, ref_system.rho_squared).stable
+        assert check_stability_markov(np.ones((1, 1)), [worst.value], ref_system.rho_squared).stable
 
     def test_no_retransmission_diverges(self, static_8db_table):
         _, table = static_8db_table
