@@ -19,7 +19,13 @@ from .lti_estimation import (
     f_apply,
     solve_steady_state,
 )
-from .mdp_core import FiniteAverageCostMdp, Policy, policy_average_cost, relative_value_iteration
+from .mdp_core import (
+    FiniteAverageCostMdp,
+    Policy,
+    policy_average_cost,
+    policy_iteration,
+    relative_value_iteration,
+)
 from .mdp_markov import (
     HighSnrChain,
     StabilityReport,
@@ -31,7 +37,7 @@ from .mdp_markov import (
     verify_switching_markov,
 )
 from .mdp_static import build_static_mdp, solve_rvi
-from .numerics import gaussian_q, gth_stationary, spectral_radius
+from .numerics import first_passage_cost, gaussian_q, gth_stationary, spectral_radius
 from .policy_io import load_policy, save_policy
 from .simulator import (
     ComparisonTable,

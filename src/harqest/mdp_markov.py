@@ -17,7 +17,7 @@ from .channel import MarkovChannel
 from .errors import ConfigError, ModelError
 from .harq_model import HarqModel, HistoryCounter, conditional_error_prob
 from .lti_estimation import CostLadder
-from .mdp_core import FiniteAverageCostMdp, Policy, relative_value_iteration
+from .mdp_core import FiniteAverageCostMdp, Policy, policy_iteration, relative_value_iteration
 from .numerics import gth_stationary, spectral_radius
 
 __all__ = [
@@ -180,10 +180,20 @@ def assemble_markov_mdp(
 
 
 def solve_rvi_markov(mdp: MarkovMdp, tol: float = 1e-9, max_iters: int = 100_000) -> Policy:
-    """Relative value iteration with reference state (unit omega at gain 0, q=1, xi=0)."""
-    actions, zeta, span, iterations, converged = relative_value_iteration(
+    """Relative value iteration with reference state (unit omega at gain 0, q=1, xi=0).
+
+    When RVI stops because its rate cannot reach tol within max_iters, Howard
+    policy iteration finishes from its greedy policy: the reported zeta is
+    then the exact cost of the returned actions, the span is that of the
+    final relative values, and the iterations count sweeps plus policy
+    steps.
+    """
+    actions, zeta, span, iterations, converged, stop = relative_value_iteration(
         mdp.core, tol=tol, max_iters=max_iters
     )
+    if stop == "slow":
+        actions, zeta, span, steps = policy_iteration(mdp.core, actions)
+        iterations, converged = iterations + steps, True
     return Policy(
         actions=actions,
         states=mdp.states,
@@ -257,8 +267,9 @@ def build_high_snr_chain(
     its closed class), and its average cost.
 
     lambda_primes[i] is the fresh-transmission error probability in gain
-    state i; retransmissions always succeed. thetas[i] is the age threshold
-    beyond which a round-length-1 state retransmits under gain i.
+    state i, which may be 1: retransmissions always succeed, so a gain state
+    whose fresh packets never arrive still delivers. thetas[i] is the age
+    threshold beyond which a round-length-1 state retransmits under gain i.
     """
     b = ch.size
     thetas = tuple(int(t) for t in thetas)
@@ -267,8 +278,8 @@ def build_high_snr_chain(
         raise ModelError("thetas and lambda_primes must have one entry per gain state")
     if any(t < 1 for t in thetas):
         raise ModelError("every threshold must be at least 1")
-    if any(not 0.0 <= v < 1.0 for v in lambda_primes):
-        raise ModelError("lambda_primes must lie in [0, 1)")
+    if any(not 0.0 <= v <= 1.0 for v in lambda_primes):
+        raise ModelError("lambda_primes must lie in [0, 1]")
     top = max(max(thetas), 2)
     block = top + 2
     ladder = ladder.extended(top + 1)

@@ -14,6 +14,7 @@ __all__ = [
     "spectral_radius",
     "gaussian_q",
     "gth_stationary",
+    "first_passage_cost",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -52,16 +53,9 @@ def gth_stationary(p, start: int = 0) -> np.ndarray:
     if np.min(p) < 0.0 or np.max(np.abs(p.sum(axis=0) - 1.0)) > 1e-9:
         raise ModelError("matrix is not column-stochastic")
     linked = p > 0.0  # linked[j, i]: one step leads from i to j
-    ahead = _reachable(linked, start)
-    cls, centre = ahead, start
-    while True:
-        strays = np.flatnonzero(cls & ~_reachable(linked.T, centre))
-        if not len(strays):
-            break
-        centre = strays[0]  # cannot return to centre: its closed class lies further on
-        cls = _reachable(linked, centre)
-    if centre != start and (ahead & ~_reachable(linked.T, cls)).any():
-        raise ModelError("more than one closed class is reachable; the stationary vector is not unique")
+    cls, _ = _closed_class(
+        lambda f: linked[:, f].any(axis=1), lambda f: linked[f].any(axis=0), start, p.shape[0]
+    )
     members = np.flatnonzero(cls)
     a = p[np.ix_(members, members)].T.copy()  # row-stochastic on the class
     # Censor the states from the last one down: a[:k, k] becomes the flow
@@ -78,12 +72,157 @@ def gth_stationary(p, start: int = 0) -> np.ndarray:
     return e
 
 
-def _reachable(linked, seeds) -> np.ndarray:
-    """Mask of the states reachable from the seed state(s) along `linked`."""
-    seen = np.zeros(linked.shape[0], dtype=bool)
-    seen[seeds] = True
-    frontier = seen.copy()
+def first_passage_cost(succ, prob, cost, start: int, graph):
+    """Long-run average cost and relative values of a chain started at `start`.
+
+    Row s moves to succ[s, k] with probability prob[s, k]. The chain is cut
+    into cycles at an anchor: `start` when it is recurrent, else a state of
+    the closed class it reaches. With m_c(s) and m_1(s) the expected cost and
+    number of steps from s until the chain first reaches the anchor (both 0
+    at the anchor), the renewal-reward theorem gives
+
+        zeta = (cost[a] + sum_k prob[a, k] m_c(succ[a, k]))
+               / (1 + sum_k prob[a, k] m_1(succ[a, k])),
+
+    and h = m_c - zeta * m_1 solves h = cost - zeta + P h with h = 0 at the
+    anchor. h is NaN at states that may never reach the anchor.
+
+    The first-passage sums come from state reduction (Heyman and O'Leary,
+    1998) in GTH form: each eliminated state's 1 - P_kk is the sum of its
+    outflow to the states still present, the anchor included, so the
+    reduction only adds, multiplies and divides nonnegative numbers and m
+    keeps full relative precision at stage costs near 1e22. States are
+    eliminated a level at a time, farthest from the anchor first, where the
+    level is the breadth-first distance from the anchor along `graph`, an
+    (n, W) array of successors that holds every successor of positive
+    probability in succ (for an MDP, those of every available action). A
+    step raises the level by at most one, so a level's rows pick up only
+    the next level's exit rows, and on the retransmission grid, where the
+    level is about the age, the fill stays on the few states that a
+    delivery resets to.
+    """
+    succ = np.asarray(succ)
+    prob = np.asarray(prob, dtype=float)
+    cost = np.asarray(cost, dtype=float)
+    n = len(cost)
+    positive = prob > 0.0
+
+    def mark(targets):
+        out = np.zeros(n, dtype=bool)
+        out[targets] = True
+        return out
+
+    def successors(frontier):
+        return mark(succ[frontier][positive[frontier]])
+
+    def predecessors(frontier):
+        return (frontier[succ] & positive).any(axis=1)
+
+    _, anchor = _closed_class(successors, predecessors, start, n)
+    # States that reach the anchor with probability one cannot reach a state
+    # from which the anchor is out of reach.
+    sure = ~_reachable(predecessors, ~_reachable(predecessors, anchor, n), n)
+    graph = np.asarray(graph)
+    level = _distances(lambda f: mark(graph[f].ravel()), anchor, n)
+    top = int(level.max()) + 1
+    level[sure & (level < 0)] = top  # not reached along graph: eliminated first
+    level[~sure] = -1
+    rows = sure.copy()
+    rows[anchor] = False
+    if (positive[rows] & (level[succ[rows]] > level[rows, None] + 1)).any():
+        raise ValueError("graph misses a successor of the chain")
+    weights = np.stack([cost, np.ones(n)], axis=1)  # m_c and m_1 side by side
+    blocks = [np.flatnonzero(level == d) for d in range(top + 1)]
+    where = np.zeros(n, dtype=np.int64)  # position of a state in its level
+    for block in blocks:
+        where[block] = np.arange(len(block))
+    exits = [None] * (top + 2)  # per level: (rest, exit rows over rest and the weights)
+    for d in range(top, 0, -1):
+        block = blocks[d]
+        if not len(block):
+            continue
+        nb = len(block)
+        s, p = succ[block], prob[block]
+        lv = np.where(positive[block], level[s], -1)
+        r = np.broadcast_to(np.arange(nb)[:, None], s.shape)
+        lower = (lv >= 0) & (lv < d)
+        up = lv == d + 1
+        fold = up.any()  # then exits[d + 1] exists
+        # A mask, not np.unique: its first call imports numpy.ma (0.6 MB).
+        into_rest = mark(s[lower])
+        if fold:
+            above = exits[d + 1][0]
+            into_rest[above[level[above] < d]] = True
+        rest = np.flatnonzero(into_rest)
+        nr = len(rest)
+        # Row i: [flow into the level | flow into `rest` | cost, 1].
+        a = np.zeros((nb, nb + nr + 2))
+        a[:, nb + nr:] = weights[block]
+        inner = lv == d
+        np.add.at(a, (r[inner], where[s[inner]]), p[inner])
+        np.add.at(a, (r[lower], nb + np.searchsorted(rest, s[lower])), p[lower])
+        if fold:
+            cols, e = exits[d + 1]
+            f = np.zeros((nb, len(blocks[d + 1])))
+            np.add.at(f, (r[up], where[s[up]]), p[up])
+            at = np.where(level[cols] == d, where[cols], nb + np.searchsorted(rest, cols))
+            a[:, np.concatenate([at, [nb + nr, nb + nr + 1]])] += f @ e
+        # GTH within the level, last state first; the self-loops never enter.
+        d_out = np.empty(nb)
+        for k in range(nb - 1, -1, -1):
+            d_out[k] = a[k, :k].sum() + a[k, nb:nb + nr].sum()
+            into = a[:k, k]
+            if into.any():
+                a[:k] += (into / d_out[k])[:, None] * a[k]
+        # Exit rows over `rest` (and the cost columns), first state first.
+        e = a[:, nb:] / d_out[:, None]
+        for k in np.flatnonzero(np.tril(a[:, :nb], -1).any(axis=1)):
+            e[k] = (a[k, nb:] + a[k, :k] @ e[:k]) / d_out[k]
+        exits[d] = (rest, e)
+    m = np.zeros((n, 2))
+    for d in range(1, top + 1):
+        if exits[d] is not None:
+            rest, e = exits[d]
+            m[blocks[d]] = e[:, -2:] + e[:, :-2] @ m[rest]
+    out, p = succ[anchor], prob[anchor]
+    zeta = float((cost[anchor] + p @ m[out, 0]) / (1.0 + p @ m[out, 1]))
+    h = m[:, 0] - zeta * m[:, 1]
+    h[~sure] = np.nan
+    return zeta, h
+
+
+def _closed_class(forward, backward, start: int, n: int):
+    """Mask of the closed class a chain reaches from `start`, and a state of
+    it (`start` itself when it is recurrent). forward and backward map a mask
+    of states to the mask of their one-step successors or predecessors.
+    Raises ModelError when more than one closed class can be reached."""
+    ahead = _reachable(forward, start, n)
+    cls, centre = ahead, start
+    while True:
+        strays = np.flatnonzero(cls & ~_reachable(backward, centre, n))
+        if not len(strays):
+            break
+        centre = strays[0]  # cannot return to centre: its closed class lies further on
+        cls = _reachable(forward, centre, n)
+    if centre != start and (ahead & ~_reachable(backward, cls, n)).any():
+        raise ModelError("more than one closed class is reachable; the stationary vector is not unique")
+    return cls, int(centre)
+
+
+def _distances(step, seeds, n: int) -> np.ndarray:
+    """Breadth-first step count from the seed state(s), -1 where unreachable;
+    step maps a mask of states to the mask of their one-step neighbours."""
+    dist = np.full(n, -1)
+    frontier = np.zeros(n, dtype=bool)
+    frontier[seeds] = True
+    d = 0
     while frontier.any():
-        frontier = linked[:, frontier].any(axis=1) & ~seen
-        seen |= frontier
-    return seen
+        dist[frontier] = d
+        d += 1
+        frontier = step(frontier) & (dist < 0)
+    return dist
+
+
+def _reachable(step, seeds, n: int) -> np.ndarray:
+    """Mask of the states reachable from the seed state(s) along `step`."""
+    return _distances(step, seeds, n) >= 0

@@ -152,7 +152,7 @@ def test_c3_solver_matches_brute_force():
     policy_mismatches = 0
     for seed in range(20):
         mdp = _random_mdp(seed)
-        actions, zeta, _, _, converged = relative_value_iteration(mdp, tol=1e-11)
+        actions, zeta, _, _, converged, _ = relative_value_iteration(mdp, tol=1e-11)
         assert converged
         best_gain, best_actions = np.inf, None
         for candidate in itertools.product((0, 1), repeat=mdp.n_states):

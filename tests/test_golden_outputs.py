@@ -88,7 +88,7 @@ GOLDEN = {
         },
     },
     "demo_markov_7db.cfg": {
-        "codes": {"solve": 0, "solve-delay": 0, "sweep": 0, "stability": 0, "simulate": 0, "highsnr": 2},
+        "codes": {"solve": 0, "solve-delay": 0, "sweep": 0, "stability": 0, "simulate": 0, "highsnr": 0},
         "files": {
             "comparison.csv":
                 "5701d0bee1644105dee7ff09809ffd7400969cdcea2a5716a50a474e7284ed0a",
@@ -107,7 +107,13 @@ GOLDEN = {
             "trajectory_psi.csv":
                 "5b3a851dd7068d082a2fada9d82fc483c4ac802f9b16dc01ee683ec8148a3aa5",
         },
-        "highsnr": None,
+        # The weak state's fresh error is exactly 1; retransmissions deliver.
+        "highsnr": {
+            "lambda_primes": "(0.9994779600597551, 1.0)",
+            "theta_star": "(1, 1)",
+            "zeta_star": "281.6541984239838",
+            "evaluated": "64 threshold vectors",
+        },
     },
     "demo_static_8db.cfg": {
         "codes": {"solve": 0, "solve-delay": 0, "sweep": 0, "stability": 0, "simulate": 0, "highsnr": 0},

@@ -1,17 +1,24 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 from reference import kernel_row, kernel_row_error
 
+import harqest.mdp_core
 from harqest import (
     ConvergenceError,
     FiniteAverageCostMdp,
     HarqModel,
+    ModelError,
     build_markov_mdp,
+    build_static_mdp,
     policy_average_cost,
+    policy_iteration,
     relative_value_iteration,
+    solve_rvi_markov,
     static_channel,
+    verify_switching_markov,
 )
 
 
@@ -71,22 +78,22 @@ class TestRelativeValueIteration:
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_brute_force(self, seed):
         mdp = random_mdp(seed, max_states=7)
-        actions, zeta, span, iterations, converged = relative_value_iteration(mdp, tol=1e-11)
+        actions, zeta, span, iterations, converged, stop = relative_value_iteration(mdp, tol=1e-11)
         oracle_actions, oracle_gain = brute_force_optimum(mdp)
-        assert converged
+        assert converged and stop == "tol"
         assert zeta == pytest.approx(oracle_gain, abs=1e-7)
         np.testing.assert_array_equal(actions, oracle_actions)
 
     def test_reference_state_invariance(self):
         mdp = random_mdp(99, max_states=8)
-        _, zeta0, span0, _, _ = relative_value_iteration(mdp, tol=1e-11)
+        _, zeta0, span0, _, _, _ = relative_value_iteration(mdp, tol=1e-11)
         alt = FiniteAverageCostMdp(
             costs=mdp.costs,
             transitions=mdp.transitions,
             available=mdp.available,
             ref=mdp.n_states - 1,
         )
-        _, zeta1, span1, _, _ = relative_value_iteration(alt, tol=1e-11)
+        _, zeta1, span1, _, _, _ = relative_value_iteration(alt, tol=1e-11)
         assert abs(zeta0 - zeta1) <= 2.0 * max(span0, span1) + 1e-9
 
     def test_deterministic(self):
@@ -104,15 +111,17 @@ class TestRelativeValueIteration:
 
 def reference_rvi(mdp, tol=1e-9, max_iters=100_000, patience=500):
     """The per-action sweep `relative_value_iteration` replaced, kept as the
-    reference its stacked sweep must reproduce bit for bit."""
+    reference its stacked sweep and its stop rules must reproduce bit for
+    bit."""
     n, n_actions = mdp.n_states, mdp.n_actions
     v = np.zeros(n)
     q = np.empty((n, n_actions))
     best_span = np.inf
     stall = 0
-    converged = False
+    spans = []
     lo = hi = 0.0
     iterations = 0
+    stop = None
     while iterations < max_iters:
         iterations += 1
         for a in range(n_actions):
@@ -125,14 +134,25 @@ def reference_rvi(mdp, tol=1e-9, max_iters=100_000, patience=500):
         span = hi - lo
         v = tv - tv[mdp.ref]
         if span < tol:
-            converged = True
+            stop = "tol"
             break
-        if span < best_span * (1.0 - 1e-6):
+        improved = span < best_span * (1.0 - 1e-6)
+        spans.append((span, improved))
+        if improved:
             best_span = span
             stall = 0
         else:
             stall += 1
             if stall >= patience:
+                stop = "plateau"
+                break
+        # Slow: the last `patience` sweeps all improved, and at their
+        # geometric rate tol lies beyond max_iters sweeps.
+        window = spans[-patience:]
+        if iterations % patience == 0 and iterations >= 2 * patience and all(ok for _, ok in window):
+            rate = span / spans[-patience - 1][0]
+            if tol <= 0.0 or iterations + patience * math.log(tol / span) / math.log(rate) > max_iters:
+                stop = "slow"
                 break
     else:
         raise ConvergenceError(
@@ -154,12 +174,12 @@ def reference_rvi(mdp, tol=1e-9, max_iters=100_000, patience=500):
         actions[better] = a
         best = np.where(better, q[:, a], best)
     zeta = (lo + hi) / 2.0
-    return actions, float(zeta), float(hi - lo), iterations, converged
+    return actions, float(zeta), float(hi - lo), iterations, stop == "tol", stop
 
 
 def assert_same_solve(mdp, **kwargs):
     """Both solvers return identical values, or raise the same error.
-    Returns how the solve stopped: "tol", "plateau" or "budget"."""
+    Returns how the solve stopped: "tol", "plateau", "slow" or "budget"."""
     try:
         expected = reference_rvi(mdp, **kwargs)
     except ConvergenceError as exc:
@@ -167,13 +187,13 @@ def assert_same_solve(mdp, **kwargs):
             relative_value_iteration(mdp, **kwargs)
         assert str(info.value) == str(exc)
         return "budget"
-    actions, zeta, span, iterations, converged = relative_value_iteration(mdp, **kwargs)
+    actions, zeta, span, iterations, converged, stop = relative_value_iteration(mdp, **kwargs)
     assert mdp.available[np.arange(mdp.n_states), actions].all()
     assert actions.dtype == expected[0].dtype
     assert actions.tobytes() == expected[0].tobytes()
     assert (repr(zeta), repr(span)) == (repr(expected[1]), repr(expected[2]))
-    assert (iterations, converged) == expected[3:]
-    return "tol" if converged else "plateau"
+    assert (iterations, converged, stop) == expected[3:]
+    return stop
 
 
 class TestReferenceConformance:
@@ -205,12 +225,35 @@ class TestReferenceConformance:
             mdp = build_markov_mdp(harq, ch, ref_ladder, caps, q_max, cost_mode)
             assert_same_solve(mdp.core, tol=1e-9, max_iters=100_000)
 
-    def test_ir_fading_budget_failure(self, ref_ladder, ref_channel):
-        # IR at 6.5 dB on the {2, 1} chain: the span shrinks too slowly for
-        # either stop to fire, so the budget runs out.
+    def test_slow_stop_only_when_tol_lies_beyond_the_budget(self):
+        # Two states swapping with probability 5e-4: the span shrinks by the
+        # factor 0.999 each sweep, so the rate over sweeps 501-1000 projects
+        # tol = 1e-9 at sweep 20713.9, and RVI reaches it at sweep 20714.
+        idx = np.array([[0, 1], [1, 0]])
+        prob = np.array([[1.0 - 5e-4, 5e-4]] * 2)
+        mdp = FiniteAverageCostMdp(
+            costs=np.array([[0.0], [1.0]]), transitions=[(idx, prob)], available=np.ones((2, 1), bool)
+        )
+        assert assert_same_solve(mdp, max_iters=20_708) == "slow"
+        assert relative_value_iteration(mdp, max_iters=20_708)[3] == 1000
+        assert assert_same_solve(mdp, max_iters=20_718) == "tol"
+        assert relative_value_iteration(mdp, max_iters=20_718)[3] == 20_714
+
+    def test_ir_static_plateau(self, ref_ladder):
+        # IR at 6.5 dB on the constant-gain (20, 20) grid: long runs of
+        # improving sweeps, each broken inside a window, end on the plateau
+        # stop after about 54000 sweeps, never on the slow stop.
+        mdp = build_static_mdp(HarqModel.from_db("ir", 6.5, 100, 4.0), 2.0, ref_ladder, 20, 20)
+        assert assert_same_solve(mdp.core) == "plateau"
+
+    def test_ir_fading_slow_stop(self, ref_ladder, ref_channel):
+        # IR at 6.5 dB on the {2, 1} chain: the span shrinks by about 4e-6 of
+        # itself per sweep, too fast for the plateau stop and far too slow to
+        # reach tol, so the slow stop fires after the second window.
         harq = HarqModel.from_db("ir", 6.5, 100, 4.0)
         mdp = build_markov_mdp(harq, ref_channel, ref_ladder, (4, 4), 10)
-        assert assert_same_solve(mdp.core, max_iters=2000) == "budget"
+        assert assert_same_solve(mdp.core, max_iters=2000) == "slow"
+        assert relative_value_iteration(mdp.core, max_iters=2000)[3] == 1000
 
 
 class TestPolicyAverageCost:
@@ -233,6 +276,16 @@ class TestPolicyAverageCost:
         )
         assert policy_average_cost(mdp, [0, 0]) == pytest.approx(1.0, abs=1e-12)
 
+    def test_rejects_two_closed_classes(self):
+        # from state 0 the chain is absorbed in state 1 or in state 2
+        idx = np.array([[1, 2], [1, 1], [2, 2]])
+        prob = np.array([[0.5, 0.5], [1.0, 0.0], [1.0, 0.0]])
+        mdp = FiniteAverageCostMdp(
+            costs=np.ones((3, 1)), transitions=[(idx, prob)], available=np.ones((3, 1), bool)
+        )
+        with pytest.raises(ModelError):
+            policy_average_cost(mdp, [0, 0, 0])
+
     def test_rejects_unavailable_action(self):
         mdp = random_mdp(3)
         available = mdp.available.copy()
@@ -243,6 +296,71 @@ class TestPolicyAverageCost:
         actions = np.ones(mdp.n_states, dtype=int)
         with pytest.raises(ValueError):
             policy_average_cost(restricted, actions)
+
+
+class TestPolicyIteration:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_brute_force_from_any_start(self, seed):
+        mdp = random_mdp(seed, max_states=7)
+        oracle_actions, oracle_gain = brute_force_optimum(mdp)
+        for start in (np.zeros(mdp.n_states, dtype=np.int8), np.ones(mdp.n_states, dtype=np.int8)):
+            actions, zeta, span, _ = policy_iteration(mdp, start)
+            np.testing.assert_array_equal(actions, oracle_actions)
+            assert zeta == policy_average_cost(mdp, actions)
+            assert zeta == pytest.approx(oracle_gain, abs=1e-9)
+            assert 0.0 <= span <= 1e-9
+
+    def test_returns_previous_policy_when_cost_does_not_drop(self, monkeypatch):
+        # Q promises a gain that the exact evaluation does not confirm
+        mdp = random_mdp(0, max_states=7)
+        start = 1 - brute_force_optimum(mdp)[0].astype(np.int8)
+        evaluate = harqest.mdp_core._evaluate
+        start_zeta = evaluate(mdp, start, harqest.mdp_core._successor_graph(mdp))[0]
+
+        def no_gain(mdp_, actions, graph):
+            zeta, h = evaluate(mdp_, actions, graph)
+            return (zeta if np.array_equal(actions, start) else start_zeta), h
+
+        monkeypatch.setattr(harqest.mdp_core, "_evaluate", no_gain)
+        actions, zeta, _, steps = policy_iteration(mdp, start)
+        np.testing.assert_array_equal(actions, start)
+        assert (zeta, steps) == (start_zeta, 1)
+
+    def test_rejects_state_that_never_reaches_the_class(self):
+        # under action 0 state 2 keeps to itself; action 1 leads it to state 0
+        idx = np.array([[1, 0], [0, 1], [2, 2]])
+        prob = np.array([[0.5, 0.5], [0.5, 0.5], [1.0, 0.0]])
+        to_zero = np.array([[0, 0], [0, 0], [0, 0]])
+        mdp = FiniteAverageCostMdp(
+            costs=np.ones((3, 2)),
+            transitions=[(idx, prob), (to_zero, np.array([[1.0, 0.0]] * 3))],
+            available=np.ones((3, 2), bool),
+        )
+        assert policy_average_cost(mdp, [0, 0, 0]) == 1.0
+        with pytest.raises(ModelError):
+            policy_iteration(mdp, [0, 0, 0])
+
+
+class TestHandOver:
+    """RVI solves that cannot reach tol finish with policy iteration."""
+
+    def test_ir_fading_mdp(self, ref_ladder, ref_channel):
+        # IR at 6.5 dB on the {2, 1} chain, caps (4, 4), q_max 10: RVI ran
+        # out of its 100000 sweeps here
+        mdp = build_markov_mdp(HarqModel.from_db("ir", 6.5, 100, 4.0), ref_channel, ref_ladder, (4, 4), 10)
+        policy = solve_rvi_markov(mdp)
+        assert policy.converged
+        assert policy.zeta == policy_average_cost(mdp.core, policy.actions)
+        assert policy.zeta == pytest.approx(281.7399925, rel=1e-9)
+        assert 0.0 <= policy.span < 1e-6
+        assert 1000 <= policy.iterations < 1100
+        assert verify_switching_markov(policy).passed
+
+    def test_ir_static_delay_cell(self, ref_ladder):
+        mdp = build_static_mdp(HarqModel.from_db("ir", 6.5, 100, 4.0), 2.0, ref_ladder, 20, 20, "delay")
+        policy = solve_rvi_markov(mdp)
+        assert policy.converged
+        assert policy.zeta == policy_average_cost(mdp.core, policy.actions)
 
 
 class TestKernelValidation:

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from reference import high_snr_zeta_static, kernel_row, kernel_row_error
+from reference import balance_stationary, high_snr_zeta_static, kernel_row, kernel_row_error
 
 from harqest import (
     HarqModel,
@@ -307,10 +307,20 @@ class TestHighSnrChain:
         )
         assert direct.zeta == pytest.approx(result.zeta_star, rel=1e-12)
 
+    @pytest.mark.parametrize("thetas", [(1, 1), (3, 2), (2, 5)])
+    def test_fresh_error_of_one_matches_balance_oracle(self, ref_channel, ref_ladder, thetas):
+        # the weak state's fresh packets never arrive, its retransmissions do
+        chain = build_high_snr_chain(ref_channel, (0.4, 1.0), thetas, ref_ladder)
+        np.testing.assert_allclose(chain.transition.sum(axis=0), 1.0, atol=1e-12)
+        oracle = balance_stationary(chain.transition)
+        np.testing.assert_allclose(chain.stationary, oracle, rtol=1e-9, atol=1e-15)
+        assert chain.zeta == pytest.approx(float(chain.costs @ oracle), rel=1e-12)
+
     def test_invalid_inputs(self, ref_channel, ref_ladder):
         with pytest.raises(ModelError):
             build_high_snr_chain(ref_channel, (0.5,), (2, 2), ref_ladder)
-        with pytest.raises(ModelError):
-            build_high_snr_chain(ref_channel, (0.5, 1.0), (2, 2), ref_ladder)
+        for lambdas in ((0.5, 1.0 + 1e-12), (-1e-12, 0.5), (0.5, float("nan"))):
+            with pytest.raises(ModelError):
+                build_high_snr_chain(ref_channel, lambdas, (2, 2), ref_ladder)
         with pytest.raises(ModelError):
             build_high_snr_chain(ref_channel, (0.5, 0.5), (0, 2), ref_ladder)

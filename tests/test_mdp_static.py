@@ -160,7 +160,7 @@ class TestSolveRvi:
             available=ref_mdp.core.available,
             ref=at(ref_mdp, 3, 5),
         )
-        _, zeta_alt, span_alt, _, _ = relative_value_iteration(alt_core)
+        _, zeta_alt, span_alt, _, _, _ = relative_value_iteration(alt_core)
         assert abs(zeta_alt - ref_policy.zeta) <= 2.0 * max(span_alt, ref_policy.span)
 
     def test_optimal_not_beaten_by_alternatives(self, cc_model, ref_ladder):

@@ -1,5 +1,6 @@
-"""Invariants of the (r, q) relabelling, of policy files and of the kernel,
-checked on generated tables and grids.
+"""Invariants of the (r, q) relabelling, of policy files, of the kernel and
+of the first-passage evaluation, checked on generated tables, grids and
+chains.
 
 Examples are derived from a fixed seed, so every run checks the same cases.
 """
@@ -9,11 +10,21 @@ from itertools import product
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import kernel_row_error
 
-from harqest import HarqModel, MarkovChannel, Policy, build_markov_mdp, load_policy, save_policy
+from harqest import (
+    HarqModel,
+    MarkovChannel,
+    Policy,
+    build_markov_mdp,
+    first_passage_cost,
+    gth_stationary,
+    load_policy,
+    save_policy,
+)
 from harqest.mdp_static import markov_policy, static_policy
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -117,3 +128,38 @@ def test_available_kernel_rows_sum_to_one(
     harq = HarqModel.from_db(scheme, snr_db, 100, 4.0)
     mdp = build_markov_mdp(harq, ch, ref_ladder, caps, sum(caps) + extra_ages, cost_mode)
     assert kernel_row_error(mdp.core) <= 1e-12
+
+
+@st.composite
+def chains(draw):
+    """Sparse chain (succ, prob, cost) with a cycle through states 1..n-1,
+    which then form its one closed class, and stage costs spread over twelve
+    decades. State 0 is on the cycle too, unless `transient`: then no row
+    leads to it."""
+    n = draw(st.integers(2, 14))
+    width = draw(st.integers(1, 4))
+    transient = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    first = 1 if transient else 0
+    cycle = np.arange(1, n + 1) % n if not transient else np.r_[1, np.arange(1, n) % (n - 1) + 1]
+    succ = np.column_stack([cycle, rng.integers(first, n, size=(n, width))])
+    prob = rng.uniform(0.05, 1.0, size=succ.shape)
+    prob /= prob.sum(axis=1, keepdims=True)
+    cost = 10.0 ** rng.uniform(0.0, 12.0, size=n)
+    return succ, prob, cost, transient
+
+
+@PROPERTY
+@given(chain=chains())
+def test_first_passage_cost_equals_dense_gth(chain):
+    succ, prob, cost, transient = chain
+    n = len(cost)
+    p = np.zeros((n, n))  # column-stochastic, as gth_stationary takes it
+    np.add.at(p, (succ, np.arange(n)[:, None]), prob)
+    zeta, h = first_passage_cost(succ, prob, cost, 0, succ)
+    assert zeta == pytest.approx(float(gth_stationary(p, start=0) @ cost), rel=1e-12)
+    # h solves the Poisson equation h = cost - zeta + P h
+    residual = cost - zeta + np.einsum("sk,sk->s", prob, h[succ]) - h
+    assert np.abs(residual).max() <= 1e-12 * (cost.max() + np.abs(h).max())
+    if not transient:
+        assert h[0] == 0.0  # the start state is the anchor
