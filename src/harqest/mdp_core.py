@@ -82,7 +82,9 @@ def relative_value_iteration(
       the earliest after 2 * patience sweeps.
     The midpoint of the final difference bounds estimates the gain; the span
     is its certified error bar. Raises ConvergenceError when max_iters
-    sweeps pass without a stop.
+    sweeps pass without a stop. Once v repeats bit for bit, the sweeps that
+    could only repeat earlier ones are counted without being run, which
+    changes no output.
 
     Returns (actions, zeta, span, iterations, converged, stop).
     """
@@ -110,6 +112,11 @@ def relative_value_iteration(
     stop = None
     lo = hi = 0.0
     iterations = 0
+    # Brent's cycle detection on the exact bits of v: the anchor is v after
+    # the last power-of-two sweep count.
+    bits = v.view(np.int64)
+    anchor = bits.copy()
+    anchored = 0
     while iterations < max_iters:
         iterations += 1
         bellman()
@@ -127,9 +134,21 @@ def relative_value_iteration(
         else:
             missed = iterations
             stall += 1
+            if np.array_equal(bits, anchor):
+                # v repeats with period p, so every later sweep repeats one
+                # already made and none improves the span. Skipping whole
+                # periods leaves v, lo and hi as they are now.
+                period = iterations - anchored
+                jump = min(patience - stall, max_iters - iterations) // period * period
+                iterations += jump
+                stall += jump
+                missed = iterations
             if stall >= patience:
                 stop = "plateau"
                 break
+        if iterations & (iterations - 1) == 0:
+            anchor[:] = bits
+            anchored = iterations
         if iterations % patience == 0:
             if window_span is not None and iterations - missed >= patience and (
                 tol <= 0.0

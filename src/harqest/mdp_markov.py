@@ -134,32 +134,49 @@ def assemble_markov_mdp(
     units = [tuple(1 if j == i else 0 for j in range(b)) for i in range(b)]
     fresh = (0,) * b
     errors = {(fresh, xi): attempt_error(fresh, xi) for xi in range(b)}
-    for omega in omegas:
+    # Per (omega, xi): the omega a retransmission leads to (-1 at the cap)
+    # and the error of that attempt.
+    number = {omega: k for k, omega in enumerate(omegas)}
+    bump = np.full((len(omegas), b), -1, dtype=np.int64)
+    bump_error = np.zeros((len(omegas), b))
+    for k, omega in enumerate(omegas):
         for xi in range(b):
             if omega[xi] < caps[xi]:
-                errors[(omega, xi)] = attempt_error(omega, xi)
+                errors[(omega, xi)] = bump_error[k, xi] = attempt_error(omega, xi)
+                bump[k, xi] = number[tuple(o + u for o, u in zip(omega, units[xi]))]
+
+    # Block k holds omega k's states, q from sum(omega) up, xi fastest, so
+    # (omega, q, xi) sits at base[omega] + (q - sum(omega)) * b + xi.
+    sums = np.array([sum(omega) for omega in omegas], dtype=np.int64)
+    sizes = (q_max + 1 - sums) * b
+    base = np.cumsum(sizes) - sizes
+    block = np.repeat(np.arange(len(omegas)), sizes)
+    q, xi = np.divmod(np.arange(n) - base[block], b)
+    q += sums[block]
+    q_fail = np.minimum(q + 1, q_max)
+    available = np.stack([np.ones(n, dtype=bool), bump[block, xi] >= 0], axis=1)
+    retx = np.flatnonzero(available[:, 1])
 
     # Row s of action a lists (success, failure) successors per next gain
     # index; a forbidden retransmission keeps an all-zero row.
-    width = 2 * b
-    kernel = [(np.zeros((n, width), dtype=np.int64), np.zeros((n, width))) for _ in range(2)]
-    available = np.zeros((n, 2), dtype=bool)
-    available[:, 0] = True
-    pi = ch.pi.tolist()
-    for s, (omega, q, xi) in enumerate(states):
-        q_fail = min(q + 1, q_max)
-        moves = [(units[xi], 1, errors[(fresh, xi)])]  # action 0
-        if omega[xi] < caps[xi]:
-            available[s, 1] = True
-            bumped = tuple(o + u for o, u in zip(omega, units[xi]))
-            moves.append((bumped, sum(omega) + 1, errors[(omega, xi)]))  # action 1
-        for (idx, prob), (omega_next, q_success, g) in zip(kernel, moves):
-            idx[s] = [index[(omega_next, age, xn)] for xn in range(b) for age in (q_success, q_fail)]
-            prob[s] = [pi[xn][xi] * p for xn in range(b) for p in (1.0 - g, g)]
+    kernel = [(np.zeros((n, 2 * b), dtype=np.int64), np.zeros((n, 2 * b))) for _ in range(2)]
+    fresh_error = np.array([errors[(fresh, x)] for x in range(b)])
+    retx_block, retx_xi = block[retx], xi[retx]
+    moves = (  # rows, the omega they lead to, success age, attempt error
+        (slice(None), np.array([number[u] for u in units])[xi], 1, fresh_error[xi]),
+        (retx, bump[retx_block, retx_xi], sums[retx_block] + 1, bump_error[retx_block, retx_xi]),
+    )
+    for (idx, prob), (rows, target, q_success, g) in zip(kernel, moves):
+        start = base[target] - sums[target] * b
+        idx[rows, 0::2] = (start + q_success * b)[:, None] + np.arange(b)
+        idx[rows, 1::2] = (start + q_fail[rows] * b)[:, None] + np.arange(b)
+        pi_from = ch.pi.T[xi[rows]]  # pi[xn, xi] in column xn
+        prob[rows, 0::2] = pi_from * (1.0 - g)[:, None]
+        prob[rows, 1::2] = pi_from * g[:, None]
     if cost_mode == "mse":
-        stage = np.array([ladder.trace(q) for (_, q, _) in states])
+        stage = np.array([ladder.trace(age) for age in range(1, q_max + 1)])[q - 1]
     else:
-        stage = np.array([float(q) for (_, q, _) in states])
+        stage = q.astype(float)
     core = FiniteAverageCostMdp(
         costs=np.stack([stage, stage], axis=1),
         transitions=kernel,

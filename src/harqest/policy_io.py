@@ -54,23 +54,29 @@ def save_policy(policy: Policy, path):
 
 def load_policy(path) -> Policy:
     meta = {}
-    actions = {}
+    actions = []  # (line number, state key, action)
     in_actions = False
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line == "[actions]":
-                in_actions = True
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if in_actions:
-                actions[key] = int(value)
-            else:
-                meta[key] = value
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise ConfigError(f"cannot read policy file {path}") from exc
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line == "[actions]":
+            in_actions = True
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if in_actions:
+            if value not in ("0", "1"):
+                raise ConfigError(f"{path}:{lineno}: action must be 0 or 1, got {value!r}")
+            actions.append((lineno, key, int(value)))
+        else:
+            meta[key] = value
     for required in ("kind", "cost_mode", "zeta", "span", "iterations", "converged", "q_max"):
         if required not in meta:
             raise ConfigError(f"{path}: missing {required!r} header")
@@ -79,8 +85,17 @@ def load_policy(path) -> Policy:
         raise ConfigError(f"{path}: unknown policy kind {kind!r}")
     if not actions:
         raise ConfigError(f"{path}: no actions listed")
-    states = tuple(sorted(_parse_state(kind, key) for key in actions))
-    table = np.array([actions[_state_key(kind, s)] for s in states], dtype=np.int8)
+    by_state = {}
+    for lineno, key, action in actions:
+        try:
+            state = _parse_state(kind, key)
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: bad state {key!r}") from exc
+        if state in by_state:
+            raise ConfigError(f"{path}:{lineno}: state {key!r} is listed twice")
+        by_state[state] = action
+    states = tuple(sorted(by_state))
+    table = np.array([by_state[s] for s in states], dtype=np.int8)
     if kind == "static":
         params = {"r_max": int(meta["r_max"]), "q_max": int(meta["q_max"])}
     else:

@@ -2,17 +2,20 @@
 
 Each is written the direct way: the balance solve of a stationary vector, the
 kernel-row sum check, the one-step-lookahead (myopic) rule and the threshold
-closed form on the static link, the forced-success simulation check, and the
+closed form on the static link, the forced-success simulation check, the
 object-level channel step and attempt-history update of the reference
-simulation loop. Nothing in the package imports this module.
+simulation loop, and the per-state kernel loop of the MDP builder. Nothing in
+the package imports this module.
 """
 
 import math
 from dataclasses import dataclass, replace
+from itertools import product
 
 import numpy as np
 
 from harqest import (
+    FiniteAverageCostMdp,
     HistoryCounter,
     Policy,
     PolicySpec,
@@ -20,6 +23,7 @@ from harqest import (
     build_high_snr_chain,
     run,
 )
+from harqest.mdp_markov import MarkovMdp
 
 # Treat the retransmission as giving no reliability edge below this gap.
 _RELIABILITY_TIE = 1e-15
@@ -191,3 +195,64 @@ def update_history(omega: HistoryCounter, last_action: int, last_index: int) -> 
     if last_action == 0:
         return unit_history(omega.gains, last_index)
     return incremented(omega, last_index)
+
+
+# ---------------------------------------------------------------- kernel
+
+
+def reference_assemble(attempt_error, ch, ladder, omega_caps, q_max, cost_mode="mse"):
+    """The per-state loop `assemble_markov_mdp` replaced: each state's rows
+    are looked up in the state index one successor at a time. Takes valid
+    arguments only; returns the same `MarkovMdp` fields."""
+    b = ch.size
+    caps = tuple(int(c) for c in omega_caps)
+    ladder = ladder.extended(q_max)
+    omegas = [omega for omega in product(*[range(c + 1) for c in caps]) if sum(omega) >= 1]
+    states = tuple(
+        (omega, q, xi) for omega in omegas for q in range(sum(omega), q_max + 1) for xi in range(b)
+    )
+    index = {s: i for i, s in enumerate(states)}
+    n = len(states)
+    units = [tuple(1 if j == i else 0 for j in range(b)) for i in range(b)]
+    fresh = (0,) * b
+    errors = {(fresh, xi): attempt_error(fresh, xi) for xi in range(b)}
+    for omega in omegas:
+        for xi in range(b):
+            if omega[xi] < caps[xi]:
+                errors[(omega, xi)] = attempt_error(omega, xi)
+    width = 2 * b
+    kernel = [(np.zeros((n, width), dtype=np.int64), np.zeros((n, width))) for _ in range(2)]
+    available = np.zeros((n, 2), dtype=bool)
+    available[:, 0] = True
+    pi = ch.pi.tolist()
+    for s, (omega, q, xi) in enumerate(states):
+        q_fail = min(q + 1, q_max)
+        moves = [(units[xi], 1, errors[(fresh, xi)])]  # action 0
+        if omega[xi] < caps[xi]:
+            available[s, 1] = True
+            bumped = tuple(o + u for o, u in zip(omega, units[xi]))
+            moves.append((bumped, sum(omega) + 1, errors[(omega, xi)]))  # action 1
+        for (idx, prob), (omega_next, q_success, g) in zip(kernel, moves):
+            idx[s] = [index[(omega_next, age, xn)] for xn in range(b) for age in (q_success, q_fail)]
+            prob[s] = [pi[xn][xi] * p for xn in range(b) for p in (1.0 - g, g)]
+    if cost_mode == "mse":
+        stage = np.array([ladder.trace(q) for (_, q, _) in states])
+    else:
+        stage = np.array([float(q) for (_, q, _) in states])
+    core = FiniteAverageCostMdp(
+        costs=np.stack([stage, stage], axis=1),
+        transitions=kernel,
+        available=available,
+        ref=index[(units[0], 1, 0)],
+    )
+    return MarkovMdp(
+        core=core,
+        states=states,
+        index=index,
+        channel=ch,
+        omega_caps=caps,
+        q_max=q_max,
+        cost_mode=cost_mode,
+        ladder=ladder,
+        errors=errors,
+    )

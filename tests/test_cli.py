@@ -208,6 +208,22 @@ class TestCliSolveAndSimulate:
         summary = (out / "comparison.csv").read_text()
         assert "policy_markov_mse" in summary and "myopic" in summary and "psi" in summary
 
+    def test_simulate_rejects_an_invalid_action(self, static_cfg, capsys):
+        path, out = static_cfg
+        assert main(["solve", "--config", str(path)]) == 0
+        policy_path = out / "policy_static_mse.txt"
+        text = policy_path.read_text()
+        assert "\n1,1 = 0\n" in text
+        policy_path.write_text(text.replace("\n1,1 = 0\n", "\n1,1 = 7\n"))
+        assert main(["simulate", "--config", str(path), "--policy", str(policy_path)]) == 2
+        assert "action must be 0 or 1, got '7'" in capsys.readouterr().err
+
+    def test_simulate_missing_policy_file(self, static_cfg, tmp_path, capsys):
+        path, _ = static_cfg
+        missing = tmp_path / "missing.txt"
+        assert main(["simulate", "--config", str(path), "--policy", str(missing)]) == 2
+        assert f"config error: cannot read policy file {missing}" in capsys.readouterr().err
+
     def test_simulate_trace_deterministic(self, static_cfg):
         path, out = static_cfg
         assert main(["simulate", "--config", str(path), "--policy", "psi"]) == 0

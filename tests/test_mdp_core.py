@@ -16,6 +16,7 @@ from harqest import (
     policy_average_cost,
     policy_iteration,
     relative_value_iteration,
+    solve_rvi,
     solve_rvi_markov,
     static_channel,
     verify_switching_markov,
@@ -254,6 +255,112 @@ class TestReferenceConformance:
         mdp = build_markov_mdp(harq, ref_channel, ref_ladder, (4, 4), 10)
         assert assert_same_solve(mdp.core, max_iters=2000) == "slow"
         assert relative_value_iteration(mdp.core, max_iters=2000)[3] == 1000
+
+
+def reference_iterates(mdp, sweeps):
+    """The bytes of v after each of the first `sweeps` sweeps of `reference_rvi`."""
+    n, n_actions = mdp.n_states, mdp.n_actions
+    v = np.zeros(n)
+    q = np.empty((n, n_actions))
+    iterates = []
+    for _ in range(sweeps):
+        for a in range(n_actions):
+            idx, prob = mdp.transitions[a]
+            q[:, a] = mdp.costs[:, a] + np.einsum("sk,sk->s", prob, v[idx])
+        q[~mdp.available] = np.inf
+        tv = q.min(axis=1)
+        v = tv - tv[mdp.ref]
+        iterates.append(v.tobytes())
+    return iterates
+
+
+def final_period(mdp, sweeps):
+    """The smallest p for which v after `sweeps` sweeps equals, bit for bit,
+    v p sweeps earlier."""
+    iterates = reference_iterates(mdp, sweeps)
+    return next(p for p in range(1, sweeps) if iterates[-1] == iterates[-1 - p])
+
+
+@pytest.fixture
+def sweeps_run(monkeypatch):
+    """Counts the sweeps `relative_value_iteration` actually runs. Each
+    sweep makes one np.einsum call, and the greedy pass after the loop one
+    more; call the returned function to read the count since the last read."""
+    calls = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def einsum(self, *args, **kwargs):
+            calls.append(None)
+            return np.einsum(*args, **kwargs)
+
+    monkeypatch.setattr(harqest.mdp_core, "np", CountingNumpy())
+
+    def read():
+        count = len(calls) - 1
+        calls.clear()
+        return count
+
+    return read
+
+
+class TestCycleJump:
+    """Once v repeats bit for bit, RVI skips the sweeps that can only repeat
+    earlier ones; every output stays that of the plain loop."""
+
+    GRIDS = {
+        # name: (scheme, snr_db, fading, caps, q_max, period of the final v)
+        "static-10dB": ("cc", 10.0, False, (20,), 20, 1),
+        "static-15dB": ("cc", 15.0, False, (20,), 20, 1),
+        "fading-ir-8.5dB": ("ir", 8.5, True, (4, 4), 10, 2),
+        "fading-10dB": ("cc", 10.0, True, (4, 4), 10, 4),
+        "fading-8x8-q30-8.5dB": ("cc", 8.5, True, (8, 8), 30, 8),
+        "fading-8.5dB": ("cc", 8.5, True, (4, 4), 10, 12),
+    }
+
+    def build(self, name, ref_ladder, ref_channel):
+        scheme, snr_db, fading, caps, q_max, _ = self.GRIDS[name]
+        ch = ref_channel if fading else static_channel(2.0)
+        harq = HarqModel.from_db(scheme, snr_db, 100, 4.0)
+        return build_markov_mdp(harq, ch, ref_ladder, caps, q_max).core
+
+    @pytest.mark.parametrize("name", GRIDS)
+    def test_periodic_plateaus_match_reference(self, name, ref_ladder, ref_channel, sweeps_run):
+        mdp = self.build(name, ref_ladder, ref_channel)
+        assert assert_same_solve(mdp) == "plateau"
+        ran = sweeps_run()
+        iterations = relative_value_iteration(mdp)[3]
+        assert ran < iterations
+        assert final_period(mdp, iterations) == self.GRIDS[name][-1]
+
+    def test_budget_ends_inside_a_jump(self, ref_ladder, ref_channel, sweeps_run):
+        # Period 4: of four consecutive budgets one ends on a whole number of
+        # periods, and the other three run 1, 2 and 3 sweeps past the jump.
+        mdp = self.build("fading-10dB", ref_ladder, ref_channel)
+        counts = []
+        for max_iters in range(400, 404):
+            assert assert_same_solve(mdp, max_iters=max_iters) == "budget"
+            counts.append(sweeps_run() + 1)  # a budget failure makes no greedy pass
+        assert sorted(counts) == list(range(min(counts), min(counts) + 4))
+        assert max(counts) < 400
+
+    def test_jump_lands_on_the_plateau_stop(self, ref_ladder, ref_channel, sweeps_run):
+        # As above: one of four consecutive patience values makes the jump
+        # end exactly where the plain loop stops.
+        mdp = self.build("fading-10dB", ref_ladder, ref_channel)
+        counts = []
+        for patience in range(500, 504):
+            assert assert_same_solve(mdp, patience=patience) == "plateau"
+            counts.append(sweeps_run())
+        assert sorted(counts) == list(range(min(counts), min(counts) + 4))
+        assert max(counts) < 500
+
+    def test_static_solve_runs_few_sweeps(self, cc_model, ref_ladder, sweeps_run):
+        policy = solve_rvi(build_static_mdp(cc_model, 2.0, ref_ladder, 20, 20))
+        assert (policy.iterations, policy.converged) == (505, False)
+        assert sweeps_run() < 50
 
 
 class TestPolicyAverageCost:

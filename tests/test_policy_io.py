@@ -11,6 +11,12 @@ from harqest import (
     solve_rvi_markov,
 )
 
+# The header of a valid static policy file, up to its action lines.
+HEADER = (
+    "kind = static\ncost_mode = mse\nzeta = 1.0\nspan = 0.0\niterations = 1\n"
+    "converged = true\nr_max = 2\nq_max = 2\n[actions]\n"
+)
+
 
 @pytest.fixture(scope="module")
 def static_policy(cc_model, ref_ladder):
@@ -74,3 +80,27 @@ class TestLoadErrors:
         path.write_text("kind static\n")
         with pytest.raises(ConfigError):
             load_policy(path)
+
+    @pytest.mark.parametrize("value", ["7", "-1", "2", "0.5", "one", ""])
+    def test_action_other_than_0_or_1(self, tmp_path, value):
+        path = tmp_path / "broken.policy"
+        path.write_text(HEADER + f"1,1 = {value}\n")
+        with pytest.raises(ConfigError, match="action must be 0 or 1"):
+            load_policy(path)
+
+    @pytest.mark.parametrize("second", ["1,1", "1, 1", "01,1"])
+    def test_duplicate_state(self, tmp_path, second):
+        path = tmp_path / "broken.policy"
+        path.write_text(HEADER + f"1,1 = 0\n{second} = 1\n")
+        with pytest.raises(ConfigError, match="listed twice"):
+            load_policy(path)
+
+    def test_bad_state_key(self, tmp_path):
+        path = tmp_path / "broken.policy"
+        path.write_text(HEADER + "1|1 = 0\n")
+        with pytest.raises(ConfigError, match="bad state"):
+            load_policy(path)
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(ConfigError, match="cannot read policy file"):
+            load_policy(tmp_path / "missing.txt")

@@ -1,6 +1,6 @@
 """Invariants of the (r, q) relabelling, of policy files, of the kernel and
-of the first-passage evaluation, checked on generated tables, grids and
-chains.
+its assembly, and of the first-passage evaluation, checked on generated
+tables, grids and chains.
 
 Examples are derived from a fixed seed, so every run checks the same cases.
 """
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import kernel_row_error
+from reference import kernel_row_error, reference_assemble
 
 from harqest import (
     HarqModel,
@@ -25,6 +25,7 @@ from harqest import (
     load_policy,
     save_policy,
 )
+from harqest.mdp_markov import assemble_markov_mdp
 from harqest.mdp_static import markov_policy, static_policy
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -128,6 +129,44 @@ def test_available_kernel_rows_sum_to_one(
     harq = HarqModel.from_db(scheme, snr_db, 100, 4.0)
     mdp = build_markov_mdp(harq, ch, ref_ladder, caps, sum(caps) + extra_ages, cost_mode)
     assert kernel_row_error(mdp.core) <= 1e-12
+
+
+@st.composite
+def kernel_grids(draw):
+    """A 1-3 state chain with random columns, omega caps, q_max, cost mode
+    and a table of attempt errors that includes exact 0 and 1."""
+    b = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pi = rng.uniform(0.05, 1.0, size=(b, b))
+    pi /= pi.sum(axis=0)
+    ch = MarkovChannel(gains=tuple(rng.uniform(0.5, 3.0, size=b)), pi=pi)
+    caps = tuple(draw(st.lists(st.integers(1, 3), min_size=b, max_size=b)))
+    q_max = sum(caps) + draw(st.integers(0, 3))
+    errors = {}
+
+    def attempt_error(omega, xi):
+        if (omega, xi) not in errors:
+            errors[(omega, xi)] = float(rng.choice([0.0, 1.0, rng.uniform()]))
+        return errors[(omega, xi)]
+
+    return attempt_error, ch, caps, q_max, draw(st.sampled_from(["mse", "delay"]))
+
+
+@PROPERTY
+@given(grid=kernel_grids())
+def test_kernel_equals_per_state_loop(ref_ladder, grid):
+    attempt_error, ch, caps, q_max, cost_mode = grid
+    mdp = assemble_markov_mdp(attempt_error, ch, ref_ladder, caps, q_max, cost_mode)
+    expected = reference_assemble(attempt_error, ch, ref_ladder, caps, q_max, cost_mode)
+    for (idx, prob), (idx_ref, prob_ref) in zip(mdp.core.transitions, expected.core.transitions):
+        assert idx.dtype == idx_ref.dtype and idx.tobytes() == idx_ref.tobytes()
+        assert prob.dtype == prob_ref.dtype and prob.tobytes() == prob_ref.tobytes()
+    assert mdp.core.available.tobytes() == expected.core.available.tobytes()
+    assert mdp.core.costs.tobytes() == expected.core.costs.tobytes()
+    assert mdp.states == expected.states
+    assert mdp.index == expected.index
+    assert mdp.core.ref == expected.core.ref
+    assert list(mdp.errors.items()) == list(expected.errors.items())
 
 
 @st.composite
