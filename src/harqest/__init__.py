@@ -5,11 +5,9 @@ from .channel import MarkovChannel, static_channel
 from .errors import ConfigError, ConvergenceError, DepthError, HarqestError, ModelError
 from .harq_model import (
     HarqModel,
-    HistoryCounter,
     block_error_prob,
     conditional_error_prob,
     worst_retransmission_error_markov,
-    worst_retransmission_error_static,
 )
 from .lti_estimation import (
     CostLadder,

@@ -15,12 +15,7 @@ import numpy as np
 from .channel import MarkovChannel
 from .config import Config, load_config
 from .errors import ConfigError, ConvergenceError, HarqestError
-from .harq_model import (
-    HarqModel,
-    block_error_prob,
-    worst_retransmission_error_markov,
-    worst_retransmission_error_static,
-)
+from .harq_model import HarqModel, block_error_prob, worst_retransmission_error_markov
 from .lti_estimation import build_cost_ladder, solve_steady_state
 from .mdp_markov import (
     build_markov_mdp,
@@ -97,8 +92,7 @@ def _prepare(args):
 
 
 def _ladder(cfg: Config):
-    kal = solve_steady_state(cfg.system)
-    return build_cost_ladder(cfg.system, kal, cfg.solver.q_max + 2), kal
+    return build_cost_ladder(cfg.system, solve_steady_state(cfg.system), cfg.solver.q_max + 2)
 
 
 def _omega_caps(cfg: Config):
@@ -124,24 +118,20 @@ def cmd_stability(args) -> int:
     caps = _omega_caps(cfg)
     rho_sq = cfg.system.rho_squared
     lines = [f"rho^2(A) = {rho_sq:.6f}"]
-    if cfg.is_static:
-        worst = worst_retransmission_error_static(cfg.harq, cfg.channel.gains[0], caps[0])
-        lambdas = [worst.value]
-        lines.append(
-            f"Lambda0 = {worst.value:.6e} (attempt {worst.argmax_attempts}, "
-            f"monotone decreasing: {worst.monotone_decreasing})"
-        )
-    else:
-        worsts = [
-            worst_retransmission_error_markov(cfg.harq, cfg.channel.gains, i, sum(caps))
-            for i in range(cfg.channel.size)
-        ]
-        for i, worst in enumerate(worsts):
-            lines.append(
-                f"Lambda_{i} = {worst.value:.6e} (history {worst.argmax_counts}, "
-                f"at budget boundary: {worst.at_budget_boundary})"
-            )
-        lambdas = [w.value for w in worsts]
+    # A static round capped at r_max attempts buffers at most r_max - 1 of them.
+    budget = caps[0] - 1 if cfg.is_static else sum(caps)
+    lambdas = []
+    for i in range(cfg.channel.size):
+        worst = worst_retransmission_error_markov(cfg.harq, cfg.channel.gains, i, budget)
+        lambdas.append(worst.value)
+        if cfg.is_static:
+            monotone = all(b <= a for a, b in zip(worst.values, worst.values[1:]))
+            name = "Lambda0"
+            detail = f"attempt {worst.argmax_counts[0] + 1}, monotone decreasing: {monotone}"
+        else:
+            name, boundary = f"Lambda_{i}", worst.at_budget_boundary
+            detail = f"history {worst.argmax_counts}, at budget boundary: {boundary}"
+        lines.append(f"{name} = {worst.value:.6e} ({detail})")
     report = check_stability_markov(cfg.channel.pi, lambdas, rho_sq)
     lines += [
         f"product = {report.product:.6e}",
@@ -176,7 +166,7 @@ def _write_region_grid(ch: MarkovChannel, rho_sq_values, steps: int, path):
 def cmd_solve(args) -> int:
     cfg, out_dir = _prepare(args)
     cost_mode = args.cost if args.cost is not None else cfg.solver.cost_mode
-    ladder, _ = _ladder(cfg)
+    ladder = _ladder(cfg)
     policy, switching = _solve(cfg, cfg.harq, ladder, cost_mode)
     if cfg.is_static:
         policy = static_policy(policy)  # static files keep the (r, q) layout
@@ -199,16 +189,16 @@ def _policy_spec(token: str) -> PolicyEntry:
         "psi": "always_retransmit_psi",
     }
     if token in builtin:
-        return PolicyEntry(label=token, spec=PolicySpec(kind=builtin[token], label=token))
+        return PolicyEntry(label=token, spec=PolicySpec(kind=builtin[token]))
     table = load_policy(token)
     kind = "delay_optimal_table" if table.cost_mode == "delay" else "table"
     label = os.path.splitext(os.path.basename(token))[0]
-    return PolicyEntry(label=label, spec=PolicySpec(kind=kind, table=table, label=label))
+    return PolicyEntry(label=label, spec=PolicySpec(kind=kind, table=table))
 
 
 def cmd_simulate(args) -> int:
     cfg, out_dir = _prepare(args)
-    ladder, _ = _ladder(cfg)
+    ladder = _ladder(cfg)
     entries = [_policy_spec(token) for token in (args.policy, *args.compare)]
     table = evaluate_policies(entries, cfg.harq, cfg.channel, ladder, cfg.sim)
     trace = table.first_trace
@@ -233,7 +223,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_highsnr(args) -> int:
     cfg, out_dir = _prepare(args)
-    ladder, _ = _ladder(cfg)
+    ladder = _ladder(cfg)
     lambda_primes = tuple(block_error_prob(cfg.harq, (g,)) for g in cfg.channel.gains)
     result = high_snr_markov(ladder, cfg.channel, lambda_primes, args.theta_max)
     if cfg.is_static:
@@ -259,7 +249,7 @@ def cmd_highsnr(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg, out_dir = _prepare(args)
-    ladder, _ = _ladder(cfg)
+    ladder = _ladder(cfg)
     rows = []
     all_pass = True
     for snr_db in args.snr_db:

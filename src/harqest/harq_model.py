@@ -18,12 +18,9 @@ from .numerics import gaussian_q
 
 __all__ = [
     "HarqModel",
-    "HistoryCounter",
     "block_error_prob",
     "conditional_error_prob",
-    "worst_retransmission_error_static",
     "worst_retransmission_error_markov",
-    "WorstStaticError",
     "WorstMarkovError",
 ]
 
@@ -64,45 +61,6 @@ class HarqModel:
         return cls(scheme=scheme, snr=10.0 ** (snr_db / 10.0), blocklength=blocklength, rate=rate)
 
 
-@dataclass(frozen=True)
-class HistoryCounter:
-    """Per-gain counts of the failed attempts in the current combining round.
-
-    counts[i] is how many of the buffered attempts saw gain gains[i]. The
-    all-zero counter stands for "no pending round" (a new transmission).
-    """
-
-    counts: tuple
-    gains: tuple
-
-    def __post_init__(self):
-        counts = tuple(int(c) for c in self.counts)
-        gains = tuple(float(g) for g in self.gains)
-        if len(counts) != len(gains):
-            raise ValueError("counts and gains must have the same length")
-        if any(c < 0 for c in counts):
-            raise ValueError("counts must be nonnegative")
-        if any(g <= 0 for g in gains):
-            raise ValueError("gains must be positive")
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "gains", gains)
-
-    @property
-    def total(self) -> int:
-        """Number of buffered attempts, i.e. the consecutive-attempt counter r."""
-        return sum(self.counts)
-
-    @property
-    def is_empty(self) -> bool:
-        return self.total == 0
-
-    def gain_multiset(self) -> tuple:
-        out = []
-        for count, gain in zip(self.counts, self.gains):
-            out.extend([gain] * count)
-        return tuple(out)
-
-
 @lru_cache(maxsize=None)
 def _block_error(model: HarqModel, gains: tuple) -> float:
     """P[round still undecodable | len(gains) attempts with these gains]."""
@@ -131,63 +89,45 @@ def block_error_prob(model: HarqModel, gains) -> float:
     return _block_error(model, gains)
 
 
-def conditional_error_prob(model: HarqModel, history: HistoryCounter, current_gain: float) -> float:
-    """Per-slot error probability given the buffered attempts of the round.
+def conditional_error_prob(model: HarqModel, gains, counts, xi: int) -> float:
+    """Error probability of an attempt under gains[xi], given the pending round.
 
-    An empty history is a new transmission (single-attempt block error).
-    Otherwise the slot fails with the ratio of the block error over
-    history + current attempt to the block error over the history alone.
+    counts[i] is how many of the round's buffered attempts saw gains[i]; all
+    zeros is a new transmission (single-attempt block error). Otherwise the
+    attempt fails with the ratio of the block error over the buffered attempts
+    plus this one to the block error over the buffered attempts alone.
     """
-    if history.is_empty:
-        return block_error_prob(model, (current_gain,))
-    past = history.gain_multiset()
+    if len(counts) != len(gains):
+        raise ValueError("counts and gains must have the same length")
+    if any(c < 0 for c in counts):
+        raise ValueError("counts must be nonnegative")
+    current = (float(gains[xi]),)
+    past = tuple(float(g) for c, g in zip(counts, gains) for _ in range(c))
+    if not past:
+        return block_error_prob(model, current)
     denominator = block_error_prob(model, past)
     if denominator < _DENOMINATOR_FLOOR:
         log.debug(
             "retransmission after an all-but-decoded history %s; conditional error pinned to 0",
-            history.counts,
+            tuple(counts),
         )
         return 0.0
-    numerator = block_error_prob(model, past + (float(current_gain),))
+    numerator = block_error_prob(model, past + current)
     return min(numerator / denominator, 1.0)
 
 
 @dataclass(frozen=True)
-class WorstStaticError:
-    """Largest retransmission error probability over attempts 2..r_max."""
-
-    value: float
-    argmax_attempts: int
-    monotone_decreasing: bool
-
-
-def worst_retransmission_error_static(model: HarqModel, gain: float, r_max: int) -> WorstStaticError:
-    """Scan g(r) for r = 2..r_max and report the maximum.
-
-    Also reports whether g was monotone decreasing over the scanned range; a
-    non-monotone sequence is a hint the scan bound may matter.
-    """
-    if r_max < 2:
-        raise ValueError("r_max must be at least 2")
-    g = float(gain)
-    values = []
-    for r in range(2, r_max + 1):
-        history = HistoryCounter(counts=(r - 1,), gains=(g,))
-        values.append(conditional_error_prob(model, history, g))
-    best = max(range(len(values)), key=values.__getitem__)
-    monotone = all(values[i + 1] <= values[i] for i in range(len(values) - 1))
-    return WorstStaticError(
-        value=values[best], argmax_attempts=best + 2, monotone_decreasing=monotone
-    )
-
-
-@dataclass(frozen=True)
 class WorstMarkovError:
-    """Largest retransmission error probability over histories with ||omega||_1 <= budget."""
+    """Largest retransmission error probability over histories with ||omega||_1 <= budget.
+
+    values holds every scanned error in scan order; on one gain that is the
+    error of attempts 2..budget + 1.
+    """
 
     value: float
     argmax_counts: tuple
     at_budget_boundary: bool
+    values: tuple
 
 
 def worst_retransmission_error_markov(
@@ -195,26 +135,26 @@ def worst_retransmission_error_markov(
 ) -> WorstMarkovError:
     """Exhaustively maximize the conditional error for gain gains[channel_index].
 
-    A maximum attained at ||omega||_1 == omega_budget is flagged: the true
-    supremum over unbounded histories may then be larger than the scan found.
+    Histories are scanned in lexicographic count order and the first maximum
+    wins. A maximum attained at ||omega||_1 == omega_budget is flagged: the
+    true supremum over unbounded histories may then be larger than the scan
+    found. A static link is the one-gain case, with budget r_max - 1.
     """
     if omega_budget < 1:
         raise ValueError("omega_budget must be at least 1")
     gains = tuple(float(g) for g in gains)
     if not 0 <= channel_index < len(gains):
         raise ValueError(f"channel_index {channel_index} out of range for {len(gains)} gains")
-    current = gains[channel_index]
-    best_value, best_counts = -1.0, None
-    for counts in product(range(omega_budget + 1), repeat=len(gains)):
-        total = sum(counts)
-        if not 1 <= total <= omega_budget:
-            continue
-        history = HistoryCounter(counts=counts, gains=gains)
-        value = conditional_error_prob(model, history, current)
-        if value > best_value:
-            best_value, best_counts = value, counts
+    histories = [
+        counts
+        for counts in product(range(omega_budget + 1), repeat=len(gains))
+        if 1 <= sum(counts) <= omega_budget
+    ]
+    values = tuple(conditional_error_prob(model, gains, c, channel_index) for c in histories)
+    best = max(range(len(values)), key=values.__getitem__)
     return WorstMarkovError(
-        value=best_value,
-        argmax_counts=best_counts,
-        at_budget_boundary=sum(best_counts) == omega_budget,
+        value=values[best],
+        argmax_counts=histories[best],
+        at_budget_boundary=sum(histories[best]) == omega_budget,
+        values=values,
     )

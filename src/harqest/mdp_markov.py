@@ -15,7 +15,7 @@ import numpy as np
 
 from .channel import MarkovChannel
 from .errors import ConfigError, ModelError
-from .harq_model import HarqModel, HistoryCounter, conditional_error_prob
+from .harq_model import HarqModel, conditional_error_prob
 from .lti_estimation import CostLadder
 from .mdp_core import FiniteAverageCostMdp, Policy, policy_iteration, relative_value_iteration
 from .numerics import gth_stationary, spectral_radius
@@ -89,8 +89,7 @@ def build_markov_mdp(
     """Truncated MDP with error probabilities taken from the link model."""
 
     def attempt_error(omega, xi):
-        history = HistoryCounter(counts=omega, gains=ch.gains)
-        return conditional_error_prob(harq, history, ch.gains[xi])
+        return conditional_error_prob(harq, ch.gains, omega, xi)
 
     return assemble_markov_mdp(attempt_error, ch, ladder, omega_caps, q_max, cost_mode)
 

@@ -13,6 +13,16 @@ from .mdp_core import Policy
 __all__ = ["save_policy", "load_policy"]
 
 
+def _ints(text: str) -> tuple:
+    return tuple(int(c) for c in text.split(","))
+
+
+def _flag(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {text!r}")
+    return text == "true"
+
+
 def _state_key(kind: str, state) -> str:
     if kind == "static":
         r, q = state
@@ -26,7 +36,7 @@ def _parse_state(kind: str, key: str):
         r, q = key.split(",")
         return (int(r), int(q))
     omega, q, xi = key.split("|")
-    return (tuple(int(c) for c in omega.split(",")), int(q), int(xi))
+    return (_ints(omega), int(q), int(xi))
 
 
 def save_policy(policy: Policy, path):
@@ -77,12 +87,33 @@ def load_policy(path) -> Policy:
             actions.append((lineno, key, int(value)))
         else:
             meta[key] = value
-    for required in ("kind", "cost_mode", "zeta", "span", "iterations", "converged", "q_max"):
-        if required not in meta:
-            raise ConfigError(f"{path}: missing {required!r} header")
-    kind = meta["kind"]
+
+    def header(key, parse=str):
+        if key not in meta:
+            raise ConfigError(f"{path}: missing {key!r} header")
+        try:
+            return parse(meta[key])
+        except ValueError as exc:
+            raise ConfigError(f"{path}: cannot parse {key!r} header {meta[key]!r}") from exc
+
+    kind = header("kind")
     if kind not in ("static", "markov"):
         raise ConfigError(f"{path}: unknown policy kind {kind!r}")
+    if kind == "static":
+        params = {"r_max": header("r_max", int), "q_max": header("q_max", int)}
+    else:
+        params = {
+            "omega_caps": header("omega_caps", _ints),
+            "q_max": header("q_max", int),
+            "gains": header("gains", lambda text: tuple(float(g) for g in text.split(","))),
+        }
+    solve = {
+        "zeta": header("zeta", float),
+        "span": header("span", float),
+        "iterations": header("iterations", int),
+        "converged": header("converged", _flag),
+        "cost_mode": header("cost_mode"),
+    }
     if not actions:
         raise ConfigError(f"{path}: no actions listed")
     by_state = {}
@@ -96,22 +127,4 @@ def load_policy(path) -> Policy:
         by_state[state] = action
     states = tuple(sorted(by_state))
     table = np.array([by_state[s] for s in states], dtype=np.int8)
-    if kind == "static":
-        params = {"r_max": int(meta["r_max"]), "q_max": int(meta["q_max"])}
-    else:
-        params = {
-            "omega_caps": tuple(int(c) for c in meta["omega_caps"].split(",")),
-            "q_max": int(meta["q_max"]),
-            "gains": tuple(float(g) for g in meta["gains"].split(",")),
-        }
-    return Policy(
-        actions=table,
-        states=states,
-        zeta=float(meta["zeta"]),
-        span=float(meta["span"]),
-        iterations=int(meta["iterations"]),
-        converged=meta["converged"] == "true",
-        cost_mode=meta["cost_mode"],
-        kind=kind,
-        params=params,
-    )
+    return Policy(actions=table, states=states, kind=kind, params=params, **solve)

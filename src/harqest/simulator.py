@@ -17,7 +17,7 @@ import numpy as np
 
 from .channel import MarkovChannel
 from .errors import DepthError
-from .harq_model import HarqModel, HistoryCounter, block_error_prob, conditional_error_prob
+from .harq_model import HarqModel, conditional_error_prob
 from .lti_estimation import CostLadder
 from .mdp_core import Policy
 from .mdp_static import markov_policy
@@ -56,7 +56,6 @@ class PolicySpec:
     kind: str
     table: Policy = None
     thetas: tuple = None
-    label: str = ""
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -65,8 +64,6 @@ class PolicySpec:
             raise ValueError(f"{self.kind} policy needs a solved table")
         if self.kind == "threshold" and not self.thetas:
             raise ValueError("threshold policy needs one threshold per gain state")
-        if not self.label:
-            object.__setattr__(self, "label", self.kind)
 
 
 @dataclass(frozen=True)
@@ -188,7 +185,7 @@ def run(
     rng = np.random.default_rng([cfg.seed, replicate])
     size = ch.size
     gains = ch.gains
-    new_tx = tuple(block_error_prob(harq, (g,)) for g in gains)
+    new_tx = tuple(conditional_error_prob(harq, gains, (0,) * size, xi) for xi in range(size))
     # Column i of the cumulative transition matrix; bisect_right on it is
     # searchsorted(side="right") on the same floats.
     columns = [ch._cumulative[:, i].tolist() for i in range(size)]
@@ -200,8 +197,7 @@ def run(
         key = (counts, xi)
         p = retx_errors.get(key)
         if p is None:
-            history = HistoryCounter(counts, gains)
-            p = retx_errors[key] = conditional_error_prob(harq, history, gains[xi])
+            p = retx_errors[key] = conditional_error_prob(harq, gains, counts, xi)
         return p
 
     traces = list(ladder.traces)

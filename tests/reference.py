@@ -3,7 +3,7 @@
 Each is written the direct way: the balance solve of a stationary vector, the
 kernel-row sum check, the one-step-lookahead (myopic) rule and the threshold
 closed form on the static link, the forced-success simulation check, the
-object-level channel step and attempt-history update of the reference
+channel step and the count-tuple attempt-history update of the reference
 simulation loop, and the per-state kernel loop of the MDP builder. Nothing in
 the package imports this module.
 """
@@ -16,7 +16,6 @@ import numpy as np
 
 from harqest import (
     FiniteAverageCostMdp,
-    HistoryCounter,
     Policy,
     PolicySpec,
     block_error_prob,
@@ -139,7 +138,7 @@ def empirical_vs_closed_form(harq, ch, ladder, thetas, cfg) -> HighSnrValidation
     cfg = replace(cfg, force_success_retransmissions=True)
     lambda_primes = tuple(block_error_prob(harq, (g,)) for g in ch.gains)
     zeta = build_high_snr_chain(ch, lambda_primes, thetas, ladder).zeta
-    spec = PolicySpec(kind="threshold", thetas=thetas, label=f"threshold{thetas}")
+    spec = PolicySpec(kind="threshold", thetas=thetas)
     finals = [
         run(harq, ch, ladder, spec, cfg, replicate=rep).final_average
         for rep in range(cfg.replicates)
@@ -169,31 +168,29 @@ def step(ch, current_index: int, rng: np.random.Generator) -> int:
     return int(np.searchsorted(ch._cumulative[:, current_index], u, side="right"))
 
 
-def zero_history(gains) -> HistoryCounter:
-    """The empty attempt counter: no pending round."""
-    return HistoryCounter(counts=(0,) * len(gains), gains=tuple(gains))
+def zero_history(gains) -> tuple:
+    """The empty attempt counts over `gains`: no pending round."""
+    return (0,) * len(gains)
 
 
-def unit_history(gains, index: int) -> HistoryCounter:
-    """A round of one attempt, made under gain index `index`."""
-    counts = tuple(1 if i == index else 0 for i in range(len(gains)))
-    return HistoryCounter(counts=counts, gains=tuple(gains))
+def unit_history(gains, index: int) -> tuple:
+    """The counts of a round of one attempt, made under gain index `index`."""
+    return tuple(1 if i == index else 0 for i in range(len(gains)))
 
 
-def incremented(omega: HistoryCounter, index: int) -> HistoryCounter:
-    """The counter with one more attempt under gain index `index`."""
-    counts = tuple(c + 1 if i == index else c for i, c in enumerate(omega.counts))
-    return HistoryCounter(counts=counts, gains=omega.gains)
+def incremented(omega: tuple, index: int) -> tuple:
+    """The counts with one more attempt under gain index `index`."""
+    return tuple(c + 1 if i == index else c for i, c in enumerate(omega))
 
 
-def update_history(omega: HistoryCounter, last_action: int, last_index: int) -> HistoryCounter:
-    """Advance the per-gain attempt counter given last slot's action and gain index.
+def update_history(omega: tuple, last_action: int, last_index: int) -> tuple:
+    """Advance the per-gain attempt counts given last slot's action and gain index.
 
-    A new transmission starts a fresh round (counter reset to the unit vector
+    A new transmission starts a fresh round (counts reset to the unit vector
     at last_index); a retransmission adds last slot's gain to the round.
     """
     if last_action == 0:
-        return unit_history(omega.gains, last_index)
+        return unit_history(omega, last_index)
     return incremented(omega, last_index)
 
 

@@ -35,7 +35,6 @@ from harqest import (
     static_channel,
     verify_switching_markov,
     worst_retransmission_error_markov,
-    worst_retransmission_error_static,
 )
 
 STATIC_PI = np.ones((1, 1))
@@ -81,7 +80,7 @@ def test_c2_stability_checks(ref_system, ref_channel):
     verdicts = {}
     for scheme in ("cc", "ir"):
         model = HarqModel.from_db(scheme, 10.0, 100, 4.0)
-        worst = worst_retransmission_error_static(model, 2.0, 20)
+        worst = worst_retransmission_error_markov(model, (2.0,), 0, 19)
         verdicts[f"static/{scheme}"] = check_stability_markov(STATIC_PI, [worst.value], rho_sq).stable
         lambdas = [
             worst_retransmission_error_markov(model, ref_channel.gains, i, 8).value
@@ -185,7 +184,7 @@ def test_c4_switching_structure_sweep(ref_system, ref_ladder, ref_channel):
         for scheme in ("cc", "ir"):
             model = HarqModel.from_db(scheme, snr_db, 100, 4.0)
             static = check_stability_markov(
-                STATIC_PI, [worst_retransmission_error_static(model, 2.0, 20).value], rho_sq
+                STATIC_PI, [worst_retransmission_error_markov(model, (2.0,), 0, 19).value], rho_sq
             )
             key = f"static/{snr_db:g}dB/{scheme}"
             if static.stable:
@@ -352,7 +351,7 @@ def tradeoff(ref_system, ref_ladder, ref_channel):
         cfg,
     )
     rho_sq = ref_system.rho_squared
-    worst = worst_retransmission_error_static(cc, 2.0, 20)
+    worst = worst_retransmission_error_markov(cc, (2.0,), 0, 19)
     return {
         "static": static_table,
         "markov": markov_table,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from reference import step, unit_history, update_history
 
-from harqest import HistoryCounter, MarkovChannel, ModelError, static_channel
+from harqest import MarkovChannel, ModelError, static_channel
 
 
 class TestMarkovChannelValidation:
@@ -80,14 +80,12 @@ class TestStep:
 
 class TestUpdateHistory:
     def test_new_transmission_resets_to_unit(self):
-        omega = HistoryCounter(counts=(2, 3, 1), gains=(3.0, 2.0, 1.0))
-        out = update_history(omega, last_action=0, last_index=1)
-        assert out.counts == (0, 1, 0)
+        out = update_history((2, 3, 1), last_action=0, last_index=1)
+        assert out == (0, 1, 0)
 
     def test_retransmission_increments(self):
-        omega = HistoryCounter(counts=(1, 0), gains=(2.0, 1.0))
-        out = update_history(omega, last_action=1, last_index=1)
-        assert out.counts == (1, 1)
+        out = update_history((1, 0), last_action=1, last_index=1)
+        assert out == (1, 1)
 
     def test_five_step_hand_trace(self):
         # start: unit at index 1; then (action, index) script:
@@ -98,7 +96,7 @@ class TestUpdateHistory:
         expected = [(1, 1, 0), (1, 1, 1), (0, 1, 0), (0, 2, 0), (1, 2, 0)]
         for (action, index), want in zip(script, expected):
             omega = update_history(omega, action, index)
-            assert omega.counts == want
+            assert omega == want
 
     def test_round_length_equals_total(self):
         # ||omega||_1 after an update matches the consecutive-attempt rule
@@ -110,4 +108,4 @@ class TestUpdateHistory:
             index = int(rng.integers(0, 2))
             omega = update_history(omega, action, index)
             r = 1 if action == 0 else r + 1
-            assert omega.total == r
+            assert sum(omega) == r

@@ -218,6 +218,22 @@ class TestCliSolveAndSimulate:
         assert main(["simulate", "--config", str(path), "--policy", str(policy_path)]) == 2
         assert "action must be 0 or 1, got '7'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line, replacement",
+        [("iterations = ", "iterations = many"), ("zeta = ", "zeta = abc"), ("r_max = ", "")],
+    )
+    def test_simulate_rejects_a_bad_header(self, static_cfg, capsys, line, replacement):
+        path, out = static_cfg
+        assert main(["solve", "--config", str(path)]) == 0
+        policy_path = out / "policy_static_mse.txt"
+        lines = policy_path.read_text().splitlines(keepends=True)
+        lines = [replacement + "\n" if row.startswith(line) else row for row in lines]
+        policy_path.write_text("".join(lines))
+        assert main(["simulate", "--config", str(path), "--policy", str(policy_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {policy_path}: " in err
+        assert f"{line.split()[0]!r} header" in err
+
     def test_simulate_missing_policy_file(self, static_cfg, tmp_path, capsys):
         path, _ = static_cfg
         missing = tmp_path / "missing.txt"

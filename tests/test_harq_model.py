@@ -6,12 +6,10 @@ from reference import incremented, unit_history, zero_history
 
 from harqest import (
     HarqModel,
-    HistoryCounter,
     ModelError,
     block_error_prob,
     conditional_error_prob,
     worst_retransmission_error_markov,
-    worst_retransmission_error_static,
 )
 
 # Single-attempt error probability at the reference operating point
@@ -66,75 +64,89 @@ class TestBlockErrorProb:
 
 class TestConditionalErrorProb:
     def test_empty_history_is_new_transmission(self, cc_model):
-        empty = zero_history((2.0, 1.0))
-        assert conditional_error_prob(cc_model, empty, 2.0) == block_error_prob(cc_model, (2.0,))
+        fresh = conditional_error_prob(cc_model, (2.0, 1.0), zero_history((2.0, 1.0)), 0)
+        assert fresh == block_error_prob(cc_model, (2.0,))
 
     def test_retransmission_beats_new_transmission(self, cc_model):
         # g(r+1) < g(1) for r = 1..20 at the reference static point
-        g1 = conditional_error_prob(cc_model, zero_history((2.0,)), 2.0)
+        g1 = conditional_error_prob(cc_model, (2.0,), zero_history((2.0,)), 0)
         for r in range(1, 21):
-            history = HistoryCounter(counts=(r,), gains=(2.0,))
-            assert conditional_error_prob(cc_model, history, 2.0) < g1
+            assert conditional_error_prob(cc_model, (2.0,), (r,), 0) < g1
 
     def test_ratio_composes_block_evaluations(self, cc_model):
-        history = HistoryCounter(counts=(1,), gains=(1.0,))
         expected = block_error_prob(cc_model, (1.0, 1.0)) / block_error_prob(cc_model, (1.0,))
-        assert conditional_error_prob(cc_model, history, 1.0) == pytest.approx(expected, rel=1e-12)
+        got = conditional_error_prob(cc_model, (1.0,), (1,), 0)
+        assert got == pytest.approx(expected, rel=1e-12)
 
     def test_underflowed_history_pins_to_zero(self, cc_model):
-        history = HistoryCounter(counts=(40,), gains=(50.0,))
-        assert block_error_prob(cc_model, history.gain_multiset()) == 0.0
-        assert conditional_error_prob(cc_model, history, 50.0) == 0.0
+        assert block_error_prob(cc_model, (50.0,) * 40) == 0.0
+        assert conditional_error_prob(cc_model, (50.0,), (40,), 0) == 0.0
 
     def test_new_transmission_dominance(self, cc_model, ir_model):
         # fresh transmissions are the least reliable action in every state
         gains = (2.0, 1.0)
         for model in (cc_model, ir_model):
-            for current in gains:
-                fresh = conditional_error_prob(model, zero_history(gains), current)
+            for xi in range(len(gains)):
+                fresh = conditional_error_prob(model, gains, zero_history(gains), xi)
                 for counts in itertools.product(range(5), repeat=2):
                     if sum(counts) < 1:
                         continue
-                    history = HistoryCounter(counts=counts, gains=gains)
-                    assert conditional_error_prob(model, history, current) < fresh
+                    assert conditional_error_prob(model, gains, counts, xi) < fresh
+
+    def test_validation(self, cc_model):
+        with pytest.raises(ValueError):
+            conditional_error_prob(cc_model, (1.0, 2.0), (1,), 0)
+        with pytest.raises(ValueError):
+            conditional_error_prob(cc_model, (1.0,), (-1,), 0)
+        with pytest.raises(ValueError):
+            conditional_error_prob(cc_model, (0.0,), (1,), 0)
+        with pytest.raises(ValueError):
+            conditional_error_prob(cc_model, (0.0,), (0,), 0)
+
+
+def worst_static(model, gain, r_max):
+    """The static link's scan: the one-gain chain over attempts 2..r_max."""
+    return worst_retransmission_error_markov(model, (gain,), 0, r_max - 1)
+
+
+def monotone_decreasing(values):
+    return all(b <= a for a, b in zip(values, values[1:]))
 
 
 class TestWorstRetransmissionStatic:
     def test_reference_point(self, cc_model, ref_system):
-        worst = worst_retransmission_error_static(cc_model, 2.0, 20)
+        worst = worst_static(cc_model, 2.0, 20)
         # the ratio is not monotone: the marginal value of one more combined
         # copy shrinks with the round length, so the scan maximum sits at the
         # boundary and the checker must say so
-        assert not worst.monotone_decreasing
-        assert worst.argmax_attempts == 20
+        assert not monotone_decreasing(worst.values)
+        assert worst.argmax_counts[0] + 1 == 20
+        assert worst.at_budget_boundary
         # the existence condition still holds with an enormous margin
         assert worst.value * ref_system.rho_squared < 1.0
 
     def test_high_snr_negligible(self):
         model = HarqModel(scheme="cc", snr=1e12, blocklength=100, rate=4.0)
-        assert worst_retransmission_error_static(model, 1.0, 10).value < 1e-12
+        assert worst_static(model, 1.0, 10).value < 1e-12
 
     def test_exhaustive_scan_oracle(self, cc_model):
-        values = {
-            r: conditional_error_prob(
-                cc_model, HistoryCounter(counts=(r - 1,), gains=(2.0,)), 2.0
-            )
-            for r in range(2, 6)
-        }
-        worst = worst_retransmission_error_static(cc_model, 2.0, 5)
+        values = {r: conditional_error_prob(cc_model, (2.0,), (r - 1,), 0) for r in range(2, 6)}
+        worst = worst_static(cc_model, 2.0, 5)
         assert worst.value == max(values.values())
-        assert worst.argmax_attempts == max(values, key=values.get)
+        assert worst.argmax_counts[0] + 1 == max(values, key=values.get)
 
     def test_requires_at_least_two_attempts(self, cc_model):
         with pytest.raises(ValueError):
-            worst_retransmission_error_static(cc_model, 2.0, 1)
+            worst_static(cc_model, 2.0, 1)
 
 
 class TestWorstRetransmissionMarkov:
     def test_single_state_reduces_to_static(self, cc_model):
-        static = worst_retransmission_error_static(cc_model, 2.0, 9)
+        # attempts 2..9 of the static link are the one-gain histories (1,)..(8,)
+        direct = tuple(conditional_error_prob(cc_model, (2.0,), (n,), 0) for n in range(1, 9))
         markov = worst_retransmission_error_markov(cc_model, (2.0,), 0, 8)
-        assert markov.value == pytest.approx(static.value, rel=1e-12)
+        assert markov.values == direct
+        assert markov.value == max(direct)
 
     def test_budget3_enumeration_oracle(self, cc_model):
         gains = (2.0, 1.0)
@@ -142,8 +154,7 @@ class TestWorstRetransmissionMarkov:
         for counts in itertools.product(range(4), repeat=2):
             if not 1 <= sum(counts) <= 3:
                 continue
-            history = HistoryCounter(counts=counts, gains=gains)
-            best = max(best, conditional_error_prob(cc_model, history, gains[0]))
+            best = max(best, conditional_error_prob(cc_model, gains, counts, 0))
         out = worst_retransmission_error_markov(cc_model, gains, 0, 3)
         assert out.value == pytest.approx(best, rel=1e-12)
 
@@ -163,23 +174,18 @@ class TestWorstRetransmissionMarkov:
         assert out.at_budget_boundary
 
 
-class TestHistoryCounter:
-    def test_helpers(self):
-        omega = unit_history((2.0, 1.0, 0.5), 1)
-        assert omega.counts == (0, 1, 0)
-        assert omega.total == 1
-        assert not omega.is_empty
+class TestAttemptCounts:
+    def test_helpers(self, cc_model):
+        gains = (2.0, 1.0, 0.5)
+        omega = unit_history(gains, 1)
+        assert omega == (0, 1, 0)
+        assert sum(omega) == 1
         bumped = incremented(omega, 2)
-        assert bumped.counts == (0, 1, 1)
-        assert bumped.gain_multiset() == (1.0, 0.5)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            HistoryCounter(counts=(1,), gains=(1.0, 2.0))
-        with pytest.raises(ValueError):
-            HistoryCounter(counts=(-1,), gains=(1.0,))
-        with pytest.raises(ValueError):
-            HistoryCounter(counts=(1,), gains=(0.0,))
+        assert bumped == (0, 1, 1)
+        # the round (0, 1, 1) buffered one attempt under gain 1.0 and one under 0.5
+        past = block_error_prob(cc_model, (1.0, 0.5))
+        expected = block_error_prob(cc_model, (1.0, 0.5, 2.0)) / past
+        assert conditional_error_prob(cc_model, gains, bumped, 0) == expected
 
 
 class TestModelValidation:

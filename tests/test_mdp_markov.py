@@ -103,14 +103,12 @@ class TestKernel:
     def test_readoff_retransmission_success(self, cc_model, ref_channel, ref_markov_mdp):
         # from ((1,0), q=3, xi=0), retransmit, success, next channel 1:
         # lands in ((2,0), 2, 1) with probability pi[1,0] * (1 - g~((1,0), gain0))
-        from harqest import HistoryCounter, conditional_error_prob
+        from harqest import conditional_error_prob
 
         s = ref_markov_mdp.index[((1, 0), 3, 0)]
         idx, prob = kernel_row(ref_markov_mdp.core, s, 1)
         target = ref_markov_mdp.index[((2, 0), 2, 1)]
-        g = conditional_error_prob(
-            cc_model, HistoryCounter(counts=(1, 0), gains=ref_channel.gains), ref_channel.gains[0]
-        )
+        g = conditional_error_prob(cc_model, ref_channel.gains, (1, 0), 0)
         expected = ref_channel.pi[1, 0] * (1.0 - g)
         hits = [p for j, p in zip(idx, prob) if j == target]
         assert len(hits) == 1

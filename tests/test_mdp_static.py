@@ -33,7 +33,7 @@ from harqest import (
     solve_rvi_markov,
     static_channel,
     verify_switching_markov,
-    worst_retransmission_error_static,
+    worst_retransmission_error_markov,
 )
 from harqest.mdp_markov import assemble_markov_mdp
 
@@ -81,7 +81,7 @@ class TestStabilityCheck:
 
     def test_reference_point_stable(self, cc_model, ir_model, ref_system):
         for model in (cc_model, ir_model):
-            worst = worst_retransmission_error_static(model, 2.0, 20)
+            worst = worst_retransmission_error_markov(model, (2.0,), 0, 19)
             assert check_stability_markov(STATIC_PI, [worst.value], ref_system.rho_squared).stable
 
     def test_large_product_not_guaranteed(self):
@@ -203,7 +203,7 @@ class TestSwitchingSweep:
                 for scheme in ("cc", "ir"):
                     model = HarqModel.from_db(scheme, snr_db, 100, 4.0)
                     policy = solve_rvi_markov(build_static_mdp(model, gain, ref_ladder, 20, 20))
-                    worst = worst_retransmission_error_static(model, gain, 20)
+                    worst = worst_retransmission_error_markov(model, (gain,), 0, 19)
                     stable = check_stability_markov(
                         STATIC_PI, [worst.value], ref_system.rho_squared
                     ).stable

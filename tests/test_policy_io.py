@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,14 @@ HEADER = (
     "kind = static\ncost_mode = mse\nzeta = 1.0\nspan = 0.0\niterations = 1\n"
     "converged = true\nr_max = 2\nq_max = 2\n[actions]\n"
 )
+# A valid policy file of each kind; the Markov one is on one gain.
+FILES = {
+    "static": HEADER + "1,1 = 0\n2,2 = 1\n",
+    "markov": (
+        "kind = markov\ncost_mode = mse\nzeta = 1.0\nspan = 0.0\niterations = 1\n"
+        "converged = false\nomega_caps = 1\nq_max = 1\ngains = 2.0\n[actions]\n1|1|0 = 0\n"
+    ),
+}
 
 
 @pytest.fixture(scope="module")
@@ -104,3 +114,34 @@ class TestLoadErrors:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read policy file"):
             load_policy(tmp_path / "missing.txt")
+
+    @pytest.mark.parametrize(
+        "kind, key, value",
+        [
+            ("static", "iterations", "many"),
+            ("static", "zeta", "abc"),
+            ("static", "span", "wide"),
+            ("static", "converged", "yes"),
+            ("static", "converged", "True"),
+            ("static", "r_max", "two"),
+            ("static", "q_max", "2.5"),
+            ("markov", "omega_caps", "1,x"),
+            ("markov", "gains", "2.0;1.0"),
+        ],
+    )
+    def test_header_that_does_not_parse(self, tmp_path, kind, key, value):
+        path = tmp_path / "broken.policy"
+        path.write_text(re.sub(rf"^{key} = .*$", f"{key} = {value}", FILES[kind], flags=re.M))
+        with pytest.raises(ConfigError) as info:
+            load_policy(path)
+        assert str(info.value) == f"{path}: cannot parse {key!r} header {value!r}"
+
+    @pytest.mark.parametrize(
+        "kind, key", [("static", "r_max"), ("markov", "omega_caps"), ("markov", "gains")]
+    )
+    def test_missing_kind_specific_header(self, tmp_path, kind, key):
+        path = tmp_path / "broken.policy"
+        path.write_text(re.sub(rf"^{key} = .*\n", "", FILES[kind], flags=re.M))
+        with pytest.raises(ConfigError) as info:
+            load_policy(path)
+        assert str(info.value) == f"{path}: missing {key!r} header"

@@ -1,11 +1,13 @@
 """Invariants of the (r, q) relabelling, of policy files, of the kernel and
-its assembly, and of the first-passage evaluation, checked on generated
-tables, grids and chains.
+its assembly, of the first-passage evaluation, of the worst-error scan and of
+common random numbers in the simulator, checked on generated tables, grids,
+chains and links.
 
 Examples are derived from a fixed seed, so every run checks the same cases.
 """
 
 import tempfile
+from dataclasses import fields
 from itertools import product
 from pathlib import Path
 
@@ -19,11 +21,16 @@ from harqest import (
     HarqModel,
     MarkovChannel,
     Policy,
+    PolicySpec,
+    SimConfig,
     build_markov_mdp,
+    conditional_error_prob,
     first_passage_cost,
     gth_stationary,
     load_policy,
+    run,
     save_policy,
+    worst_retransmission_error_markov,
 )
 from harqest.mdp_markov import assemble_markov_mdp
 from harqest.mdp_static import markov_policy, static_policy
@@ -202,3 +209,65 @@ def test_first_passage_cost_equals_dense_gth(chain):
     assert np.abs(residual).max() <= 1e-12 * (cost.max() + np.abs(h).max())
     if not transient:
         assert h[0] == 0.0  # the start state is the anchor
+
+
+@PROPERTY
+@given(
+    gains=st.lists(st.floats(0.25, 4.0), min_size=1, max_size=3),
+    budget=st.integers(1, 6),
+    index=st.integers(0, 2),
+    snr_db=st.floats(0.0, 15.0),
+    scheme=st.sampled_from(["cc", "ir"]),
+)
+def test_worst_error_scan_is_the_first_maximum(gains, budget, index, snr_db, scheme):
+    harq = HarqModel.from_db(scheme, snr_db, 100, 4.0)
+    xi = index % len(gains)
+    worst = worst_retransmission_error_markov(harq, gains, xi, budget)
+    histories = [c for c in product(range(budget + 1), repeat=len(gains)) if 1 <= sum(c) <= budget]
+    assert len(worst.values) == len(histories)
+    assert worst.value == max(worst.values)
+    assert worst.argmax_counts == histories[worst.values.index(worst.value)]
+    assert worst.at_budget_boundary == (sum(worst.argmax_counts) == budget)
+    if len(gains) == 1:
+        # the static link's scan: attempts 2..budget + 1 of one gain, exactly
+        direct = tuple(conditional_error_prob(harq, gains, (n,), 0) for n in range(1, budget + 1))
+        assert worst.values == direct
+
+
+@PROPERTY
+@given(
+    stay=st.lists(st.floats(0.05, 0.95), min_size=1, max_size=2),
+    seed=st.integers(0, 2**32 - 1),
+    slots=st.integers(1, 400),
+    snr_db=st.floats(2.0, 15.0),
+)
+def test_all_fresh_table_replays_no_retransmission(ref_ladder, stay, seed, slots, snr_db):
+    b = len(stay)
+    pi = np.array([[1.0]]) if b == 1 else np.array(
+        [[stay[0], 1.0 - stay[1]], [1.0 - stay[0], stay[1]]]
+    )
+    ch = MarkovChannel(gains=(2.0, 1.0)[:b], pi=pi)
+    caps, q_max = (2,) * b, 2 * b + 2
+    omegas = [o for o in product(*[range(c + 1) for c in caps]) if sum(o) >= 1]
+    states = tuple((o, q, xi) for o in omegas for q in range(sum(o), q_max + 1) for xi in range(b))
+    table = Policy(
+        actions=np.zeros(len(states), dtype=np.int8),
+        states=states,
+        zeta=0.0,
+        span=0.0,
+        iterations=0,
+        converged=True,
+        kind="markov",
+        params={"omega_caps": caps, "q_max": q_max, "gains": ch.gains},
+    )
+    harq = HarqModel.from_db("cc", snr_db, 100, 4.0)
+    cfg = SimConfig(slots=slots, seed=seed)
+    got = run(harq, ch, ref_ladder, PolicySpec(kind="table", table=table), cfg)
+    want = run(harq, ch, ref_ladder, PolicySpec(kind="no_retransmission"), cfg)
+    for field in fields(got):
+        mine, theirs = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(mine, np.ndarray):
+            assert mine.shape == theirs.shape and mine.dtype == theirs.dtype, field.name
+            assert mine.tobytes() == theirs.tobytes(), field.name
+        else:
+            assert mine == theirs, field.name

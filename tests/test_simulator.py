@@ -59,8 +59,8 @@ def replay_states(trace, n_gains):
 
 
 def reference_run(harq, ch, ladder, spec, cfg, replicate=0):
-    """The simulator's per-slot loop written with the model objects:
-    HistoryCounter attempt histories, `step` drawing one scalar per channel
+    """The simulator's per-slot loop written the direct way: count-tuple
+    attempt histories, `step` drawing one scalar per channel
     move, `update_history`, and a ladder grown on demand by
     CostLadder.extended(n + 32). run() must reproduce it byte for byte."""
     rng = np.random.default_rng([cfg.seed, replicate])
@@ -79,15 +79,15 @@ def reference_run(harq, ch, ladder, spec, cfg, replicate=0):
         q_max = table.params["q_max"]
 
         def act(r, q, omega, xi):
-            return action[(tuple(map(min, omega.counts, caps)), min(q, q_max), xi)]
+            return action[(tuple(map(min, omega, caps)), min(q, q_max), xi)]
 
     elif spec.kind == "myopic":
 
         def act(r, q, omega, xi):
             g0 = new_tx[xi]
-            g1 = conditional_error_prob(harq, omega, ch.gains[xi])
+            g1 = conditional_error_prob(harq, ch.gains, omega, xi)
             fresh = g0 * trace(q + 1) + (1.0 - g0) * trace(1)
-            retx = g1 * trace(q + 1) + (1.0 - g1) * trace(omega.total + 1)
+            retx = g1 * trace(q + 1) + (1.0 - g1) * trace(sum(omega) + 1)
             return 0 if retx >= fresh else 1
 
     elif spec.kind == "no_retransmission":
@@ -127,9 +127,9 @@ def reference_run(harq, ch, ladder, spec, cfg, replicate=0):
         elif cfg.force_success_retransmissions:
             p_err = 0.0
         else:
-            p_err = conditional_error_prob(harq, omega, ch.gains[xi])
+            p_err = conditional_error_prob(harq, ch.gains, omega, xi)
         gamma = 1 if rng.random() >= p_err else 0
-        rows.append((a, gamma, r, q, xi, cost, omega.counts))
+        rows.append((a, gamma, r, q, xi, cost, omega))
         r_next = 1 if a == 0 else r + 1
         q = r_next if gamma == 1 else q + 1
         r = r_next

@@ -26,7 +26,7 @@ from harqest import (
     solve_rvi,
     solve_rvi_markov,
     static_channel,
-    worst_retransmission_error_static,
+    worst_retransmission_error_markov,
 )
 
 BASELINE = 15.8397
@@ -59,7 +59,7 @@ class TestStatic8dB:
         fresh = block_error_prob(model, (2.0,))
         # fresh transmissions fail hard, yet the existence condition holds
         assert fresh * ref_system.rho_squared > 1.0
-        worst = worst_retransmission_error_static(model, 2.0, 20)
+        worst = worst_retransmission_error_markov(model, (2.0,), 0, 19)
         assert check_stability_markov(np.ones((1, 1)), [worst.value], ref_system.rho_squared).stable
 
     def test_no_retransmission_diverges(self, static_8db_table):
