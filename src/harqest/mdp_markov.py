@@ -24,6 +24,7 @@ __all__ = [
     "StabilityReport",
     "check_stability_markov",
     "MarkovMdp",
+    "truncated_grid",
     "assemble_markov_mdp",
     "build_markov_mdp",
     "solve_rvi_markov",
@@ -43,10 +44,6 @@ class StabilityReport:
 
     product: float
     stable: bool
-
-    @property
-    def margin(self) -> float:
-        return 1.0 - self.product
 
 
 def check_stability_markov(pi, lambdas, rho_sq_a: float) -> StabilityReport:
@@ -94,6 +91,26 @@ def build_markov_mdp(
     return assemble_markov_mdp(attempt_error, ch, ladder, omega_caps, q_max, cost_mode)
 
 
+def truncated_grid(omega_caps, q_max: int, b: int):
+    """The truncated state space over b gain states, in solver order.
+
+    Returns (omegas, states): every omega with 1 <= sum(omega) and
+    omega <= omega_caps, in lexicographic order, and every (omega, q, xi)
+    with sum(omega) <= q <= q_max and 0 <= xi < b, ordered by omega, then q,
+    then xi. Caps below 1 and q_max below sum(omega_caps) are config errors.
+    """
+    caps = tuple(int(c) for c in omega_caps)
+    if any(c < 1 for c in caps):
+        raise ConfigError("every omega cap must be at least 1")
+    if q_max < sum(caps):
+        raise ConfigError(f"q_max must be at least sum(omega_caps) = {sum(caps)}")
+    omegas = [omega for omega in product(*[range(c + 1) for c in caps]) if sum(omega) >= 1]
+    states = tuple(
+        (omega, q, xi) for omega in omegas for q in range(sum(omega), q_max + 1) for xi in range(b)
+    )
+    return omegas, states
+
+
 def assemble_markov_mdp(
     attempt_error,
     ch: MarkovChannel,
@@ -116,18 +133,10 @@ def assemble_markov_mdp(
     caps = tuple(int(c) for c in omega_caps)
     if len(caps) != b:
         raise ConfigError(f"omega_caps has {len(caps)} entries, channel has {b} states")
-    if any(c < 1 for c in caps):
-        raise ConfigError("every omega cap must be at least 1")
-    if q_max < sum(caps):
-        raise ConfigError(f"q_max must be at least sum(omega_caps) = {sum(caps)}")
+    omegas, states = truncated_grid(caps, q_max, b)
     if cost_mode not in ("mse", "delay"):
         raise ConfigError(f"cost_mode must be 'mse' or 'delay', got {cost_mode!r}")
     ladder = ladder.extended(q_max)
-
-    omegas = [omega for omega in product(*[range(c + 1) for c in caps]) if sum(omega) >= 1]
-    states = tuple(
-        (omega, q, xi) for omega in omegas for q in range(sum(omega), q_max + 1) for xi in range(b)
-    )
     index = {s: i for i, s in enumerate(states)}
     n = len(states)
     units = [tuple(1 if j == i else 0 for j in range(b)) for i in range(b)]

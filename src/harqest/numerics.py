@@ -57,6 +57,10 @@ def gth_stationary(p, start: int = 0) -> np.ndarray:
         lambda f: linked[:, f].any(axis=1), lambda f: linked[f].any(axis=0), start, p.shape[0]
     )
     members = np.flatnonzero(cls)
+    if cls[start]:
+        # Eliminate toward `start`: states whose probability underflows must
+        # not be the root, or the flow back to it underflows to a zero pivot.
+        members = np.r_[start, members[members != start]]
     a = p[np.ix_(members, members)].T.copy()  # row-stochastic on the class
     # Censor the states from the last one down: a[:k, k] becomes the flow
     # into k per unit leaving it, and paths through k fold into a[:k, :k].

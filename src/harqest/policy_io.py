@@ -2,13 +2,15 @@
 
 Static entries are keyed "r,q"; Markov entries "r1,...,rB|q|xi" with
 zero-based gain indices. Floats are written with repr so a round trip
-reproduces them bit for bit.
+reproduces them bit for bit. A file lists an action for every state of the
+truncated grid its headers declare, and for no other state.
 """
 
 import numpy as np
 
 from .errors import ConfigError
 from .mdp_core import Policy
+from .mdp_markov import truncated_grid
 
 __all__ = ["save_policy", "load_policy"]
 
@@ -101,12 +103,14 @@ def load_policy(path) -> Policy:
         raise ConfigError(f"{path}: unknown policy kind {kind!r}")
     if kind == "static":
         params = {"r_max": header("r_max", int), "q_max": header("q_max", int)}
+        caps = (params["r_max"],)
     else:
         params = {
             "omega_caps": header("omega_caps", _ints),
             "q_max": header("q_max", int),
             "gains": header("gains", lambda text: tuple(float(g) for g in text.split(","))),
         }
+        caps = params["omega_caps"]
     solve = {
         "zeta": header("zeta", float),
         "span": header("span", float),
@@ -114,8 +118,14 @@ def load_policy(path) -> Policy:
         "converged": header("converged", _flag),
         "cost_mode": header("cost_mode"),
     }
-    if not actions:
-        raise ConfigError(f"{path}: no actions listed")
+    # The grid the headers declare, in the solver's state order.
+    try:
+        states = truncated_grid(caps, params["q_max"], len(caps))[1]
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    if kind == "static":
+        states = tuple((omega[0], q) for omega, q, _ in states)
+    grid = set(states)
     by_state = {}
     for lineno, key, action in actions:
         try:
@@ -124,7 +134,14 @@ def load_policy(path) -> Policy:
             raise ConfigError(f"{path}:{lineno}: bad state {key!r}") from exc
         if state in by_state:
             raise ConfigError(f"{path}:{lineno}: state {key!r} is listed twice")
+        if state not in grid:
+            raise ConfigError(f"{path}:{lineno}: state {key!r} is off the grid of its headers")
         by_state[state] = action
-    states = tuple(sorted(by_state))
+    missing = [s for s in states if s not in by_state]
+    if missing:
+        raise ConfigError(
+            f"{path}: {len(missing)} states of the grid have no action, "
+            f"the first is {_state_key(kind, missing[0])!r}"
+        )
     table = np.array([by_state[s] for s in states], dtype=np.int8)
     return Policy(actions=table, states=states, kind=kind, params=params, **solve)

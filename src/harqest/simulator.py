@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import MarkovChannel
-from .errors import DepthError
+from .errors import ConfigError, DepthError
 from .harq_model import HarqModel, conditional_error_prob
 from .lti_estimation import CostLadder
 from .mdp_core import Policy
@@ -39,7 +39,6 @@ _KINDS = (
     "myopic",
     "no_retransmission",
     "always_retransmit_psi",
-    "threshold",
 )
 
 
@@ -48,22 +47,17 @@ class PolicySpec:
     """What to execute each slot.
 
     table / delay_optimal_table carry a solved Policy and look actions up
-    with truncation clamping; myopic recomputes the one-step rule on the fly;
-    threshold retransmits at round length 1 once the age passes the current
-    gain's threshold (the perfect-retransmission validation policy).
+    with truncation clamping; myopic recomputes the one-step rule on the fly.
     """
 
     kind: str
     table: Policy = None
-    thetas: tuple = None
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown policy kind {self.kind!r}")
         if self.kind in ("table", "delay_optimal_table") and self.table is None:
             raise ValueError(f"{self.kind} policy needs a solved table")
-        if self.kind == "threshold" and not self.thetas:
-            raise ValueError("threshold policy needs one threshold per gain state")
 
 
 @dataclass(frozen=True)
@@ -74,7 +68,6 @@ class SimConfig:
     slots: int = 10_000
     replicates: int = 1
     seed: int = 0
-    force_success_retransmissions: bool = False
     initial_channel: int = None  # None: draw from the stationary distribution
 
     def __post_init__(self):
@@ -130,7 +123,13 @@ def _action_fn(spec: PolicySpec, ch: MarkovChannel, new_tx: tuple, retx_error, t
         caps = tuple(table.params["omega_caps"])
         q_max = table.params["q_max"]
         if len(caps) != ch.size:
-            raise ValueError(f"table was solved for {len(caps)} gain states, channel has {ch.size}")
+            raise ConfigError(
+                f"table was solved for {len(caps)} gain states, channel has {ch.size}"
+            )
+        # Static tables record no gains, so only their count is checked.
+        gains = table.params.get("gains")
+        if gains is not None and tuple(gains) != ch.gains:
+            raise ConfigError(f"table was solved for gains {tuple(gains)}, channel has {ch.gains}")
 
         clamped = {}  # counts -> counts clamped to the table's caps
 
@@ -156,14 +155,7 @@ def _action_fn(spec: PolicySpec, ch: MarkovChannel, new_tx: tuple, retx_error, t
         return act
     if spec.kind == "no_retransmission":
         return lambda r, q, counts, xi: 0
-    if spec.kind == "always_retransmit_psi":
-        return lambda r, q, counts, xi: 0 if r == q else 1
-    thetas = tuple(int(t) for t in spec.thetas)
-
-    def act(r, q, counts, xi):
-        return 1 if (r == 1 and q > thetas[xi]) else 0
-
-    return act
+    return lambda r, q, counts, xi: 0 if r == q else 1  # always_retransmit_psi
 
 
 def run(
@@ -210,7 +202,6 @@ def run(
         traces.extend(ladder.traces[len(traces) :])
 
     act = _action_fn(policy, ch, new_tx, retx_error, traces, grow)
-    force = cfg.force_success_retransmissions
 
     if cfg.initial_channel is None:
         stationary = ch.stationary()
@@ -241,8 +232,6 @@ def run(
             break
         if a == 0:
             p_err = new_tx[xi]
-        elif force:
-            p_err = 0.0
         else:
             p_err = retx_error(counts, xi)
         gamma = 1 if u_outcome >= p_err else 0

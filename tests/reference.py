@@ -2,27 +2,18 @@
 
 Each is written the direct way: the balance solve of a stationary vector, the
 kernel-row sum check, the one-step-lookahead (myopic) rule and the threshold
-closed form on the static link, the forced-success simulation check, the
-channel step and the count-tuple attempt-history update of the reference
-simulation loop, and the per-state kernel loop of the MDP builder. Nothing in
-the package imports this module.
+closed form on the static link, the exact cost of a perfect-retransmission
+threshold table on the MDP's own kernel, the channel step and the count-tuple
+attempt-history update of the reference simulation loop, and the per-state
+kernel loop of the MDP builder. Nothing in the package imports this module.
 """
 
-import math
-from dataclasses import dataclass, replace
 from itertools import product
 
 import numpy as np
 
-from harqest import (
-    FiniteAverageCostMdp,
-    Policy,
-    PolicySpec,
-    block_error_prob,
-    build_high_snr_chain,
-    run,
-)
-from harqest.mdp_markov import MarkovMdp
+from harqest import FiniteAverageCostMdp, Policy, policy_average_cost
+from harqest.mdp_markov import MarkovMdp, assemble_markov_mdp
 
 # Treat the retransmission as giving no reliability edge below this gap.
 _RELIABILITY_TIE = 1e-15
@@ -118,43 +109,26 @@ def high_snr_zeta_static(ladder, lambda_prime0: float, theta: int) -> float:
     return (1 - lam) * numerator / denominator
 
 
-@dataclass(frozen=True)
-class HighSnrValidation:
-    empirical_mean: float
-    stderr: float
-    zeta: float
-    abs_diff: float
-    within_3_sigma: bool
+def threshold_table_cost(ch, lambda_primes, thetas, ladder) -> float:
+    """Exact long-run MSE of a perfect-retransmission threshold policy, taken
+    on the MDP's own kernel.
 
-
-def empirical_vs_closed_form(harq, ch, ladder, thetas, cfg) -> HighSnrValidation:
-    """Forced-success threshold simulation against the reduced-chain average.
-
-    Retransmissions are forced to succeed; fresh transmissions fail with the
-    link model's single-attempt probability, which is exactly the regime the
-    closed forms describe.
+    The link fails a fresh attempt under gain xi with lambda_primes[xi] and
+    never fails a retransmission. The table retransmits exactly at round
+    length 1 once the age passes the current gain's threshold. Caps of 2 per
+    gain hold every round it plays, and q_max = max(2B, max(thetas) + 2) holds
+    every age it reaches: at threshold 1 a fresh failure out of the
+    post-retransmission state still reaches age 3.
     """
-    thetas = tuple(int(t) for t in thetas)
-    cfg = replace(cfg, force_success_retransmissions=True)
-    lambda_primes = tuple(block_error_prob(harq, (g,)) for g in ch.gains)
-    zeta = build_high_snr_chain(ch, lambda_primes, thetas, ladder).zeta
-    spec = PolicySpec(kind="threshold", thetas=thetas)
-    finals = [
-        run(harq, ch, ladder, spec, cfg, replicate=rep).final_average
-        for rep in range(cfg.replicates)
-    ]
-    mean = float(np.mean(finals))
-    stderr = float(np.std(finals, ddof=1) / math.sqrt(len(finals))) if len(finals) > 1 else 0.0
-    diff = abs(mean - zeta)
-    # The relative floor keeps the verdict meaningful when the replicate
-    # variance collapses to zero (e.g. error-free links).
-    return HighSnrValidation(
-        empirical_mean=mean,
-        stderr=stderr,
-        zeta=zeta,
-        abs_diff=diff,
-        within_3_sigma=diff <= 3.0 * stderr + 1e-9 * (1.0 + abs(zeta)),
-    )
+    b = ch.size
+    lam = tuple(float(v) for v in lambda_primes)
+
+    def attempt_error(omega, xi):
+        return lam[xi] if not any(omega) else 0.0
+
+    mdp = assemble_markov_mdp(attempt_error, ch, ladder, (2,) * b, max(2 * b, max(thetas) + 2))
+    actions = [1 if sum(omega) == 1 and q > thetas[xi] else 0 for omega, q, xi in mdp.states]
+    return policy_average_cost(mdp.core, actions)
 
 
 # ---------------------------------------------------------------- channel and history

@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 import pytest
-from reference import empirical_vs_closed_form, high_snr_zeta_static, kernel_row, kernel_row_error
+from reference import high_snr_zeta_static, kernel_row, kernel_row_error, threshold_table_cost
 
 from harqest import (
     FiniteAverageCostMdp,
@@ -23,6 +23,7 @@ from harqest import (
     PolicySpec,
     SimConfig,
     block_error_prob,
+    build_high_snr_chain,
     build_markov_mdp,
     build_static_mdp,
     check_stability_markov,
@@ -250,16 +251,18 @@ def test_c5_closed_forms(ref_ladder, cc_model, ref_channel):
             closed = high_snr_zeta_static(ref_ladder, lam, theta)
             oracle = _chain_zeta_oracle(ref_ladder, lam, theta)
             worst_rel = max(worst_rel, abs(closed - oracle) / max(1.0, abs(oracle)))
-    cfg = SimConfig(slots=100_000, replicates=20, seed=7)
-    validation = empirical_vs_closed_form(cc_model, ref_channel, ref_ladder, (4, 3), cfg)
+    lambda_primes = tuple(block_error_prob(cc_model, (g,)) for g in ref_channel.gains)
+    zeta = build_high_snr_chain(ref_channel, lambda_primes, (4, 3), ref_ladder).zeta
+    exact = threshold_table_cost(ref_channel, lambda_primes, (4, 3), ref_ladder)
+    chain_rel = abs(zeta - exact) / exact
     elapsed = time.monotonic() - start
-    ok = worst_rel <= 1e-9 and validation.within_3_sigma and elapsed < 120.0
+    ok = worst_rel <= 1e-9 and chain_rel <= 1e-12 and elapsed < 120.0
     assert report(
         "5",
         ok,
         f"threshold closed form vs chain oracle: max rel err {worst_rel:.2e} (<= 1e-9); "
-        f"2-state chain: |{validation.empirical_mean:.3f} - {validation.zeta:.3f}| = "
-        f"{validation.abs_diff:.3f} vs 3 sigma = {3 * validation.stderr:.3f}; {elapsed:.0f} s",
+        f"2-state chain {zeta:.6f} vs exact table cost {exact:.6f}: rel err "
+        f"{chain_rel:.2e} (<= 1e-12); {elapsed:.0f} s",
     )
 
 

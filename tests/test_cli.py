@@ -234,6 +234,43 @@ class TestCliSolveAndSimulate:
         assert f"config error: {policy_path}: " in err
         assert f"{line.split()[0]!r} header" in err
 
+    def test_simulate_rejects_a_static_table_on_a_markov_link(
+        self, static_cfg, markov_cfg, capsys
+    ):
+        static_path, static_out = static_cfg
+        markov_path, _ = markov_cfg
+        assert main(["solve", "--config", str(static_path)]) == 0
+        policy_path = static_out / "policy_static_mse.txt"
+        assert main(["simulate", "--config", str(markov_path), "--policy", str(policy_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: table was solved for 1 gain states, channel has 2" in err
+        assert "Traceback" not in err
+
+    def test_simulate_rejects_a_table_solved_for_other_gains(self, markov_cfg, tmp_path, capsys):
+        path, out = markov_cfg
+        assert main(["solve", "--config", str(path)]) == 0
+        other = tmp_path / "other_gains.cfg"
+        other.write_text(path.read_text().replace("gains = 2 1", "gains = 5 0.2"))
+        policy_path = out / "policy_markov_mse.txt"
+        assert main(["simulate", "--config", str(other), "--policy", str(policy_path)]) == 2
+        err = capsys.readouterr().err
+        assert (
+            "config error: table was solved for gains (2.0, 1.0), channel has (5.0, 0.2)" in err
+        )
+        assert not (out / "comparison.csv").exists()
+
+    def test_simulate_rejects_a_table_with_a_missing_state(self, static_cfg, capsys):
+        path, out = static_cfg
+        assert main(["solve", "--config", str(path)]) == 0
+        policy_path = out / "policy_static_mse.txt"
+        text = policy_path.read_text()
+        assert "\n1,1 = 0\n" in text
+        policy_path.write_text(text.replace("\n1,1 = 0\n", "\n"))
+        assert main(["simulate", "--config", str(path), "--policy", str(policy_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {policy_path}: 1 states of the grid have no action" in err
+        assert "'1,1'" in err
+
     def test_simulate_missing_policy_file(self, static_cfg, tmp_path, capsys):
         path, _ = static_cfg
         missing = tmp_path / "missing.txt"

@@ -2,7 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
-from reference import balance_stationary, high_snr_zeta_static, kernel_row, kernel_row_error
+from reference import (
+    balance_stationary,
+    high_snr_zeta_static,
+    kernel_row,
+    kernel_row_error,
+    threshold_table_cost,
+)
 
 from harqest import (
     HarqModel,
@@ -322,3 +328,49 @@ class TestHighSnrChain:
                 build_high_snr_chain(ref_channel, lambdas, (2, 2), ref_ladder)
         with pytest.raises(ModelError):
             build_high_snr_chain(ref_channel, (0.5, 0.5), (0, 2), ref_ladder)
+
+
+class TestHighSnrExactCost:
+    """The reduced chain against the exact cost of the same threshold table
+    on the MDP's own kernel, under a link that never fails a retransmission."""
+
+    def test_near_zero_error_matches_exactly(self, ref_static_channel, ref_ladder):
+        model = HarqModel(scheme="cc", snr=1e12, blocklength=100, rate=4.0)
+        lam = (block_error_prob(model, (2.0,)),)
+        chain = build_high_snr_chain(ref_static_channel, lam, (2,), ref_ladder)
+        assert threshold_table_cost(ref_static_channel, lam, (2,), ref_ladder) == chain.zeta
+        assert chain.zeta == pytest.approx(ref_ladder.trace(1), rel=1e-12)
+
+    def test_static_threshold_validation(self, cc_model, ref_static_channel, ref_ladder):
+        lam = (block_error_prob(cc_model, (2.0,)),)
+        exact = threshold_table_cost(ref_static_channel, lam, (2,), ref_ladder)
+        chain = build_high_snr_chain(ref_static_channel, lam, (2,), ref_ladder)
+        assert exact == pytest.approx(chain.zeta, rel=1e-12)
+        assert exact == pytest.approx(
+            high_snr_zeta_static(ref_ladder, 7.27617035635667e-4, 2), rel=1e-12
+        )
+
+    @pytest.mark.parametrize(
+        "link, lambdas",
+        [
+            ("static", (0.3,)),
+            ("static", (7.28e-4,)),
+            ("static", (1.0,)),
+            ("static", (2e-62,)),  # the static 16 dB fresh error: lambda'^5 underflows
+            ("fading", (0.05, 0.6)),
+            ("fading", (0.2, 1.0)),
+            ("fading", (5e-324, 1e-62)),
+        ],
+        ids=lambda v: v if isinstance(v, str) else "-".join(map(repr, v)),
+    )
+    def test_every_threshold_vector(
+        self, ref_channel, ref_static_channel, ref_ladder, link, lambdas
+    ):
+        ch = ref_static_channel if link == "static" else ref_channel
+        for thetas in itertools.product(range(1, 9), repeat=ch.size):
+            exact = threshold_table_cost(ch, lambdas, thetas, ref_ladder)
+            chain = build_high_snr_chain(ch, lambdas, thetas, ref_ladder)
+            assert exact == pytest.approx(chain.zeta, rel=1e-12, abs=0.0), thetas
+            if link == "static" and lambdas[0] < 1.0:
+                closed = high_snr_zeta_static(ref_ladder, lambdas[0], thetas[0])
+                assert exact == pytest.approx(closed, rel=1e-12, abs=0.0), thetas

@@ -88,7 +88,7 @@ class TestStabilityCheck:
         report = check_stability_markov(STATIC_PI, [0.5], 3.3801)
         assert report.product == pytest.approx(1.69005)
         assert not report.stable
-        assert report.margin < 0
+        assert report.product > 1
 
 
 class TestKernel:

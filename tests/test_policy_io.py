@@ -20,7 +20,7 @@ HEADER = (
 )
 # A valid policy file of each kind; the Markov one is on one gain.
 FILES = {
-    "static": HEADER + "1,1 = 0\n2,2 = 1\n",
+    "static": HEADER + "1,1 = 0\n1,2 = 0\n2,2 = 1\n",
     "markov": (
         "kind = markov\ncost_mode = mse\nzeta = 1.0\nspan = 0.0\niterations = 1\n"
         "converged = false\nomega_caps = 1\nq_max = 1\ngains = 2.0\n[actions]\n1|1|0 = 0\n"
@@ -145,3 +145,63 @@ class TestLoadErrors:
         with pytest.raises(ConfigError) as info:
             load_policy(path)
         assert str(info.value) == f"{path}: missing {key!r} header"
+
+    @pytest.mark.parametrize(
+        "kind, old, new, message",
+        [
+            pytest.param(
+                "static", "1,2 = 0\n", "",
+                "1 states of the grid have no action, the first is '1,2'", id="static-missing",
+            ),
+            pytest.param(
+                "static", "q_max = 2", "q_max = 3",
+                "2 states of the grid have no action, the first is '1,3'", id="static-q_max-large",
+            ),
+            pytest.param(
+                "markov", "1|1|0 = 0\n", "",
+                "1 states of the grid have no action, the first is '1|1|0'", id="markov-none",
+            ),
+            pytest.param(
+                "static", "2,2 = 1", "2,1 = 1",
+                "state '2,1' is off the grid of its headers", id="static-q-below-r",
+            ),
+            pytest.param(
+                "static", "2,2 = 1", "3,3 = 1",
+                "state '3,3' is off the grid of its headers", id="static-r-above-r_max",
+            ),
+            pytest.param(
+                "static", "2,2 = 1", "0,2 = 1",
+                "state '0,2' is off the grid of its headers", id="static-r-zero",
+            ),
+            pytest.param(
+                "markov", "1|1|0", "1|1|1",
+                "state '1|1|1' is off the grid of its headers", id="markov-xi-out-of-range",
+            ),
+            pytest.param(
+                "markov", "1|1|0", "2|2|0",
+                "state '2|2|0' is off the grid of its headers", id="markov-omega-above-cap",
+            ),
+            pytest.param(
+                "static", "q_max = 2", "q_max = 1",
+                "q_max must be at least sum(omega_caps) = 2", id="static-q_max-small",
+            ),
+            pytest.param(
+                "markov", "omega_caps = 1", "omega_caps = 0",
+                "every omega cap must be at least 1", id="markov-zero-cap",
+            ),
+        ],
+    )
+    def test_states_must_cover_the_declared_grid(self, tmp_path, kind, old, new, message):
+        path = tmp_path / "broken.policy"
+        assert old in FILES[kind]
+        path.write_text(FILES[kind].replace(old, new))
+        with pytest.raises(ConfigError) as info:
+            load_policy(path)
+        assert str(info.value).endswith(message)
+        assert str(info.value).startswith(f"{path}")
+
+    @pytest.mark.parametrize("kind", ["static", "markov"])
+    def test_valid_files_load(self, tmp_path, kind):
+        path = tmp_path / "valid.policy"
+        path.write_text(FILES[kind])
+        assert load_policy(path).kind == kind

@@ -1,7 +1,7 @@
 """Invariants of the (r, q) relabelling, of policy files, of the kernel and
-its assembly, of the first-passage evaluation, of the worst-error scan and of
-common random numbers in the simulator, checked on generated tables, grids,
-chains and links.
+its assembly, of the first-passage evaluation, of the worst-error scan, of
+the high-SNR reduced chain and of common random numbers in the simulator,
+checked on generated tables, grids, chains and links.
 
 Examples are derived from a fixed seed, so every run checks the same cases.
 """
@@ -15,7 +15,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import kernel_row_error, reference_assemble
+from reference import (
+    high_snr_zeta_static,
+    kernel_row_error,
+    reference_assemble,
+    threshold_table_cost,
+)
 
 from harqest import (
     HarqModel,
@@ -23,6 +28,7 @@ from harqest import (
     Policy,
     PolicySpec,
     SimConfig,
+    build_high_snr_chain,
     build_markov_mdp,
     conditional_error_prob,
     first_passage_cost,
@@ -232,6 +238,28 @@ def test_worst_error_scan_is_the_first_maximum(gains, budget, index, snr_db, sch
         # the static link's scan: attempts 2..budget + 1 of one gain, exactly
         direct = tuple(conditional_error_prob(harq, gains, (n,), 0) for n in range(1, budget + 1))
         assert worst.values == direct
+
+
+@PROPERTY
+@given(
+    stay=st.lists(st.floats(0.05, 0.95), min_size=1, max_size=2),
+    lambdas=st.lists(st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0]), min_size=2, max_size=2),
+    thetas=st.lists(st.integers(1, 8), min_size=2, max_size=2),
+)
+def test_high_snr_chain_is_the_exact_threshold_cost(ref_ladder, stay, lambdas, thetas):
+    b = len(stay)
+    pi = np.array([[1.0]]) if b == 1 else np.array(
+        [[stay[0], 1.0 - stay[1]], [1.0 - stay[0], stay[1]]]
+    )
+    ch = MarkovChannel(gains=(2.0, 1.0)[:b], pi=pi)
+    lam, thetas = tuple(lambdas[:b]), tuple(thetas[:b])
+    exact = threshold_table_cost(ch, lam, thetas, ref_ladder)
+    chain = build_high_snr_chain(ch, lam, thetas, ref_ladder)
+    assert chain.zeta == pytest.approx(exact, rel=1e-12, abs=0.0)
+    if b == 1 and lam[0] < 1.0:
+        # the closed form's denominator cancels like 1 - lambda' as lambda' -> 1
+        closed = high_snr_zeta_static(ref_ladder, lam[0], thetas[0])
+        assert closed == pytest.approx(exact, rel=1e-12 / (1.0 - lam[0]), abs=0.0)
 
 
 @PROPERTY

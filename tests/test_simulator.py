@@ -1,8 +1,6 @@
 import numpy as np
 import pytest
 from reference import (
-    empirical_vs_closed_form,
-    high_snr_zeta_static,
     myopic_policy,
     step,
     unit_history,
@@ -25,7 +23,7 @@ from harqest import (
     solve_rvi_markov,
     static_channel,
 )
-from harqest.errors import DepthError
+from harqest.errors import ConfigError, DepthError
 from harqest.mdp_static import markov_policy
 
 BASELINE = 15.8397
@@ -95,15 +93,10 @@ def reference_run(harq, ch, ladder, spec, cfg, replicate=0):
         def act(r, q, omega, xi):
             return 0
 
-    elif spec.kind == "always_retransmit_psi":
-
-        def act(r, q, omega, xi):
-            return 0 if r == q else 1
-
     else:
 
         def act(r, q, omega, xi):
-            return 1 if (r == 1 and q > spec.thetas[xi]) else 0
+            return 0 if r == q else 1
 
     if cfg.initial_channel is None:
         cumulative = np.cumsum(ch.stationary())
@@ -124,8 +117,6 @@ def reference_run(harq, ch, ladder, spec, cfg, replicate=0):
             break
         if a == 0:
             p_err = new_tx[xi]
-        elif cfg.force_success_retransmissions:
-            p_err = 0.0
         else:
             p_err = conditional_error_prob(harq, ch.gains, omega, xi)
         gamma = 1 if rng.random() >= p_err else 0
@@ -177,6 +168,10 @@ def test_block_draw_equals_scalar_draws():
 
 FADING = MarkovChannel(gains=(2.0, 1.0), pi=np.array([[0.8, 0.2], [0.2, 0.8]]))
 STATIC = static_channel(2.0)
+# Long packets at a rate between the capacities of SNR 100 and 200: a fresh
+# attempt at gain 1 fails with probability exactly 1, and a fresh attempt at
+# gain 2 or any retransmission (combined SNR >= 200) exactly 0.
+PERFECT_RETX = HarqModel("cc", 100.0, 100_000, 7.0)
 
 
 @pytest.fixture(scope="module")
@@ -200,8 +195,6 @@ def _spec(kind, tables, snr_db, link):
         return PolicySpec(kind=kind, table=tables[snr_db, link, "mse"])
     if kind == "delay_optimal_table":
         return PolicySpec(kind=kind, table=tables[snr_db, link, "delay"])
-    if kind == "threshold":
-        return PolicySpec(kind=kind, thetas=(3,) if link == "static" else (3, 2))
     return PolicySpec(kind=kind)
 
 
@@ -211,7 +204,6 @@ _ALL_KINDS = (
     "myopic",
     "no_retransmission",
     "always_retransmit_psi",
-    "threshold",
 )
 
 
@@ -231,12 +223,13 @@ class TestReferenceConformance:
     @pytest.mark.parametrize("kind", _ALL_KINDS)
     @pytest.mark.parametrize("link", ("static", "fading"))
     def test_forced_success_and_initial_channel(self, kind, link, conformance_tables, ref_ladder):
-        model = HarqModel.from_db("ir", 8.5, 100, 4.0)
+        # the perfect-retransmission regime, then a fixed initial channel
         ch = STATIC if link == "static" else FADING
         spec = _spec(kind, conformance_tables, 8.5, link)
-        for cfg in (
-            SimConfig(slots=1_000, seed=5, force_success_retransmissions=True),
-            SimConfig(slots=1_000, seed=5, initial_channel=ch.size - 1),
+        ir = HarqModel.from_db("ir", 8.5, 100, 4.0)
+        for model, cfg in (
+            (PERFECT_RETX, SimConfig(slots=1_000, seed=5)),
+            (ir, SimConfig(slots=1_000, seed=5, initial_channel=ch.size - 1)),
         ):
             expected = reference_run(model, ch, ref_ladder, spec, cfg)
             assert_matches_reference(run(model, ch, ref_ladder, spec, cfg), expected)
@@ -274,7 +267,6 @@ class TestPerfectLink:
             PolicySpec(kind="no_retransmission"),
             PolicySpec(kind="always_retransmit_psi"),
             PolicySpec(kind="myopic"),
-            PolicySpec(kind="threshold", thetas=(3, 3)),
         ]
         traces = [run(model, ref_channel, ref_ladder, s, cfg) for s in specs]
         for trace in traces:
@@ -287,13 +279,14 @@ class TestPerfectLink:
 
 class TestHandTrace:
     def test_deterministic_cycle(self, ref_ladder):
-        # fresh transmissions always fail (rate far above capacity), forced
-        # retransmission success: under the retransmit-until-success rule the
-        # loop settles into (2,2) -> (1,3) -> (2,2) ...
-        model = HarqModel(scheme="cc", snr=1e-9, blocklength=100, rate=4.0)
+        # at gain 1 a fresh transmission always fails and a combined
+        # retransmission always succeeds: under the retransmit-until-success
+        # rule the loop settles into (2,2) -> (1,3) -> (2,2) ...
         ch = static_channel(1.0)
-        cfg = SimConfig(slots=8, replicates=1, seed=0, force_success_retransmissions=True)
-        trace = run(model, ch, ref_ladder, PolicySpec(kind="always_retransmit_psi"), cfg)
+        assert conditional_error_prob(PERFECT_RETX, ch.gains, (0,), 0) == 1.0
+        assert conditional_error_prob(PERFECT_RETX, ch.gains, (1,), 0) == 0.0
+        cfg = SimConfig(slots=8, replicates=1, seed=0)
+        trace = run(PERFECT_RETX, ch, ref_ladder, PolicySpec(kind="always_retransmit_psi"), cfg)
         assert list(trace.a) == [0, 1, 0, 1, 0, 1, 0, 1]
         assert list(trace.gamma) == [0, 1, 0, 1, 0, 1, 0, 1]
         assert list(trace.r) == [1, 1, 2, 1, 2, 1, 2, 1]
@@ -399,16 +392,17 @@ class TestTablePolicies:
         table = solve_rvi(
             build_static_mdp(model, 2.0, ref_ladder, 3, 5, "mse")
         )
-        cfg = SimConfig(slots=60, replicates=1, seed=2, force_success_retransmissions=True)
+        cfg = SimConfig(slots=60, replicates=1, seed=2)
         trace = run(
             model, ref_static_channel, ref_ladder, PolicySpec(kind="table", table=table), cfg
         )
+        assert not trace.diverged
         assert int(trace.q.max()) >= 5
 
     def test_table_rejects_channel_with_other_gain_count(self, cc_model, ref_channel, ref_ladder):
         table = solve_rvi(build_static_mdp(cc_model, 2.0, ref_ladder, 3, 5, "mse"))
         cfg = SimConfig(slots=10, replicates=1, seed=2)
-        with pytest.raises(ValueError, match="gain states"):
+        with pytest.raises(ConfigError, match="gain states"):
             run(cc_model, ref_channel, ref_ladder, PolicySpec(kind="table", table=table), cfg)
 
     def test_myopic_table_agrees_with_on_the_fly(self, cc_model, ref_static_channel, ref_ladder):
@@ -476,24 +470,6 @@ class TestEvaluatePolicies:
         assert lines[1].startswith("psi,")
 
 
-class TestEmpiricalVsClosedForm:
-    def test_near_zero_error_matches_exactly(self, ref_static_channel, ref_ladder):
-        model = HarqModel(scheme="cc", snr=1e12, blocklength=100, rate=4.0)
-        cfg = SimConfig(slots=2_000, replicates=5, seed=3)
-        out = empirical_vs_closed_form(model, ref_static_channel, ref_ladder, (2,), cfg)
-        assert out.within_3_sigma
-        assert out.empirical_mean == pytest.approx(ref_ladder.trace(1), rel=1e-9)
-        assert out.zeta == pytest.approx(ref_ladder.trace(1), rel=1e-9)
-
-    def test_static_threshold_validation(self, cc_model, ref_static_channel, ref_ladder):
-        cfg = SimConfig(slots=20_000, replicates=10, seed=17)
-        out = empirical_vs_closed_form(cc_model, ref_static_channel, ref_ladder, (2,), cfg)
-        assert out.zeta == pytest.approx(
-            high_snr_zeta_static(ref_ladder, 7.27617035635667e-4, 2), rel=1e-12
-        )
-        assert out.abs_diff <= 3.0 * out.stderr + 1e-6 * out.zeta
-
-
 class TestPolicySpecValidation:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -502,7 +478,3 @@ class TestPolicySpecValidation:
     def test_table_requires_table(self):
         with pytest.raises(ValueError):
             PolicySpec(kind="table")
-
-    def test_threshold_requires_thetas(self):
-        with pytest.raises(ValueError):
-            PolicySpec(kind="threshold")
