@@ -170,12 +170,19 @@ def load_config(path) -> Config:
         raise ConfigError(f"[solver] cost_mode: must be 'mse' or 'delay', got {solver.cost_mode!r}")
 
     sim_sec = _Section(parser, "sim")
-    initial = sim_sec.get("initial_channel")
+    initial = None
+    if sim_sec.has("initial_channel"):
+        initial = sim_sec.number("initial_channel", cast=int)
+        if not 0 <= initial < channel.size:
+            raise ConfigError(
+                f"[sim] initial_channel: must lie in 0 .. {channel.size - 1}, "
+                f"got {initial}"
+            )
     sim = SimConfig(
         slots=sim_sec.number("slots", 10_000, cast=int),
         replicates=sim_sec.number("replicates", 1, cast=int),
         seed=sim_sec.number("seed", 0, cast=int),
-        initial_channel=int(initial) if initial is not None else None,
+        initial_channel=initial,
     )
 
     output_sec = _Section(parser, "output")

@@ -26,6 +26,7 @@ __all__ = [
     "PolicySpec",
     "SimConfig",
     "SimulationTrace",
+    "TransitionMachine",
     "run",
     "PolicyEntry",
     "ComparisonRow",
@@ -131,13 +132,8 @@ def _action_fn(spec: PolicySpec, ch: MarkovChannel, new_tx: tuple, retx_error, t
         if gains is not None and tuple(gains) != ch.gains:
             raise ConfigError(f"table was solved for gains {tuple(gains)}, channel has {ch.gains}")
 
-        clamped = {}  # counts -> counts clamped to the table's caps
-
         def act(r, q, counts, xi):
-            c = clamped.get(counts)
-            if c is None:
-                c = clamped[counts] = tuple(map(min, counts, caps))
-            return action[(c, q if q < q_max else q_max, xi)]
+            return action[(tuple(map(min, counts, caps)), q if q < q_max else q_max, xi)]
 
         return act
     if spec.kind == "myopic":
@@ -158,6 +154,105 @@ def _action_fn(spec: PolicySpec, ch: MarkovChannel, new_tx: tuple, retx_error, t
     return lambda r, q, counts, xi: 0 if r == q else 1  # always_retransmit_psi
 
 
+_UNBUILT = -1  # a successor not looked up yet
+_DIVERGED = -2  # a state whose cost or policy lookahead overflows the ladder
+
+
+class TransitionMachine:
+    """The closed loop of one link model, channel, ladder and policy as a
+    machine over numbered states, built as the slots visit it. It is not
+    safe to share between threads.
+
+    A state is (counts, r, q, xi). On its first visit it is numbered and its
+    action `a[s]` and error probability `p[s]` are fixed. A state whose cost,
+    or the lookahead its policy needs, overflows the ladder gets no number:
+    it is marked _DIVERGED. The successor of state s after outcome gamma and
+    channel bin b sits at `successors[s * width + gamma * bins + b]`, filled
+    on first use. The bin of a channel uniform u is its place among the
+    sorted union of the cumulative transition columns' breakpoints; every u
+    in one bin moves each gain to the same next gain, `next_x[xi][b]`.
+
+    The ladder grows only through extended(n + 32), with n at most one past
+    its depth, so its depth is always the initial depth plus a multiple of
+    33 whatever path asked for it, and whether a state diverges depends on
+    the state alone. That lets every replicate of an entry share one machine.
+    """
+
+    def __init__(self, harq: HarqModel, ch: MarkovChannel, ladder: CostLadder, policy: PolicySpec):
+        self.harq, self.ch = harq, ch
+        self.built_for = (harq, ch, ladder, policy)
+        size = ch.size
+        self.new_tx = tuple(
+            conditional_error_prob(harq, ch.gains, (0,) * size, xi) for xi in range(size)
+        )
+        self.units = [tuple(1 if j == i else 0 for j in range(size)) for i in range(size)]
+        columns = [ch._cumulative[:, i].tolist() for i in range(size)]
+        edges = sorted(set().union(*columns))
+        self.edges = np.array(edges)
+        self.bins = len(edges) + 1
+        self.width = 2 * self.bins
+        # bisect_right is searchsorted(side="right") on the same floats.
+        self.next_x = [[0] + [bisect_right(column, e) for e in edges] for column in columns]
+        self.traces = list(ladder.traces)
+        self._grown = ladder
+        self._retx_errors = {}
+        self._act = _action_fn(policy, ch, self.new_tx, self._retx_error, self.traces, self._grow)
+        self.index = {}  # state -> number, or _DIVERGED
+        self.a, self.r, self.q, self.xi, self.counts, self.p = [], [], [], [], [], []
+        self.successors = []
+
+    def _retx_error(self, counts, xi):
+        key = (counts, xi)
+        p = self._retx_errors.get(key)
+        if p is None:
+            p = conditional_error_prob(self.harq, self.ch.gains, counts, xi)
+            self._retx_errors[key] = p
+        return p
+
+    def _grow(self, n):
+        # Extend to n + 32: whether a DepthError fires depends on how far
+        # each extension reaches, so this chunking fixes the divergence slot.
+        self._grown = self._grown.extended(n + 32)
+        self.traces.extend(self._grown.traces[len(self.traces) :])
+
+    def state(self, counts, r, q, xi) -> int:
+        """The number of a state, or _DIVERGED; numbers it on first visit."""
+        key = (counts, r, q, xi)
+        s = self.index.get(key)
+        if s is not None:
+            return s
+        try:
+            if q > len(self.traces):
+                self._grow(q)
+            a = self._act(r, q, counts, xi)
+        except DepthError:
+            self.index[key] = _DIVERGED
+            return _DIVERGED
+        s = self.index[key] = len(self.a)
+        self.a.append(a)
+        self.r.append(r)
+        self.q.append(q)
+        self.xi.append(xi)
+        self.counts.append(counts)
+        self.p.append(self.new_tx[xi] if a == 0 else self._retx_error(counts, xi))
+        self.successors.extend([_UNBUILT] * self.width)
+        return s
+
+    def successor(self, k: int) -> int:
+        """Fill and return successors[k]."""
+        s, rest = divmod(k, self.width)
+        gamma, b = divmod(rest, self.bins)
+        xi = self.xi[s]
+        if self.a[s] == 0:
+            r, counts = 1, self.units[xi]
+        else:
+            r, counts = self.r[s] + 1, self.counts[s]
+            counts = counts[:xi] + (counts[xi] + 1,) + counts[xi + 1 :]
+        q = r if gamma else self.q[s] + 1
+        t = self.successors[k] = self.state(counts, r, q, self.next_x[xi][b])
+        return t
+
+
 def run(
     harq: HarqModel,
     ch: MarkovChannel,
@@ -165,44 +260,24 @@ def run(
     policy: PolicySpec,
     cfg: SimConfig,
     replicate: int = 0,
+    machine: TransitionMachine = None,
 ) -> SimulationTrace:
     """Simulate one replicate. Deterministic given (cfg.seed, replicate).
 
-    The state is plain ints and a counts tuple. All uniforms after the
-    initial-channel draw are drawn in one block and consumed in the order of
-    the per-slot scalar draws (first channel step, then an outcome and a
-    channel step per slot); Generator.random(n) yields the same values as n
-    scalar calls, so traces and common random numbers match slot by slot.
+    `machine`, built for these same arguments, carries the states earlier
+    replicates visited; without one a fresh machine is built. All uniforms
+    after the initial-channel draw are drawn in one block and consumed in
+    the order of the per-slot scalar draws (first channel step, then an
+    outcome and a channel step per slot); Generator.random(n) yields the
+    same values as n scalar calls, so traces and common random numbers
+    match slot by slot.
     """
+    if machine is None:
+        machine = TransitionMachine(harq, ch, ladder, policy)
+    elif any(mine is not arg for mine, arg in zip(machine.built_for, (harq, ch, ladder, policy))):
+        raise ValueError("machine was built for other arguments")
     rng = np.random.default_rng([cfg.seed, replicate])
     size = ch.size
-    gains = ch.gains
-    new_tx = tuple(conditional_error_prob(harq, gains, (0,) * size, xi) for xi in range(size))
-    # Column i of the cumulative transition matrix; bisect_right on it is
-    # searchsorted(side="right") on the same floats.
-    columns = [ch._cumulative[:, i].tolist() for i in range(size)]
-    units = [tuple(1 if j == i else 0 for j in range(size)) for i in range(size)]
-
-    retx_errors = {}
-
-    def retx_error(counts, xi):
-        key = (counts, xi)
-        p = retx_errors.get(key)
-        if p is None:
-            p = retx_errors[key] = conditional_error_prob(harq, gains, counts, xi)
-        return p
-
-    traces = list(ladder.traces)
-
-    def grow(n):
-        # Extend to n + 32: whether a DepthError fires depends on how far
-        # each extension reaches, so this chunking fixes the divergence slot.
-        nonlocal ladder
-        ladder = ladder.extended(n + 32)
-        traces.extend(ladder.traces[len(traces) :])
-
-    act = _action_fn(policy, ch, new_tx, retx_error, traces, grow)
-
     if cfg.initial_channel is None:
         stationary = ch.stationary()
         xi_prev = int(np.searchsorted(np.cumsum(stationary), rng.random(), side="right"))
@@ -212,59 +287,46 @@ def run(
         if not 0 <= xi_prev < size:
             raise ValueError(f"initial_channel {xi_prev} out of range")
     slots = cfg.slots
-    uniforms = rng.random(2 * slots + 1).tolist()
-    counts = units[xi_prev]
-    xi = bisect_right(columns[xi_prev], uniforms[0])
-    r, q = 1, 1
-
-    col_a, col_gamma, col_r, col_q, col_xi, col_cost, col_omega = [], [], [], [], [], [], []
-    diverged_slot = None
-    for i, u_outcome, u_channel in zip(range(slots), uniforms[1::2], uniforms[2::2]):
-        try:
-            if q > len(traces):
-                grow(q)
-            cost = traces[q - 1]
-            a = act(r, q, counts, xi)
-        except DepthError:
-            # The cost (or a lookahead the policy needs) left the
-            # representable range: the estimate diverged.
-            diverged_slot = i + 1
-            break
-        if a == 0:
-            p_err = new_tx[xi]
-        else:
-            p_err = retx_error(counts, xi)
-        gamma = 1 if u_outcome >= p_err else 0
-        col_a.append(a)
-        col_gamma.append(gamma)
-        col_r.append(r)
-        col_q.append(q)
-        col_xi.append(xi)
-        col_cost.append(cost)
-        col_omega.append(counts)
-        if a == 0:
-            r = 1
-            counts = units[xi]
-        else:
-            r += 1
-            counts = counts[:xi] + (counts[xi] + 1,) + counts[xi + 1 :]
-        q = r if gamma == 1 else q + 1
-        xi = bisect_right(columns[xi], u_channel)
-    recorded = len(col_cost)
-    cost_rec = np.array(col_cost, dtype=np.float64)
-    running = np.cumsum(cost_rec) / np.arange(1, recorded + 1) if recorded else np.array([])
+    uniforms = rng.random(2 * slots + 1)
+    outcomes = uniforms[1::2]
+    bins = np.searchsorted(machine.edges, uniforms[0::2], side="right").tolist()
+    s = machine.state(machine.units[xi_prev], 1, 1, machine.next_x[xi_prev][bins[0]])
+    path = []
+    if s != _DIVERGED:
+        path.append(s)
+        p, successors = machine.p, machine.successors
+        width, gamma_offset = machine.width, machine.bins
+        for u, b in zip(outcomes[: slots - 1].tolist(), bins[1:]):
+            k = s * width + b
+            if u >= p[s]:
+                k += gamma_offset
+            s = successors[k]
+            if s < 0:
+                if s == _UNBUILT:
+                    s = machine.successor(k)
+                if s == _DIVERGED:
+                    # The cost (or a lookahead the policy needs) left the
+                    # representable range: the estimate diverged.
+                    break
+            path.append(s)
+    recorded = len(path)
+    at = np.array(path, dtype=np.intp)
+    q = np.array(machine.q, dtype=np.int64)[at]
+    cost = np.array(machine.traces)[q - 1]
+    running = np.cumsum(cost) / np.arange(1, recorded + 1) if recorded else np.array([])
+    diverged = recorded < slots
     return SimulationTrace(
         k=np.arange(1, recorded + 1, dtype=np.int64),
-        a=np.array(col_a, dtype=np.int8),
-        gamma=np.array(col_gamma, dtype=np.int8),
-        r=np.array(col_r, dtype=np.int64),
-        q=np.array(col_q, dtype=np.int64),
-        xi=np.array(col_xi, dtype=np.int64),
-        trace_mse=cost_rec,
+        a=np.array(machine.a, dtype=np.int8)[at],
+        gamma=(outcomes[:recorded] >= np.array(machine.p)[at]).astype(np.int8),
+        r=np.array(machine.r, dtype=np.int64)[at],
+        q=q,
+        xi=np.array(machine.xi, dtype=np.int64)[at],
+        trace_mse=cost,
         running_avg=running,
-        omega=np.array(col_omega, dtype=np.int64).reshape(recorded, size),
-        diverged=diverged_slot is not None,
-        diverged_slot=diverged_slot,
+        omega=np.array(machine.counts, dtype=np.int64).reshape(-1, size)[at],
+        diverged=diverged,
+        diverged_slot=recorded + 1 if diverged else None,
     )
 
 
@@ -328,8 +390,9 @@ def evaluate_policies(
         finals = []
         traces = []
         n_diverged = 0
+        machine = TransitionMachine(model, ch, ladder, entry.spec)
         for rep in range(cfg.replicates):
-            trace = run(model, ch, ladder, entry.spec, cfg, replicate=rep)
+            trace = run(model, ch, ladder, entry.spec, cfg, replicate=rep, machine=machine)
             if first_trace is None:
                 first_trace = trace
             if trace.diverged:

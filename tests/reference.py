@@ -3,17 +3,26 @@
 Each is written the direct way: the balance solve of a stationary vector, the
 kernel-row sum check, the one-step-lookahead (myopic) rule and the threshold
 closed form on the static link, the exact cost of a perfect-retransmission
-threshold table on the MDP's own kernel, the channel step and the count-tuple
-attempt-history update of the reference simulation loop, and the per-state
-kernel loop of the MDP builder. Nothing in the package imports this module.
+threshold table on the MDP's own kernel, the channel step, the count-tuple
+attempt-history update and the per-slot simulation loop they drive, and the
+per-state kernel loop of the MDP builder. Nothing in the package imports this
+module.
 """
 
 from itertools import product
 
 import numpy as np
 
-from harqest import FiniteAverageCostMdp, Policy, policy_average_cost
+from harqest import (
+    FiniteAverageCostMdp,
+    Policy,
+    block_error_prob,
+    conditional_error_prob,
+    policy_average_cost,
+)
+from harqest.errors import DepthError
 from harqest.mdp_markov import MarkovMdp, assemble_markov_mdp
+from harqest.mdp_static import markov_policy
 
 # Treat the retransmission as giving no reliability edge below this gap.
 _RELIABILITY_TIE = 1e-15
@@ -166,6 +175,107 @@ def update_history(omega: tuple, last_action: int, last_index: int) -> tuple:
     if last_action == 0:
         return unit_history(omega, last_index)
     return incremented(omega, last_index)
+
+
+# ---------------------------------------------------------------- simulation loop
+
+
+def reference_run(harq, ch, ladder, spec, cfg, replicate=0):
+    """The simulator's per-slot loop written the direct way: count-tuple
+    attempt histories, `step` drawing one scalar per channel
+    move, `update_history`, and a ladder grown on demand by
+    CostLadder.extended(n + 32). run() must reproduce it byte for byte."""
+    rng = np.random.default_rng([cfg.seed, replicate])
+    grown = [ladder]
+
+    def trace(n):
+        if n > grown[0].depth:
+            grown[0] = grown[0].extended(n + 32)
+        return grown[0].trace(n)
+
+    new_tx = tuple(block_error_prob(harq, (g,)) for g in ch.gains)
+    if spec.kind in ("table", "delay_optimal_table"):
+        table = markov_policy(spec.table) if spec.table.kind == "static" else spec.table
+        action = dict(zip(table.states, table.actions.tolist()))
+        caps = tuple(table.params["omega_caps"])
+        q_max = table.params["q_max"]
+
+        def act(r, q, omega, xi):
+            return action[(tuple(map(min, omega, caps)), min(q, q_max), xi)]
+
+    elif spec.kind == "myopic":
+
+        def act(r, q, omega, xi):
+            g0 = new_tx[xi]
+            g1 = conditional_error_prob(harq, ch.gains, omega, xi)
+            fresh = g0 * trace(q + 1) + (1.0 - g0) * trace(1)
+            retx = g1 * trace(q + 1) + (1.0 - g1) * trace(sum(omega) + 1)
+            return 0 if retx >= fresh else 1
+
+    elif spec.kind == "no_retransmission":
+
+        def act(r, q, omega, xi):
+            return 0
+
+    else:
+
+        def act(r, q, omega, xi):
+            return 0 if r == q else 1
+
+    if cfg.initial_channel is None:
+        cumulative = np.cumsum(ch.stationary())
+        xi_prev = min(int(np.searchsorted(cumulative, rng.random(), side="right")), ch.size - 1)
+    else:
+        xi_prev = cfg.initial_channel
+    omega = unit_history(ch.gains, xi_prev)
+    xi = step(ch, xi_prev, rng)
+    r, q = 1, 1
+    rows = []
+    diverged_slot = None
+    for i in range(cfg.slots):
+        try:
+            cost = trace(q)
+            a = act(r, q, omega, xi)
+        except DepthError:
+            diverged_slot = i + 1
+            break
+        if a == 0:
+            p_err = new_tx[xi]
+        else:
+            p_err = conditional_error_prob(harq, ch.gains, omega, xi)
+        gamma = 1 if rng.random() >= p_err else 0
+        rows.append((a, gamma, r, q, xi, cost, omega))
+        r_next = 1 if a == 0 else r + 1
+        q = r_next if gamma == 1 else q + 1
+        r = r_next
+        omega = update_history(omega, a, xi)
+        xi = step(ch, xi, rng)
+    n = len(rows)
+    costs = np.array([row[5] for row in rows], dtype=np.float64)
+    return {
+        "k": np.arange(1, n + 1, dtype=np.int64),
+        "a": np.array([row[0] for row in rows], dtype=np.int8),
+        "gamma": np.array([row[1] for row in rows], dtype=np.int8),
+        "r": np.array([row[2] for row in rows], dtype=np.int64),
+        "q": np.array([row[3] for row in rows], dtype=np.int64),
+        "xi": np.array([row[4] for row in rows], dtype=np.int64),
+        "trace_mse": costs,
+        "running_avg": np.cumsum(costs) / np.arange(1, n + 1) if n else np.array([]),
+        "omega": np.array([row[6] for row in rows], dtype=np.int64).reshape(n, ch.size),
+        "diverged": diverged_slot is not None,
+        "diverged_slot": diverged_slot,
+    }
+
+
+def assert_matches_reference(trace, expected):
+    for name, value in expected.items():
+        got = getattr(trace, name)
+        if isinstance(value, np.ndarray):
+            assert got.dtype == value.dtype, name
+            assert got.shape == value.shape, name
+            assert got.tobytes() == value.tobytes(), name
+        else:
+            assert got == value, name
 
 
 # ---------------------------------------------------------------- kernel

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -310,6 +312,18 @@ class TestCliSolveAndSimulate:
         path.write_text(STATIC_CFG.format(out=out).replace("snr_db = 10", "snr_db = -90"))
         code = main(["simulate", "--config", str(path), "--policy", "no-retx"])
         assert code == 4
+
+    def test_simulate_rejects_an_initial_channel_out_of_range(self, tmp_path, capsys):
+        # the default fading link has gain indices 0 and 1
+        default = Path(__file__).resolve().parent.parent / "configs" / "default_markov.cfg"
+        text = default.read_text().replace("seed = 1\n", "seed = 1\ninitial_channel = 5\n")
+        assert "initial_channel = 5" in text
+        path = tmp_path / "markov.cfg"
+        path.write_text(text.replace("directory = out", f"directory = {tmp_path / 'out'}"))
+        assert main(["simulate", "--config", str(path), "--policy", "psi"]) == 2
+        assert "config error: [sim] initial_channel: must lie in 0 .. 1, got 5" in (
+            capsys.readouterr().err
+        )
 
     def test_seed_override_changes_trace(self, static_cfg):
         path, out = static_cfg

@@ -1,7 +1,8 @@
 """Invariants of the (r, q) relabelling, of policy files, of the kernel and
 its assembly, of the first-passage evaluation, of the worst-error scan, of
-the high-SNR reduced chain and of common random numbers in the simulator,
-checked on generated tables, grids, chains and links.
+the high-SNR reduced chain, of common random numbers in the simulator and of
+the simulator against its reference loop, checked on generated tables,
+grids, chains and links.
 
 Examples are derived from a fixed seed, so every run checks the same cases.
 """
@@ -16,9 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import (
+    assert_matches_reference,
     high_snr_zeta_static,
     kernel_row_error,
     reference_assemble,
+    reference_run,
     threshold_table_cost,
 )
 
@@ -262,6 +265,25 @@ def test_high_snr_chain_is_the_exact_threshold_cost(ref_ladder, stay, lambdas, t
         assert closed == pytest.approx(exact, rel=1e-12 / (1.0 - lam[0]), abs=0.0)
 
 
+def small_table(ch, actions) -> Policy:
+    """A table over caps of 2 per gain and ages up to 2B + 2 on channel `ch`;
+    actions(n) gives its n actions in state order."""
+    b = ch.size
+    caps, q_max = (2,) * b, 2 * b + 2
+    omegas = [o for o in product(*[range(c + 1) for c in caps]) if sum(o) >= 1]
+    states = tuple((o, q, xi) for o in omegas for q in range(sum(o), q_max + 1) for xi in range(b))
+    return Policy(
+        actions=np.array(actions(len(states)), dtype=np.int8),
+        states=states,
+        zeta=0.0,
+        span=0.0,
+        iterations=0,
+        converged=True,
+        kind="markov",
+        params={"omega_caps": caps, "q_max": q_max, "gains": ch.gains},
+    )
+
+
 @PROPERTY
 @given(
     stay=st.lists(st.floats(0.05, 0.95), min_size=1, max_size=2),
@@ -275,19 +297,7 @@ def test_all_fresh_table_replays_no_retransmission(ref_ladder, stay, seed, slots
         [[stay[0], 1.0 - stay[1]], [1.0 - stay[0], stay[1]]]
     )
     ch = MarkovChannel(gains=(2.0, 1.0)[:b], pi=pi)
-    caps, q_max = (2,) * b, 2 * b + 2
-    omegas = [o for o in product(*[range(c + 1) for c in caps]) if sum(o) >= 1]
-    states = tuple((o, q, xi) for o in omegas for q in range(sum(o), q_max + 1) for xi in range(b))
-    table = Policy(
-        actions=np.zeros(len(states), dtype=np.int8),
-        states=states,
-        zeta=0.0,
-        span=0.0,
-        iterations=0,
-        converged=True,
-        kind="markov",
-        params={"omega_caps": caps, "q_max": q_max, "gains": ch.gains},
-    )
+    table = small_table(ch, lambda n: [0] * n)
     harq = HarqModel.from_db("cc", snr_db, 100, 4.0)
     cfg = SimConfig(slots=slots, seed=seed)
     got = run(harq, ch, ref_ladder, PolicySpec(kind="table", table=table), cfg)
@@ -299,3 +309,39 @@ def test_all_fresh_table_replays_no_retransmission(ref_ladder, stay, seed, slots
             assert mine.tobytes() == theirs.tobytes(), field.name
         else:
             assert mine == theirs, field.name
+
+
+@PROPERTY
+@given(
+    snr_db=st.floats(4.0, 12.0),
+    scheme=st.sampled_from(["cc", "ir"]),
+    seed=st.integers(0, 2**32 - 1),
+    stay=st.lists(st.floats(0.05, 0.95), min_size=1, max_size=2),
+    kind=st.sampled_from(["table", "myopic", "no_retransmission", "always_retransmit_psi"]),
+    data=st.data(),
+)
+def test_run_equals_the_reference_loop(ref_ladder, snr_db, scheme, seed, stay, kind, data):
+    # the transition machine against the direct per-slot loop; a random
+    # table plays both actions, and its lookups clamp counts and ages that
+    # pass its caps and q_max
+    b = len(stay)
+    pi = np.array([[1.0]]) if b == 1 else np.array(
+        [[stay[0], 1.0 - stay[1]], [1.0 - stay[0], stay[1]]]
+    )
+    ch = MarkovChannel(gains=(2.0, 1.0)[:b], pi=pi)
+    if kind == "table":
+
+        def actions(n):
+            return data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+
+        spec = PolicySpec(kind="table", table=small_table(ch, actions))
+    else:
+        spec = PolicySpec(kind=kind)
+    cfg = SimConfig(
+        slots=data.draw(st.integers(1, 600)),
+        seed=seed,
+        initial_channel=data.draw(st.none() | st.integers(0, b - 1)),
+    )
+    harq = HarqModel.from_db(scheme, snr_db, 100, 4.0)
+    expected = reference_run(harq, ch, ref_ladder, spec, cfg)
+    assert_matches_reference(run(harq, ch, ref_ladder, spec, cfg), expected)

@@ -1,19 +1,18 @@
 import numpy as np
 import pytest
 from reference import (
+    assert_matches_reference,
     myopic_policy,
-    step,
-    unit_history,
-    update_history,
+    reference_run,
 )
 
+import harqest.simulator
 from harqest import (
     HarqModel,
     MarkovChannel,
     PolicyEntry,
     PolicySpec,
     SimConfig,
-    block_error_prob,
     build_markov_mdp,
     build_static_mdp,
     conditional_error_prob,
@@ -23,8 +22,7 @@ from harqest import (
     solve_rvi_markov,
     static_channel,
 )
-from harqest.errors import ConfigError, DepthError
-from harqest.mdp_static import markov_policy
+from harqest.errors import ConfigError
 
 BASELINE = 15.8397
 
@@ -54,104 +52,6 @@ def replay_states(trace, n_gains):
             counts[xi] += 1
         r, q, omega = r_next, q_next, tuple(counts)
     return r_seq, q_seq, omega_seq
-
-
-def reference_run(harq, ch, ladder, spec, cfg, replicate=0):
-    """The simulator's per-slot loop written the direct way: count-tuple
-    attempt histories, `step` drawing one scalar per channel
-    move, `update_history`, and a ladder grown on demand by
-    CostLadder.extended(n + 32). run() must reproduce it byte for byte."""
-    rng = np.random.default_rng([cfg.seed, replicate])
-    grown = [ladder]
-
-    def trace(n):
-        if n > grown[0].depth:
-            grown[0] = grown[0].extended(n + 32)
-        return grown[0].trace(n)
-
-    new_tx = tuple(block_error_prob(harq, (g,)) for g in ch.gains)
-    if spec.kind in ("table", "delay_optimal_table"):
-        table = markov_policy(spec.table) if spec.table.kind == "static" else spec.table
-        action = dict(zip(table.states, table.actions.tolist()))
-        caps = tuple(table.params["omega_caps"])
-        q_max = table.params["q_max"]
-
-        def act(r, q, omega, xi):
-            return action[(tuple(map(min, omega, caps)), min(q, q_max), xi)]
-
-    elif spec.kind == "myopic":
-
-        def act(r, q, omega, xi):
-            g0 = new_tx[xi]
-            g1 = conditional_error_prob(harq, ch.gains, omega, xi)
-            fresh = g0 * trace(q + 1) + (1.0 - g0) * trace(1)
-            retx = g1 * trace(q + 1) + (1.0 - g1) * trace(sum(omega) + 1)
-            return 0 if retx >= fresh else 1
-
-    elif spec.kind == "no_retransmission":
-
-        def act(r, q, omega, xi):
-            return 0
-
-    else:
-
-        def act(r, q, omega, xi):
-            return 0 if r == q else 1
-
-    if cfg.initial_channel is None:
-        cumulative = np.cumsum(ch.stationary())
-        xi_prev = min(int(np.searchsorted(cumulative, rng.random(), side="right")), ch.size - 1)
-    else:
-        xi_prev = cfg.initial_channel
-    omega = unit_history(ch.gains, xi_prev)
-    xi = step(ch, xi_prev, rng)
-    r, q = 1, 1
-    rows = []
-    diverged_slot = None
-    for i in range(cfg.slots):
-        try:
-            cost = trace(q)
-            a = act(r, q, omega, xi)
-        except DepthError:
-            diverged_slot = i + 1
-            break
-        if a == 0:
-            p_err = new_tx[xi]
-        else:
-            p_err = conditional_error_prob(harq, ch.gains, omega, xi)
-        gamma = 1 if rng.random() >= p_err else 0
-        rows.append((a, gamma, r, q, xi, cost, omega))
-        r_next = 1 if a == 0 else r + 1
-        q = r_next if gamma == 1 else q + 1
-        r = r_next
-        omega = update_history(omega, a, xi)
-        xi = step(ch, xi, rng)
-    n = len(rows)
-    costs = np.array([row[5] for row in rows], dtype=np.float64)
-    return {
-        "k": np.arange(1, n + 1, dtype=np.int64),
-        "a": np.array([row[0] for row in rows], dtype=np.int8),
-        "gamma": np.array([row[1] for row in rows], dtype=np.int8),
-        "r": np.array([row[2] for row in rows], dtype=np.int64),
-        "q": np.array([row[3] for row in rows], dtype=np.int64),
-        "xi": np.array([row[4] for row in rows], dtype=np.int64),
-        "trace_mse": costs,
-        "running_avg": np.cumsum(costs) / np.arange(1, n + 1) if n else np.array([]),
-        "omega": np.array([row[6] for row in rows], dtype=np.int64).reshape(n, ch.size),
-        "diverged": diverged_slot is not None,
-        "diverged_slot": diverged_slot,
-    }
-
-
-def assert_matches_reference(trace, expected):
-    for name, value in expected.items():
-        got = getattr(trace, name)
-        if isinstance(value, np.ndarray):
-            assert got.dtype == value.dtype, name
-            assert got.shape == value.shape, name
-            assert got.tobytes() == value.tobytes(), name
-        else:
-            assert got == value, name
 
 
 def test_block_draw_equals_scalar_draws():
@@ -257,6 +157,77 @@ class TestReferenceConformance:
         expected = reference_run(model, FADING, ref_ladder, spec, cfg)
         assert expected["diverged"]
         assert_matches_reference(run(model, FADING, ref_ladder, spec, cfg), expected)
+
+
+class TestSharedMachine:
+    """evaluate_policies runs every replicate of an entry on one transition
+    machine, so a replicate starts from the states, successors and ladder
+    growth of the replicates before it. Each must still equal the reference
+    loop, which shares nothing."""
+
+    @staticmethod
+    def evaluate(model, ch, tables, table_snr_db, link, cfg, ladder, monkeypatch):
+        """label -> traces of every replicate, each checked against reference_run."""
+        runs = []
+        original = harqest.simulator.run
+
+        def recording_run(*args, **kwargs):
+            trace = original(*args, **kwargs)
+            runs.append((args[3], kwargs["replicate"], kwargs["machine"], trace))
+            return trace
+
+        monkeypatch.setattr(harqest.simulator, "run", recording_run)
+        entries = [
+            PolicyEntry(label=kind, spec=_spec(kind, tables, table_snr_db, link))
+            for kind in _ALL_KINDS
+        ]
+        evaluate_policies(entries, model, ch, ladder, cfg)
+        assert len(runs) == len(entries) * cfg.replicates
+        assert len({(id(spec), id(machine)) for spec, _, machine, _ in runs}) == len(entries)
+        traces = {}
+        for spec, rep, _, trace in runs:
+            expected = reference_run(model, ch, ladder, spec, cfg, replicate=rep)
+            assert_matches_reference(trace, expected)
+            traces.setdefault(spec.kind, []).append(trace)
+        return traces
+
+    @pytest.mark.parametrize("link", ("static", "fading"))
+    @pytest.mark.parametrize("snr_db", (5.0, 8.5))
+    def test_every_replicate_matches_reference(
+        self, link, snr_db, conformance_tables, ref_ladder, monkeypatch
+    ):
+        model = HarqModel.from_db("cc", snr_db, 100, 4.0)
+        ch = STATIC if link == "static" else FADING
+        cfg = SimConfig(slots=1_500, replicates=3, seed=31)
+        self.evaluate(model, ch, conformance_tables, snr_db, link, cfg, ref_ladder, monkeypatch)
+
+    @pytest.mark.parametrize("link", ("static", "fading"))
+    def test_dead_link(self, link, conformance_tables, ref_ladder, monkeypatch):
+        # the age grows every slot until the ladder overflows; myopic's
+        # lookahead needs one entry more than the cost, so it stops a slot
+        # earlier than the policies that need only the cost
+        model = HarqModel(scheme="cc", snr=1e-9, blocklength=100, rate=4.0)
+        ch = STATIC if link == "static" else FADING
+        cfg = SimConfig(slots=2_000, replicates=3, seed=2)
+        traces = self.evaluate(
+            model, ch, conformance_tables, 5.0, link, cfg, ref_ladder, monkeypatch
+        )
+        assert all(t.diverged for kind in _ALL_KINDS for t in traces[kind])
+        for myopic, fresh in zip(traces["myopic"], traces["no_retransmission"]):
+            assert myopic.diverged_slot == fresh.diverged_slot - 1
+
+    @pytest.mark.parametrize("snr_db", (5.0, 7.5))
+    def test_never_retransmitting_diverges_on_the_fading_link(
+        self, snr_db, conformance_tables, ref_ladder, monkeypatch
+    ):
+        # at 7.5 dB the replicates diverge at different slots, so later ones
+        # run on a ladder an earlier one grew past their own stop
+        model = HarqModel.from_db("cc", snr_db, 100, 4.0)
+        cfg = SimConfig(slots=3_000, replicates=4, seed=7)
+        traces = self.evaluate(
+            model, FADING, conformance_tables, 5.0, "fading", cfg, ref_ladder, monkeypatch
+        )
+        assert all(t.diverged for t in traces["no_retransmission"])
 
 
 class TestPerfectLink:
