@@ -45,7 +45,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", required=True, help="path to the config file")
         p.add_argument("--out", default=None, help="output directory (default from config)")
-        p.add_argument("--seed", type=int, default=None, help="override the simulation seed")
 
     p = sub.add_parser("stability", help="bounded-MSE existence check and stability region sweep")
     common(p)
@@ -69,6 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--compare", nargs="*", default=[],
         help="additional policies for the comparison table",
     )
+    p.add_argument("--seed", type=int, default=None, help="override the simulation seed")
 
     p = sub.add_parser("highsnr", help="perfect-retransmission threshold optimization")
     common(p)
@@ -84,8 +84,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _prepare(args):
     cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg = replace(cfg, sim=replace(cfg.sim, seed=args.seed))
     out_dir = args.out if args.out is not None else cfg.output_dir
     os.makedirs(out_dir, exist_ok=True)
     return cfg, out_dir
@@ -95,27 +93,16 @@ def _ladder(cfg: Config):
     return build_cost_ladder(cfg.system, solve_steady_state(cfg.system), cfg.solver.q_max + 2)
 
 
-def _omega_caps(cfg: Config):
-    """Attempt caps per gain state; a static link caps its one state at r_max."""
-    if cfg.is_static:
-        if cfg.solver.r_max < 2:
-            raise ConfigError("r_max must be at least 2")
-        return (cfg.solver.r_max,)
-    if cfg.solver.omega_caps is not None:
-        return cfg.solver.omega_caps
-    return (4,) * cfg.channel.size
-
-
 def _solve(cfg: Config, harq: HarqModel, ladder, cost_mode: str):
     """Solve the truncated MDP; returns the policy and its switching report."""
-    mdp = build_markov_mdp(harq, cfg.channel, ladder, _omega_caps(cfg), cfg.solver.q_max, cost_mode)
+    mdp = build_markov_mdp(harq, cfg.channel, ladder, cfg.solver.omega_caps, cfg.solver.q_max, cost_mode)
     policy = solve_rvi_markov(mdp, tol=cfg.solver.tol, max_iters=cfg.solver.max_iters)
     return policy, verify_switching_markov(policy)
 
 
 def cmd_stability(args) -> int:
     cfg, out_dir = _prepare(args)
-    caps = _omega_caps(cfg)
+    caps = cfg.solver.omega_caps
     rho_sq = cfg.system.rho_squared
     lines = [f"rho^2(A) = {rho_sq:.6f}"]
     # A static round capped at r_max attempts buffers at most r_max - 1 of them.
@@ -198,9 +185,13 @@ def _policy_spec(token: str) -> PolicyEntry:
 
 def cmd_simulate(args) -> int:
     cfg, out_dir = _prepare(args)
+    try:
+        sim = cfg.sim if args.seed is None else replace(cfg.sim, seed=args.seed)
+    except ValueError as exc:
+        raise ConfigError(f"--seed: {exc}") from exc
     ladder = _ladder(cfg)
     entries = [_policy_spec(token) for token in (args.policy, *args.compare)]
-    table = evaluate_policies(entries, cfg.harq, cfg.channel, ladder, cfg.sim)
+    table = evaluate_policies(entries, cfg.harq, cfg.channel, ladder, sim)
     trace = table.first_trace
     trace_path = os.path.join(out_dir, f"trace_{entries[0].label}_rep0.csv")
     trace.to_csv(trace_path)
@@ -210,7 +201,7 @@ def cmd_simulate(args) -> int:
     table.to_csv(table_path)
     for row in table.rows:
         detail = f"{row.mean!r} +- {row.stderr!r}" if not row.n_diverged else "diverged"
-        print(f"  {row.label}: {detail} ({cfg.sim.replicates} replicates)")
+        print(f"  {row.label}: {detail} ({sim.replicates} replicates)")
     for label, trajectory in table.trajectories.items():
         path = os.path.join(out_dir, f"trajectory_{label}.csv")
         with open(path, "w", encoding="utf-8") as fh:

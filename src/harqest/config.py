@@ -22,9 +22,8 @@ __all__ = ["SolverSettings", "Config", "load_config"]
 
 @dataclass(frozen=True)
 class SolverSettings:
-    r_max: int = 20
+    omega_caps: tuple  # attempt caps per gain state; a static link's is (r_max,)
     q_max: int = 20
-    omega_caps: tuple = None  # default (4, ..., 4); a static link uses (r_max,)
     tol: float = 1e-9
     max_iters: int = 100_000
     cost_mode: str = "mse"
@@ -41,11 +40,19 @@ class Config:
     output_dir: str
 
 
-def _parse_vector(text: str, where: str) -> np.ndarray:
+def _parse_number(text: str, where: str, cast=float):
+    """A float, or with cast=int an integral number such as 100, 1e4 or 20.0."""
     try:
-        values = [float(tok) for tok in text.replace(",", " ").split()]
+        value = float(text)
     except ValueError as exc:
-        raise ConfigError(f"{where}: cannot parse number in {text!r}") from exc
+        raise ConfigError(f"{where}: cannot parse {text!r}") from exc
+    if cast is int and not value.is_integer():
+        raise ConfigError(f"{where}: must be an integer, got {text!r}")
+    return cast(value)
+
+
+def _parse_vector(text: str, where: str, cast=float) -> np.ndarray:
+    values = [_parse_number(tok, where, cast) for tok in text.replace(",", " ").split()]
     if not values:
         raise ConfigError(f"{where}: empty vector")
     return np.array(values)
@@ -82,26 +89,23 @@ class _Section:
         return key in self._section
 
     def number(self, key: str, default=None, cast=float):
-        raw = self.get(key)
-        if raw is None:
-            if default is None:
-                raise ConfigError(f"[{self.name}] {key}: required key is missing")
+        if default is not None and not self.has(key):
             return default
-        try:
-            return cast(float(raw)) if cast is int else cast(raw)
-        except ValueError as exc:
-            raise ConfigError(f"[{self.name}] {key}: cannot parse {raw!r}") from exc
+        return _parse_number(self.require(key), f"[{self.name}] {key}", cast)
 
     def matrix(self, key: str) -> np.ndarray:
         return _parse_matrix(self.require(key), f"[{self.name}] {key}")
 
-    def vector(self, key: str) -> np.ndarray:
-        return _parse_vector(self.require(key), f"[{self.name}] {key}")
+    def vector(self, key: str, cast=float) -> np.ndarray:
+        return _parse_vector(self.require(key), f"[{self.name}] {key}", cast)
 
 
 def load_config(path) -> Config:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path}")
 
@@ -155,13 +159,17 @@ def load_config(path) -> Config:
         raise ConfigError(f"[channel]: {exc}") from exc
 
     solver_sec = _Section(parser, "solver")
-    caps = None
-    if solver_sec.present and solver_sec.has("omega_caps"):
-        caps = tuple(int(v) for v in solver_sec.vector("omega_caps"))
+    r_max = solver_sec.number("r_max", 20, cast=int)
+    caps = (4,) * channel.size
+    if solver_sec.has("omega_caps"):
+        caps = tuple(solver_sec.vector("omega_caps", int).tolist())
+    if has_static:
+        if r_max < 2:
+            raise ConfigError("r_max must be at least 2")
+        caps = (r_max,)
     solver = SolverSettings(
-        r_max=solver_sec.number("r_max", 20, cast=int),
-        q_max=solver_sec.number("q_max", 20, cast=int),
         omega_caps=caps,
+        q_max=solver_sec.number("q_max", 20, cast=int),
         tol=solver_sec.number("tol", 1e-9),
         max_iters=solver_sec.number("max_iters", 100_000, cast=int),
         cost_mode=solver_sec.get("cost_mode", "mse").lower(),
@@ -178,12 +186,15 @@ def load_config(path) -> Config:
                 f"[sim] initial_channel: must lie in 0 .. {channel.size - 1}, "
                 f"got {initial}"
             )
-    sim = SimConfig(
-        slots=sim_sec.number("slots", 10_000, cast=int),
-        replicates=sim_sec.number("replicates", 1, cast=int),
-        seed=sim_sec.number("seed", 0, cast=int),
-        initial_channel=initial,
-    )
+    try:
+        sim = SimConfig(
+            slots=sim_sec.number("slots", 10_000, cast=int),
+            replicates=sim_sec.number("replicates", 1, cast=int),
+            seed=sim_sec.number("seed", 0, cast=int),
+            initial_channel=initial,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"[sim] {exc}") from exc
 
     output_sec = _Section(parser, "output")
     output_dir = output_sec.get("directory", "out")

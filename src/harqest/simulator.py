@@ -76,6 +76,8 @@ class SimConfig:
             raise ValueError("slots must be at least 1")
         if self.replicates < 1:
             raise ValueError("replicates must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be at least 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,57 +103,13 @@ class SimulationTrace:
         return float(self.running_avg[-1]) if len(self.running_avg) else math.inf
 
     def to_csv(self, path):
-        columns = (self.k, self.a, self.gamma, self.r, self.q, self.xi, self.trace_mse, self.running_avg)
+        names = ("k", "a", "gamma", "r", "q", "xi", "trace_mse", "running_avg")
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("k,a,gamma,r,q,xi,trace_mse,running_avg\n")
-            for row in zip(*(column.tolist() for column in columns)):
+            fh.write(",".join(names) + "\n")
+            for row in zip(*(getattr(self, name).tolist() for name in names)):
                 fh.write(",".join(map(repr, row)) + "\n")
             if self.diverged:
                 fh.write(f"# diverged at slot {self.diverged_slot}\n")
-
-
-def _action_fn(spec: PolicySpec, ch: MarkovChannel, new_tx: tuple, retx_error, traces: list, grow):
-    """Compile a policy to act(r, q, counts, xi) -> action over plain ints.
-
-    retx_error(counts, xi) is the true conditional retransmission error;
-    traces is the shared flat cost ladder (index n - 1 holds Tr at age n),
-    which grow(n) extends to cover age n.
-    """
-    if spec.kind in ("table", "delay_optimal_table"):
-        # A static (r, q) table is the one-state table keyed ((r,), q, 0).
-        table = markov_policy(spec.table) if spec.table.kind == "static" else spec.table
-        action = dict(zip(table.states, table.actions.tolist()))
-        caps = tuple(table.params["omega_caps"])
-        q_max = table.params["q_max"]
-        if len(caps) != ch.size:
-            raise ConfigError(
-                f"table was solved for {len(caps)} gain states, channel has {ch.size}"
-            )
-        # Static tables record no gains, so only their count is checked.
-        gains = table.params.get("gains")
-        if gains is not None and tuple(gains) != ch.gains:
-            raise ConfigError(f"table was solved for gains {tuple(gains)}, channel has {ch.gains}")
-
-        def act(r, q, counts, xi):
-            return action[(tuple(map(min, counts, caps)), q if q < q_max else q_max, xi)]
-
-        return act
-    if spec.kind == "myopic":
-
-        def act(r, q, counts, xi):
-            if q + 1 > len(traces):
-                grow(q + 1)
-            g0 = new_tx[xi]
-            g1 = retx_error(counts, xi)
-            # The round holds r attempts, so a retransmission success lands at age r + 1.
-            fresh = g0 * traces[q] + (1.0 - g0) * traces[0]
-            retx = g1 * traces[q] + (1.0 - g1) * traces[r]
-            return 0 if retx >= fresh else 1
-
-        return act
-    if spec.kind == "no_retransmission":
-        return lambda r, q, counts, xi: 0
-    return lambda r, q, counts, xi: 0 if r == q else 1  # always_retransmit_psi
 
 
 _UNBUILT = -1  # a successor not looked up yet
@@ -163,14 +121,15 @@ class TransitionMachine:
     machine over numbered states, built as the slots visit it. It is not
     safe to share between threads.
 
-    A state is (counts, r, q, xi). On its first visit it is numbered and its
-    action `a[s]` and error probability `p[s]` are fixed. A state whose cost,
-    or the lookahead its policy needs, overflows the ladder gets no number:
-    it is marked _DIVERGED. The successor of state s after outcome gamma and
-    channel bin b sits at `successors[s * width + gamma * bins + b]`, filled
-    on first use. The bin of a channel uniform u is its place among the
-    sorted union of the cumulative transition columns' breakpoints; every u
-    in one bin moves each gain to the same next gain, `next_x[xi][b]`.
+    A state is (counts, q, xi); its round so far holds sum(counts) attempts.
+    On its first visit it is numbered and its action `a[s]` and error
+    probability `p[s]` are fixed. A state whose cost, or the lookahead its
+    policy needs, overflows the ladder gets no number: it is marked _DIVERGED.
+    The successor of state s after outcome gamma and channel bin b sits at
+    `successors[s * width + gamma * bins + b]`, filled on first use. The bin
+    of a channel uniform u is its place among the sorted union of the
+    cumulative transition columns' breakpoints; every u in one bin moves
+    each gain to the same next gain, `next_x[xi][b]`.
 
     The ladder grows only through extended(n + 32), with n at most one past
     its depth, so its depth is always the initial depth plus a multiple of
@@ -193,13 +152,50 @@ class TransitionMachine:
         self.width = 2 * self.bins
         # bisect_right is searchsorted(side="right") on the same floats.
         self.next_x = [[0] + [bisect_right(column, e) for e in edges] for column in columns]
-        self.traces = list(ladder.traces)
+        self.traces = list(ladder.traces)  # index n - 1 holds Tr at age n
         self._grown = ladder
         self._retx_errors = {}
-        self._act = _action_fn(policy, ch, self.new_tx, self._retx_error, self.traces, self._grow)
+        self._act = self._compile(policy)
         self.index = {}  # state -> number, or _DIVERGED
-        self.a, self.r, self.q, self.xi, self.counts, self.p = [], [], [], [], [], []
+        self.a, self.q, self.xi, self.counts, self.p = [], [], [], [], []
         self.successors = []
+
+    def _compile(self, spec: PolicySpec):
+        """The policy as act(counts, q, xi) -> action over plain ints."""
+        if spec.kind in ("table", "delay_optimal_table"):
+            ch = self.ch
+            # A static (r, q) table is the one-state table keyed ((r,), q, 0).
+            table = markov_policy(spec.table) if spec.table.kind == "static" else spec.table
+            action = dict(zip(table.states, table.actions.tolist()))
+            caps = tuple(table.params["omega_caps"])
+            q_max = table.params["q_max"]
+            if len(caps) != ch.size:
+                raise ConfigError(f"table was solved for {len(caps)} gain states, channel has {ch.size}")
+            # Static tables record no gains, so only their count is checked.
+            gains = table.params.get("gains")
+            if gains is not None and tuple(gains) != ch.gains:
+                raise ConfigError(f"table was solved for gains {tuple(gains)}, channel has {ch.gains}")
+
+            def act(counts, q, xi):
+                return action[(tuple(map(min, counts, caps)), q if q < q_max else q_max, xi)]
+
+            return act
+        if spec.kind == "myopic":
+
+            def act(counts, q, xi):
+                if q + 1 > len(self.traces):
+                    self._grow(q + 1)
+                g0 = self.new_tx[xi]
+                g1 = self._retx_error(counts, xi)
+                # A retransmission success ends the round at sum(counts) + 1 attempts.
+                fresh = g0 * self.traces[q] + (1.0 - g0) * self.traces[0]
+                retx = g1 * self.traces[q] + (1.0 - g1) * self.traces[sum(counts)]
+                return 0 if retx >= fresh else 1
+
+            return act
+        if spec.kind == "no_retransmission":
+            return lambda counts, q, xi: 0
+        return lambda counts, q, xi: 0 if sum(counts) == q else 1  # always_retransmit_psi
 
     def _retx_error(self, counts, xi):
         key = (counts, xi)
@@ -215,22 +211,21 @@ class TransitionMachine:
         self._grown = self._grown.extended(n + 32)
         self.traces.extend(self._grown.traces[len(self.traces) :])
 
-    def state(self, counts, r, q, xi) -> int:
+    def state(self, counts, q, xi) -> int:
         """The number of a state, or _DIVERGED; numbers it on first visit."""
-        key = (counts, r, q, xi)
+        key = (counts, q, xi)
         s = self.index.get(key)
         if s is not None:
             return s
         try:
             if q > len(self.traces):
                 self._grow(q)
-            a = self._act(r, q, counts, xi)
+            a = self._act(counts, q, xi)
         except DepthError:
             self.index[key] = _DIVERGED
             return _DIVERGED
         s = self.index[key] = len(self.a)
         self.a.append(a)
-        self.r.append(r)
         self.q.append(q)
         self.xi.append(xi)
         self.counts.append(counts)
@@ -244,12 +239,13 @@ class TransitionMachine:
         gamma, b = divmod(rest, self.bins)
         xi = self.xi[s]
         if self.a[s] == 0:
-            r, counts = 1, self.units[xi]
+            counts = self.units[xi]
         else:
-            r, counts = self.r[s] + 1, self.counts[s]
+            counts = self.counts[s]
             counts = counts[:xi] + (counts[xi] + 1,) + counts[xi + 1 :]
-        q = r if gamma else self.q[s] + 1
-        t = self.successors[k] = self.state(counts, r, q, self.next_x[xi][b])
+        # A success resets the age to the length of the round it ends.
+        q = sum(counts) if gamma else self.q[s] + 1
+        t = self.successors[k] = self.state(counts, q, self.next_x[xi][b])
         return t
 
 
@@ -290,7 +286,7 @@ def run(
     uniforms = rng.random(2 * slots + 1)
     outcomes = uniforms[1::2]
     bins = np.searchsorted(machine.edges, uniforms[0::2], side="right").tolist()
-    s = machine.state(machine.units[xi_prev], 1, 1, machine.next_x[xi_prev][bins[0]])
+    s = machine.state(machine.units[xi_prev], 1, machine.next_x[xi_prev][bins[0]])
     path = []
     if s != _DIVERGED:
         path.append(s)
@@ -314,17 +310,18 @@ def run(
     q = np.array(machine.q, dtype=np.int64)[at]
     cost = np.array(machine.traces)[q - 1]
     running = np.cumsum(cost) / np.arange(1, recorded + 1) if recorded else np.array([])
+    omega = np.array(machine.counts, dtype=np.int64).reshape(-1, size)[at]
     diverged = recorded < slots
     return SimulationTrace(
         k=np.arange(1, recorded + 1, dtype=np.int64),
         a=np.array(machine.a, dtype=np.int8)[at],
         gamma=(outcomes[:recorded] >= np.array(machine.p)[at]).astype(np.int8),
-        r=np.array(machine.r, dtype=np.int64)[at],
+        r=sum(omega.T),  # adds the B count columns; faster than numpy's row sum here
         q=q,
         xi=np.array(machine.xi, dtype=np.int64)[at],
         trace_mse=cost,
         running_avg=running,
-        omega=np.array(machine.counts, dtype=np.int64).reshape(-1, size)[at],
+        omega=omega,
         diverged=diverged,
         diverged_slot=recorded + 1 if diverged else None,
     )

@@ -92,7 +92,7 @@ class TestConfigLoading:
         assert cfg.is_static
         assert cfg.harq.snr == pytest.approx(10.0)
         assert cfg.channel.gains == (2.0,)
-        assert cfg.solver.r_max == 8
+        assert cfg.solver.omega_caps == (8,)
         assert cfg.sim.slots == 1500
 
     def test_markov_roundtrip(self, markov_cfg):
@@ -118,6 +118,88 @@ class TestConfigLoading:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.cfg")
+
+    def test_integral_numbers_load_in_any_float_spelling(self, tmp_path):
+        path = tmp_path / "spelled.cfg"
+        text = STATIC_CFG.format(out=tmp_path)
+        text = text.replace("r_max = 8", "r_max = 8.0").replace("slots = 1500", "slots = 1.5e3")
+        path.write_text(text)
+        cfg = load_config(path)
+        assert cfg.solver.omega_caps == (8,)
+        assert cfg.sim.slots == 1500
+
+
+class TestConfigErrors:
+    """Malformed input ends `simulate` in a config error (exit 2) that names
+    the key or the file, never in a traceback."""
+
+    @staticmethod
+    def simulate(tmp_path, line, replacement):
+        """Exit code of `simulate` on STATIC_CFG with `line` replaced, and the file."""
+        text = STATIC_CFG.format(out=tmp_path / "out")
+        assert line in text
+        path = tmp_path / "bad.cfg"
+        path.write_text(text.replace(line, replacement, 1))
+        return main(["simulate", "--config", str(path), "--policy", "psi"]), path
+
+    @pytest.mark.parametrize(
+        "line, replacement, message",
+        [
+            ("slots = 1500", "slots = 0", "[sim] slots must be at least 1"),
+            ("replicates = 3", "replicates = 0", "[sim] replicates must be at least 1"),
+            ("seed = 11", "seed = -1", "[sim] seed must be at least 0"),
+            ("slots = 1500", "slots = 2.5", "[sim] slots: must be an integer, got '2.5'"),
+            ("r_max = 8", "r_max = 1", "r_max must be at least 2"),
+        ],
+        ids=["zero-slots", "zero-replicates", "negative-seed", "fractional-slots", "r_max-1"],
+    )
+    def test_bad_value(self, tmp_path, capsys, line, replacement, message):
+        assert self.simulate(tmp_path, line, replacement)[0] == 2
+        assert f"config error: {message}\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line, replacement, detail",
+        [
+            ("seed = 11", "seed = 11\nseed = 12", "option 'seed' in section 'sim' already exists"),
+            ("[output]", "[sim]\nslots = 5\n[output]", "section 'sim' already exists"),
+            ("\n[system]", "x = 1\n[system]", "File contains no section headers."),
+        ],
+        ids=["repeated-key", "repeated-section", "no-section-header"],
+    )
+    def test_unparsable_file(self, tmp_path, capsys, line, replacement, detail):
+        code, path = self.simulate(tmp_path, line, replacement)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"config error: cannot parse config file {path}: " in err
+        assert detail in err
+
+    def test_negative_seed_option(self, static_cfg, capsys):
+        path, _ = static_cfg
+        argv = ["simulate", "--config", str(path), "--policy", "psi", "--seed", "-1"]
+        assert main(argv) == 2
+        assert "config error: --seed: seed must be at least 0" in capsys.readouterr().err
+
+    def test_fractional_omega_cap(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        text = MARKOV_CFG.format(out=tmp_path)
+        path.write_text(text.replace("omega_caps = 3 3", "omega_caps = 2.5 3"))
+        assert main(["solve", "--config", str(path)]) == 2
+        assert "config error: [solver] omega_caps: must be an integer, got '2.5'" in (
+            capsys.readouterr().err
+        )
+
+    def test_r_max_below_two_stops_highsnr(self, tmp_path, capsys):
+        path = tmp_path / "short.cfg"
+        path.write_text(STATIC_CFG.format(out=tmp_path).replace("r_max = 8", "r_max = 1"))
+        assert main(["highsnr", "--config", str(path)]) == 2
+        assert "config error: r_max must be at least 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ("stability", "solve", "highsnr", "sweep"))
+    def test_seed_is_a_simulate_option_only(self, static_cfg, command):
+        path, _ = static_cfg
+        with pytest.raises(SystemExit) as info:
+            main([command, "--config", str(path), "--seed", "3"])
+        assert info.value.code == 2
 
 
 class TestCliStability:

@@ -150,7 +150,10 @@ class TestReferenceConformance:
 
     def test_divergence_at_5_db_matches_reference(self, ref_ladder):
         # never retransmitting on the fading link at 5 dB diverges through
-        # DepthError after a random number of slots
+        # DepthError at slot 356 in every replicate: a fresh packet fails
+        # with probability 1 - 6e-14 at gain 2 and exactly 1 at gain 1, so
+        # the age grows every slot (7.5 dB, in TestSharedMachine, is the
+        # case whose divergence slot depends on the replicate)
         model = HarqModel.from_db("cc", 5.0, 100, 4.0)
         cfg = SimConfig(slots=3_000, seed=7)
         spec = PolicySpec(kind="no_retransmission")
