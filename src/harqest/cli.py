@@ -141,13 +141,16 @@ def _write_region_grid(ch: MarkovChannel, rho_sq_values, steps: int, path):
     grid = np.linspace(0.0, 1.0, steps)
     lambdas = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1)
     radii = spectral_radius(ch.pi * lambdas[..., None, :]).tolist()
-    grid = grid.tolist()
+    grid = [repr(value) for value in grid.tolist()]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("lambda1,lambda2,rho_sq,stable\n")
         for rho_sq in rho_sq_values:
+            tail = f",{rho_sq!r},"
             for l1, row in zip(grid, radii):
-                for l2, radius in zip(grid, row):
-                    fh.write(f"{l1!r},{l2!r},{rho_sq!r},{int(radius * rho_sq < 1.0)}\n")
+                fh.write("".join(
+                    f"{l1},{l2}{tail}{int(radius * rho_sq < 1.0)}\n"
+                    for l2, radius in zip(grid, row)
+                ))
 
 
 def cmd_solve(args) -> int:

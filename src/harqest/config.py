@@ -41,7 +41,13 @@ class Config:
 
 
 def _parse_number(text: str, where: str, cast=float):
-    """A float, or with cast=int an integral number such as 100, 1e4 or 20.0."""
+    """A float, or with cast=int an integral number such as 100, 1e4 or 20.0.
+    An integer literal is read exactly, however large."""
+    if cast is int:
+        try:
+            return int(text)
+        except ValueError:
+            pass
     try:
         value = float(text)
     except ValueError as exc:
@@ -101,7 +107,8 @@ class _Section:
 
 
 def load_config(path) -> Config:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    # No interpolation: a value is read as written, so a "%" in it is not syntax.
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
     try:
         read = parser.read(path)
     except configparser.Error as exc:

@@ -80,6 +80,9 @@ class SimConfig:
             raise ValueError("seed must be at least 0")
 
 
+_CSV_CHUNK = 1024  # trace rows formatted per write
+
+
 @dataclass(frozen=True, eq=False)
 class SimulationTrace:
     """Per-slot record of one replicate plus the running average (partial
@@ -103,11 +106,23 @@ class SimulationTrace:
         return float(self.running_avg[-1]) if len(self.running_avg) else math.inf
 
     def to_csv(self, path):
-        names = ("k", "a", "gamma", "r", "q", "xi", "trace_mse", "running_avg")
+        """One row per slot, each value written as its repr, _CSV_CHUNK rows
+        at a time. The cost column holds a few ladder values, so each distinct
+        one is formatted once."""
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(names) + "\n")
-            for row in zip(*(getattr(self, name).tolist() for name in names)):
-                fh.write(",".join(map(repr, row)) + "\n")
+            fh.write("k,a,gamma,r,q,xi,trace_mse,running_avg\n")
+            for start in range(0, len(self.k), _CSV_CHUNK):
+                part = slice(start, start + _CSV_CHUNK)
+                columns = [
+                    map(repr, getattr(self, name)[part].tolist())
+                    for name in ("k", "a", "gamma", "r", "q", "xi")
+                ]
+                # Keyed by bit pattern: equal floats such as 0.0 and -0.0 repr apart.
+                costs, which = np.unique(self.trace_mse[part].view(np.int64), return_inverse=True)
+                costs = [repr(c) for c in costs.view(np.float64).tolist()]
+                columns.append(map(costs.__getitem__, which.tolist()))
+                columns.append(map(repr, self.running_avg[part].tolist()))
+                fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
             if self.diverged:
                 fh.write(f"# diverged at slot {self.diverged_slot}\n")
 
@@ -249,29 +264,17 @@ class TransitionMachine:
         return t
 
 
-def run(
-    harq: HarqModel,
-    ch: MarkovChannel,
-    ladder: CostLadder,
-    policy: PolicySpec,
-    cfg: SimConfig,
-    replicate: int = 0,
-    machine: TransitionMachine = None,
-) -> SimulationTrace:
-    """Simulate one replicate. Deterministic given (cfg.seed, replicate).
+def _draw_stream(ch: MarkovChannel, edges: np.ndarray, cfg: SimConfig, replicate: int):
+    """Replicate `replicate`'s random stream, as run consumes it: the initial
+    channel, the outcome uniforms (an array, and a list of all but the last
+    slot's) and the channel bins (the first step's, then one per slot).
 
-    `machine`, built for these same arguments, carries the states earlier
-    replicates visited; without one a fresh machine is built. All uniforms
-    after the initial-channel draw are drawn in one block and consumed in
-    the order of the per-slot scalar draws (first channel step, then an
-    outcome and a channel step per slot); Generator.random(n) yields the
-    same values as n scalar calls, so traces and common random numbers
+    All uniforms after the initial-channel draw are drawn in one block and
+    consumed in the order of the per-slot scalar draws (first channel step,
+    then an outcome and a channel step per slot); Generator.random(n) yields
+    the same values as n scalar calls, so traces and common random numbers
     match slot by slot.
     """
-    if machine is None:
-        machine = TransitionMachine(harq, ch, ladder, policy)
-    elif any(mine is not arg for mine, arg in zip(machine.built_for, (harq, ch, ladder, policy))):
-        raise ValueError("machine was built for other arguments")
     rng = np.random.default_rng([cfg.seed, replicate])
     size = ch.size
     if cfg.initial_channel is None:
@@ -285,14 +288,42 @@ def run(
     slots = cfg.slots
     uniforms = rng.random(2 * slots + 1)
     outcomes = uniforms[1::2]
-    bins = np.searchsorted(machine.edges, uniforms[0::2], side="right").tolist()
+    bins = np.searchsorted(edges, uniforms[0::2], side="right").tolist()
+    return xi_prev, outcomes, outcomes[: slots - 1].tolist(), bins
+
+
+def run(
+    harq: HarqModel,
+    ch: MarkovChannel,
+    ladder: CostLadder,
+    policy: PolicySpec,
+    cfg: SimConfig,
+    replicate: int = 0,
+    machine: TransitionMachine = None,
+    stream: tuple = None,
+) -> SimulationTrace:
+    """Simulate one replicate. Deterministic given (cfg.seed, replicate).
+
+    `machine`, built for these same arguments, carries the states earlier
+    replicates visited; without one a fresh machine is built. `stream` is
+    this replicate's random stream as `_draw_stream` returns it for this
+    channel and cfg; without one it is drawn here.
+    """
+    if machine is None:
+        machine = TransitionMachine(harq, ch, ladder, policy)
+    elif any(mine is not arg for mine, arg in zip(machine.built_for, (harq, ch, ladder, policy))):
+        raise ValueError("machine was built for other arguments")
+    if stream is None:
+        stream = _draw_stream(ch, machine.edges, cfg, replicate)
+    xi_prev, outcomes, outcome_list, bins = stream
+    slots = cfg.slots
     s = machine.state(machine.units[xi_prev], 1, machine.next_x[xi_prev][bins[0]])
     path = []
     if s != _DIVERGED:
         path.append(s)
         p, successors = machine.p, machine.successors
         width, gamma_offset = machine.width, machine.bins
-        for u, b in zip(outcomes[: slots - 1].tolist(), bins[1:]):
+        for u, b in zip(outcome_list, bins[1:]):
             k = s * width + b
             if u >= p[s]:
                 k += gamma_offset
@@ -310,7 +341,7 @@ def run(
     q = np.array(machine.q, dtype=np.int64)[at]
     cost = np.array(machine.traces)[q - 1]
     running = np.cumsum(cost) / np.arange(1, recorded + 1) if recorded else np.array([])
-    omega = np.array(machine.counts, dtype=np.int64).reshape(-1, size)[at]
+    omega = np.array(machine.counts, dtype=np.int64).reshape(-1, ch.size).take(at, axis=0)
     diverged = recorded < slots
     return SimulationTrace(
         k=np.arange(1, recorded + 1, dtype=np.int64),
@@ -374,46 +405,58 @@ def evaluate_policies(
 
     Common random numbers: replicate i of every entry uses the stream seeded
     by (cfg.seed, i), so policies that act identically produce identical
-    traces. A diverged replicate makes the row's mean infinite.
+    traces. The stream is drawn once per replicate and every entry runs on
+    it, each on its own machine. Of each run only the final average and the
+    running average are kept, except the trace of replicate 0 of the first
+    entry. A diverged replicate makes the row's mean infinite.
     """
     labels = [entry.label for entry in entries]
     if len(set(labels)) != len(labels):
         raise ValueError(f"duplicate comparison labels: {labels}")
-    rows = []
-    trajectories = {}
+    models = [entry.harq if entry.harq is not None else harq for entry in entries]
+    machines = [
+        TransitionMachine(model, ch, ladder, entry.spec) for entry, model in zip(entries, models)
+    ]
+    finals = [[] for _ in entries]
+    n_diverged = [0] * len(entries)
+    # Row i of an entry's block is replicate i's running average; the block
+    # is dropped once a replicate of the entry diverges.
+    running = [np.empty((cfg.replicates, cfg.slots)) for _ in entries]
     first_trace = None
-    for entry in entries:
-        model = entry.harq if entry.harq is not None else harq
-        finals = []
-        traces = []
-        n_diverged = 0
-        machine = TransitionMachine(model, ch, ladder, entry.spec)
-        for rep in range(cfg.replicates):
-            trace = run(model, ch, ladder, entry.spec, cfg, replicate=rep, machine=machine)
+    for rep in range(cfg.replicates):
+        # A lone entry draws its own stream, which run frees after its loop.
+        stream = _draw_stream(ch, machines[0].edges, cfg, rep) if len(entries) > 1 else None
+        for i, (entry, model, machine) in enumerate(zip(entries, models, machines)):
+            trace = run(
+                model, ch, ladder, entry.spec, cfg, replicate=rep, machine=machine, stream=stream
+            )
             if first_trace is None:
                 first_trace = trace
             if trace.diverged:
-                n_diverged += 1
+                n_diverged[i] += 1
+                running[i] = None
             else:
-                finals.append(trace.final_average)
-                traces.append(trace.running_avg)
-        if n_diverged:
+                finals[i].append(trace.final_average)
+                if running[i] is not None:
+                    running[i][rep] = trace.running_avg
+    rows = []
+    trajectories = {}
+    for entry, mine, diverged, block in zip(entries, finals, n_diverged, running):
+        if diverged:
             mean, stderr = math.inf, math.nan
         else:
-            mean = float(np.mean(finals))
+            mean = float(np.mean(mine))
             stderr = (
-                float(np.std(finals, ddof=1) / math.sqrt(len(finals)))
-                if len(finals) > 1
-                else 0.0
+                float(np.std(mine, ddof=1) / math.sqrt(len(mine))) if len(mine) > 1 else 0.0
             )
-            trajectories[entry.label] = np.mean(np.stack(traces), axis=0)
+            trajectories[entry.label] = np.mean(block, axis=0)
         rows.append(
             ComparisonRow(
                 label=entry.label,
-                finals=tuple(finals),
+                finals=tuple(mine),
                 mean=mean,
                 stderr=stderr,
-                n_diverged=n_diverged,
+                n_diverged=diverged,
             )
         )
     return ComparisonTable(rows=tuple(rows), trajectories=trajectories, first_trace=first_trace)

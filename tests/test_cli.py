@@ -128,6 +128,23 @@ class TestConfigLoading:
         assert cfg.solver.omega_caps == (8,)
         assert cfg.sim.slots == 1500
 
+    @pytest.mark.parametrize(
+        "spelling, seed",
+        [("9007199254740993", 2**53 + 1), ("20.0", 20), ("1.5e3", 1500)],
+        ids=["above-2**53", "point-zero", "exponent"],
+    )
+    def test_integer_key_loads_exactly(self, tmp_path, spelling, seed):
+        # an integer literal is read as an int, not rounded through a float
+        path = tmp_path / "seed.cfg"
+        path.write_text(STATIC_CFG.format(out=tmp_path).replace("seed = 11", f"seed = {spelling}"))
+        assert load_config(path).sim.seed == seed
+
+    def test_fractional_integer_key_is_rejected(self, tmp_path):
+        path = tmp_path / "seed.cfg"
+        path.write_text(STATIC_CFG.format(out=tmp_path).replace("seed = 11", "seed = 2.5"))
+        with pytest.raises(ConfigError, match=r"\[sim\] seed: must be an integer, got '2.5'"):
+            load_config(path)
+
 
 class TestConfigErrors:
     """Malformed input ends `simulate` in a config error (exit 2) that names
@@ -150,8 +167,12 @@ class TestConfigErrors:
             ("seed = 11", "seed = -1", "[sim] seed must be at least 0"),
             ("slots = 1500", "slots = 2.5", "[sim] slots: must be an integer, got '2.5'"),
             ("r_max = 8", "r_max = 1", "r_max must be at least 2"),
+            ("slots = 1500", "slots = 5%", "[sim] slots: cannot parse '5%'"),
         ],
-        ids=["zero-slots", "zero-replicates", "negative-seed", "fractional-slots", "r_max-1"],
+        ids=[
+            "zero-slots", "zero-replicates", "negative-seed", "fractional-slots", "r_max-1",
+            "percent-sign",
+        ],
     )
     def test_bad_value(self, tmp_path, capsys, line, replacement, message):
         assert self.simulate(tmp_path, line, replacement)[0] == 2

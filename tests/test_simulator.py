@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from reference import (
@@ -13,6 +15,7 @@ from harqest import (
     PolicyEntry,
     PolicySpec,
     SimConfig,
+    SimulationTrace,
     build_markov_mdp,
     build_static_mdp,
     conditional_error_prob,
@@ -358,6 +361,53 @@ class TestDivergence:
         assert f"# diverged at slot {trace.diverged_slot}" in path.read_text()
 
 
+def rowwise_csv(trace) -> bytes:
+    """The trace CSV as one `",".join(map(repr, row))` line per slot."""
+    names = ("k", "a", "gamma", "r", "q", "xi", "trace_mse", "running_avg")
+    lines = [",".join(names)]
+    lines += [
+        ",".join(map(repr, row)) for row in zip(*(getattr(trace, n).tolist() for n in names))
+    ]
+    if trace.diverged:
+        lines.append(f"# diverged at slot {trace.diverged_slot}")
+    return ("\n".join(lines) + "\n").encode()
+
+
+class TestTraceCsv:
+    """to_csv writes by columns, in chunks, with each distinct cost
+    formatted once; its bytes are those of the row-by-row writer."""
+
+    def test_normal_trace_spanning_chunks(self, cc_model, ref_channel, ref_ladder, tmp_path):
+        cfg = SimConfig(slots=2 * harqest.simulator._CSV_CHUNK + 37, seed=5)
+        trace = run(cc_model, ref_channel, ref_ladder, PolicySpec(kind="myopic"), cfg)
+        assert not trace.diverged
+        trace.to_csv(tmp_path / "t.csv")
+        assert (tmp_path / "t.csv").read_bytes() == rowwise_csv(trace)
+
+    def test_diverged_trace(self, ref_static_channel, ref_ladder, tmp_path):
+        model = HarqModel(scheme="cc", snr=1e-9, blocklength=100, rate=4.0)
+        cfg = SimConfig(slots=10_000, seed=1)
+        trace = run(
+            model, ref_static_channel, ref_ladder, PolicySpec(kind="no_retransmission"), cfg
+        )
+        assert trace.diverged and len(trace.k) > 1
+        trace.to_csv(tmp_path / "t.csv")
+        assert (tmp_path / "t.csv").read_bytes() == rowwise_csv(trace)
+
+    def test_trace_diverged_at_slot_one(self, cc_model, ref_channel, ref_ladder, tmp_path):
+        cfg = SimConfig(slots=5)
+        trace = run(cc_model, ref_channel, ref_ladder, PolicySpec(kind="myopic"), cfg)
+        columns = {
+            f.name: getattr(trace, f.name)[:0]
+            for f in dataclasses.fields(trace)
+            if isinstance(getattr(trace, f.name), np.ndarray)
+        }
+        empty = dataclasses.replace(trace, **columns, diverged=True, diverged_slot=1)
+        empty.to_csv(tmp_path / "t.csv")
+        assert (tmp_path / "t.csv").read_bytes() == rowwise_csv(empty)
+        assert rowwise_csv(empty).endswith(b"running_avg\n# diverged at slot 1\n")
+
+
 class TestTablePolicies:
     def test_saturated_lookup_beyond_truncation(self, ref_ladder, ref_static_channel):
         # a link whose fresh transmissions always fail pushes q far past the
@@ -424,6 +474,58 @@ class TestEvaluatePolicies:
         ]
         table = evaluate_policies(entries, cc_model, ref_channel, ref_ladder, cfg)
         assert table.row("psi_a").finals == table.row("psi_b").finals
+
+    def test_draws_each_replicate_once(self, cc_model, ref_channel, ref_ladder, monkeypatch):
+        seeds = []
+        original = np.random.default_rng
+
+        def counting_rng(seed):
+            seeds.append(tuple(seed))
+            return original(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", counting_rng)
+        cfg = SimConfig(slots=300, replicates=3, seed=9)
+        entries = [
+            PolicyEntry(label=kind, spec=PolicySpec(kind=kind))
+            for kind in ("myopic", "no_retransmission", "always_retransmit_psi")
+        ]
+        evaluate_policies(entries, cc_model, ref_channel, ref_ladder, cfg)
+        assert seeds == [(9, 0), (9, 1), (9, 2)]
+
+    @pytest.mark.parametrize("snr_db", (5.0, 8.5))
+    def test_shared_streams_equal_entries_evaluated_alone(
+        self, snr_db, conformance_tables, ref_ladder
+    ):
+        # at 5 dB never retransmitting diverges on the fading link, which
+        # drops that entry's trajectory but not the others'
+        model = HarqModel.from_db("cc", snr_db, 100, 4.0)
+        entries = [
+            PolicyEntry(label=kind, spec=_spec(kind, conformance_tables, snr_db, "fading"))
+            for kind in _ALL_KINDS
+        ]
+        entries.append(
+            PolicyEntry(
+                label="myopic_ir",
+                spec=PolicySpec(kind="myopic"),
+                harq=HarqModel.from_db("ir", snr_db, 100, 4.0),
+            )
+        )
+        cfg = SimConfig(slots=1_200, replicates=3, seed=21)
+        together = evaluate_policies(entries, model, FADING, ref_ladder, cfg)
+        alone = [evaluate_policies([e], model, FADING, ref_ladder, cfg) for e in entries]
+        for entry, single in zip(entries, alone):
+            row, expected = together.row(entry.label), single.rows[0]
+            assert (row.finals, row.n_diverged) == (expected.finals, expected.n_diverged)
+            assert repr((row.mean, row.stderr)) == repr((expected.mean, expected.stderr))
+            assert (entry.label in together.trajectories) == (entry.label in single.trajectories)
+            if entry.label in single.trajectories:
+                got = together.trajectories[entry.label]
+                assert got.tobytes() == single.trajectories[entry.label].tobytes()
+        assert snr_db != 5.0 or together.row("no_retransmission").n_diverged
+        first = alone[0].first_trace
+        fields = dataclasses.fields(SimulationTrace)
+        expected = {f.name: getattr(first, f.name) for f in fields}
+        assert_matches_reference(together.first_trace, expected)
 
     def test_divergence_marks_row(self, ref_static_channel, ref_ladder):
         model = HarqModel(scheme="cc", snr=1e-9, blocklength=100, rate=4.0)
