@@ -101,6 +101,8 @@ def _solve(cfg: Config, harq: HarqModel, ladder, cost_mode: str):
 
 
 def cmd_stability(args) -> int:
+    if args.grid_steps < 1:
+        raise ConfigError("--grid-steps must be at least 1")
     cfg, out_dir = _prepare(args)
     caps = cfg.solver.omega_caps
     rho_sq = cfg.system.rho_squared
@@ -216,6 +218,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_highsnr(args) -> int:
+    if args.theta_max < 1:
+        raise ConfigError("--theta-max must be at least 1")
     cfg, out_dir = _prepare(args)
     ladder = _ladder(cfg)
     lambda_primes = tuple(block_error_prob(cfg.harq, (g,)) for g in cfg.channel.gains)

@@ -156,9 +156,7 @@ class TransitionMachine:
         self.harq, self.ch = harq, ch
         self.built_for = (harq, ch, ladder, policy)
         size = ch.size
-        self.new_tx = tuple(
-            conditional_error_prob(harq, ch.gains, (0,) * size, xi) for xi in range(size)
-        )
+        self.zeros = (0,) * size
         self.units = [tuple(1 if j == i else 0 for j in range(size)) for i in range(size)]
         columns = [ch._cumulative[:, i].tolist() for i in range(size)]
         edges = sorted(set().union(*columns))
@@ -169,7 +167,7 @@ class TransitionMachine:
         self.next_x = [[0] + [bisect_right(column, e) for e in edges] for column in columns]
         self.traces = list(ladder.traces)  # index n - 1 holds Tr at age n
         self._grown = ladder
-        self._retx_errors = {}
+        self._errors = {}
         self._act = self._compile(policy)
         self.index = {}  # state -> number, or _DIVERGED
         self.a, self.q, self.xi, self.counts, self.p = [], [], [], [], []
@@ -200,8 +198,8 @@ class TransitionMachine:
             def act(counts, q, xi):
                 if q + 1 > len(self.traces):
                     self._grow(q + 1)
-                g0 = self.new_tx[xi]
-                g1 = self._retx_error(counts, xi)
+                g0 = self._error(self.zeros, xi)
+                g1 = self._error(counts, xi)
                 # A retransmission success ends the round at sum(counts) + 1 attempts.
                 fresh = g0 * self.traces[q] + (1.0 - g0) * self.traces[0]
                 retx = g1 * self.traces[q] + (1.0 - g1) * self.traces[sum(counts)]
@@ -212,12 +210,12 @@ class TransitionMachine:
             return lambda counts, q, xi: 0
         return lambda counts, q, xi: 0 if sum(counts) == q else 1  # always_retransmit_psi
 
-    def _retx_error(self, counts, xi):
+    def _error(self, counts, xi):
+        """conditional_error_prob, memoized; a fresh attempt's counts are all zeros."""
         key = (counts, xi)
-        p = self._retx_errors.get(key)
+        p = self._errors.get(key)
         if p is None:
-            p = conditional_error_prob(self.harq, self.ch.gains, counts, xi)
-            self._retx_errors[key] = p
+            p = self._errors[key] = conditional_error_prob(self.harq, self.ch.gains, counts, xi)
         return p
 
     def _grow(self, n):
@@ -244,7 +242,7 @@ class TransitionMachine:
         self.q.append(q)
         self.xi.append(xi)
         self.counts.append(counts)
-        self.p.append(self.new_tx[xi] if a == 0 else self._retx_error(counts, xi))
+        self.p.append(self._error(self.zeros if a == 0 else counts, xi))
         self.successors.extend([_UNBUILT] * self.width)
         return s
 
@@ -394,7 +392,8 @@ class ComparisonTable:
             fh.write("policy,mean_final_avg_mse,stderr,replicates,diverged\n")
             for row in self.rows:
                 fh.write(
-                    f"{row.label},{row.mean!r},{row.stderr!r},{len(row.finals)},{row.n_diverged}\n"
+                    f"{row.label},{row.mean!r},{row.stderr!r},"
+                    f"{len(row.finals) + row.n_diverged},{row.n_diverged}\n"
                 )
 
 
@@ -406,22 +405,20 @@ def evaluate_policies(
     Common random numbers: replicate i of every entry uses the stream seeded
     by (cfg.seed, i), so policies that act identically produce identical
     traces. The stream is drawn once per replicate and every entry runs on
-    it, each on its own machine. Of each run only the final average and the
-    running average are kept, except the trace of replicate 0 of the first
-    entry. A diverged replicate makes the row's mean infinite.
+    it, each on its own machine. A bounded run keeps its final average and
+    adds its running average to its entry's one sum; only replicate 0 of the
+    first entry keeps its trace. A diverged replicate makes the mean infinite.
     """
     labels = [entry.label for entry in entries]
     if len(set(labels)) != len(labels):
-        raise ValueError(f"duplicate comparison labels: {labels}")
+        raise ConfigError(f"duplicate comparison labels: {labels}")
     models = [entry.harq if entry.harq is not None else harq for entry in entries]
     machines = [
         TransitionMachine(model, ch, ladder, entry.spec) for entry, model in zip(entries, models)
     ]
     finals = [[] for _ in entries]
-    n_diverged = [0] * len(entries)
-    # Row i of an entry's block is replicate i's running average; the block
-    # is dropped once a replicate of the entry diverges.
-    running = [np.empty((cfg.replicates, cfg.slots)) for _ in entries]
+    # The bounded replicates' running averages, added in replicate order.
+    totals = [np.zeros(cfg.slots) for _ in entries]
     first_trace = None
     for rep in range(cfg.replicates):
         # A lone entry draws its own stream, which run frees after its loop.
@@ -432,16 +429,13 @@ def evaluate_policies(
             )
             if first_trace is None:
                 first_trace = trace
-            if trace.diverged:
-                n_diverged[i] += 1
-                running[i] = None
-            else:
+            if not trace.diverged:
                 finals[i].append(trace.final_average)
-                if running[i] is not None:
-                    running[i][rep] = trace.running_avg
+                totals[i] += trace.running_avg
     rows = []
     trajectories = {}
-    for entry, mine, diverged, block in zip(entries, finals, n_diverged, running):
+    for entry, mine, total in zip(entries, finals, totals):
+        diverged = cfg.replicates - len(mine)
         if diverged:
             mean, stderr = math.inf, math.nan
         else:
@@ -449,7 +443,7 @@ def evaluate_policies(
             stderr = (
                 float(np.std(mine, ddof=1) / math.sqrt(len(mine))) if len(mine) > 1 else 0.0
             )
-            trajectories[entry.label] = np.mean(block, axis=0)
+            trajectories[entry.label] = total / cfg.replicates
         rows.append(
             ComparisonRow(
                 label=entry.label,

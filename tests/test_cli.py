@@ -215,6 +215,38 @@ class TestConfigErrors:
         assert main(["highsnr", "--config", str(path)]) == 2
         assert "config error: r_max must be at least 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["simulate", "--policy", "psi", "--compare", "psi"],
+             "duplicate comparison labels: ['psi', 'psi']"),
+            (["highsnr", "--theta-max", "0"], "--theta-max must be at least 1"),
+            (["stability", "--grid-steps", "0"], "--grid-steps must be at least 1"),
+            (["stability", "--grid-steps", "-1"], "--grid-steps must be at least 1"),
+        ],
+        ids=["duplicate-label", "theta-max-0", "grid-steps-0", "grid-steps-negative"],
+    )
+    def test_bad_option(self, markov_cfg, capsys, argv, message):
+        path, out = markov_cfg
+        assert main([*argv, "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        # not even a header-only region grid
+        assert not (out / "stability_region.csv").exists()
+
+    def test_policy_files_with_one_basename(self, static_cfg, capsys):
+        path, out = static_cfg
+        assert main(["solve", "--config", str(path)]) == 0
+        text = (out / "policy_static_mse.txt").read_text()
+        copies = [out / name / "policy.txt" for name in ("a", "b")]
+        for copy in copies:
+            copy.parent.mkdir()
+            copy.write_text(text)
+        argv = ["simulate", "--config", str(path), "--policy", str(copies[0])]
+        assert main([*argv, "--compare", str(copies[1])]) == 2
+        assert capsys.readouterr().err == (
+            "config error: duplicate comparison labels: ['policy', 'policy']\n"
+        )
+
     @pytest.mark.parametrize("command", ("stability", "solve", "highsnr", "sweep"))
     def test_seed_is_a_simulate_option_only(self, static_cfg, command):
         path, _ = static_cfg

@@ -527,13 +527,61 @@ class TestEvaluatePolicies:
         expected = {f.name: getattr(first, f.name) for f in fields}
         assert_matches_reference(together.first_trace, expected)
 
-    def test_divergence_marks_row(self, ref_static_channel, ref_ladder):
+    def test_divergence_marks_row(self, ref_static_channel, ref_ladder, tmp_path):
         model = HarqModel(scheme="cc", snr=1e-9, blocklength=100, rate=4.0)
         cfg = SimConfig(slots=10_000, replicates=2, seed=1)
         entries = [PolicyEntry(label="none", spec=PolicySpec(kind="no_retransmission"))]
         table = evaluate_policies(entries, model, ref_static_channel, ref_ladder, cfg)
         row = table.row("none")
         assert row.n_diverged > 0 and row.mean == float("inf")
+        # the replicates column counts every replicate run, diverged or not
+        table.to_csv(tmp_path / "cmp.csv")
+        assert (tmp_path / "cmp.csv").read_text().splitlines()[1] == "none,inf,nan,2,2"
+
+    @pytest.mark.parametrize("slots", (1, 2, 300))
+    def test_trajectory_is_the_in_order_mean(self, slots, cc_model, ref_channel, ref_ladder):
+        # for slots >= 2 the in-order sum over R is the bits of numpy's
+        # column mean; for one slot numpy sums the column pairwise, and the
+        # trajectory follows the in-order sum
+        cfg = SimConfig(slots=slots, replicates=9, seed=3)
+        kinds = ("myopic", "always_retransmit_psi")
+        entries = [PolicyEntry(label=kind, spec=PolicySpec(kind=kind)) for kind in kinds]
+        table = evaluate_policies(entries, cc_model, ref_channel, ref_ladder, cfg)
+        for kind in kinds:
+            spec = PolicySpec(kind=kind)
+            runs = [
+                run(cc_model, ref_channel, ref_ladder, spec, cfg, replicate=rep).running_avg
+                for rep in range(cfg.replicates)
+            ]
+            total = np.zeros(slots)
+            for running_avg in runs:
+                total += running_avg
+            expected = total / cfg.replicates
+            if slots >= 2:
+                assert expected.tobytes() == np.mean(np.stack(runs), axis=0).tobytes()
+            assert table.trajectories[kind].tobytes() == expected.tobytes()
+
+    def test_memory_does_not_grow_with_replicates(self, cc_model, ref_channel, ref_ladder):
+        import tracemalloc
+
+        entries = [
+            PolicyEntry(label=kind, spec=PolicySpec(kind=kind))
+            for kind in ("myopic", "always_retransmit_psi")
+        ]
+        configs = [SimConfig(slots=20_000, replicates=n, seed=5) for n in (2, 64)]
+        # a first call fills the link model's error cache, which later calls reuse
+        evaluate_policies(entries, cc_model, ref_channel, ref_ladder, configs[0])
+        peaks = []
+        tracemalloc.start()
+        try:
+            for cfg in configs:
+                tracemalloc.reset_peak()
+                start = tracemalloc.get_traced_memory()[0]
+                evaluate_policies(entries, cc_model, ref_channel, ref_ladder, cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        finally:
+            tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 1_000_000, peaks
 
     def test_summary_csv(self, cc_model, ref_channel, ref_ladder, tmp_path):
         cfg = SimConfig(slots=300, replicates=3, seed=2)
