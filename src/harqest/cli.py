@@ -24,7 +24,6 @@ from .mdp_markov import (
     solve_rvi_markov,
     verify_switching_markov,
 )
-from .mdp_static import static_policy
 from .numerics import spectral_radius
 from .policy_io import load_policy, save_policy
 from .simulator import PolicyEntry, PolicySpec, evaluate_policies
@@ -116,11 +115,11 @@ def cmd_stability(args) -> int:
         if cfg.is_static:
             monotone = all(b <= a for a, b in zip(worst.values, worst.values[1:]))
             name = "Lambda0"
-            detail = f"attempt {worst.argmax_counts[0] + 1}, monotone decreasing: {monotone}"
+            where = f"attempt {worst.argmax_counts[0] + 1}, monotone decreasing: {monotone}"
         else:
-            name, boundary = f"Lambda_{i}", worst.at_budget_boundary
-            detail = f"history {worst.argmax_counts}, at budget boundary: {boundary}"
-        lines.append(f"{name} = {worst.value:.6e} ({detail})")
+            name, where = f"Lambda_{i}", f"history {worst.argmax_counts}"
+        boundary = worst.at_budget_boundary
+        lines.append(f"{name} = {worst.value:.6e} ({where}, at budget boundary: {boundary})")
     report = check_stability_markov(cfg.channel.pi, lambdas, rho_sq)
     lines += [
         f"product = {report.product:.6e}",
@@ -160,9 +159,7 @@ def cmd_solve(args) -> int:
     cost_mode = args.cost if args.cost is not None else cfg.solver.cost_mode
     ladder = _ladder(cfg)
     policy, switching = _solve(cfg, cfg.harq, ladder, cost_mode)
-    if cfg.is_static:
-        policy = static_policy(policy)  # static files keep the (r, q) layout
-    name = f"policy_{policy.kind}_{cost_mode}.txt"
+    name = f"policy_{'static' if cfg.is_static else 'markov'}_{cost_mode}.txt"
     path = os.path.join(out_dir, name)
     save_policy(policy, path)
     print(f"states = {len(policy.states)}")

@@ -55,7 +55,6 @@ class Policy:
     iterations: int
     converged: bool
     cost_mode: str = "mse"
-    kind: str = "static"
     params: dict = field(default_factory=dict)
 
     def index(self) -> dict:

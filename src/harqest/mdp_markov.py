@@ -5,7 +5,7 @@ States are (omega, q, xi): omega counts the pending round's attempts per gain
 state, q is the age of the freshest delivered estimate, and xi is the current
 gain index. Action 0 transmits a fresh estimate, action 1 retransmits the
 pending one. A constant-gain link is the one-state chain, so every static
-solve runs here too; `mdp_static` only relabels its states (r, q).
+solve runs here too and its policy keeps the ((r,), q, 0) labels.
 """
 
 from dataclasses import dataclass
@@ -227,7 +227,6 @@ def solve_rvi_markov(mdp: MarkovMdp, tol: float = 1e-9, max_iters: int = 100_000
         iterations=iterations,
         converged=converged,
         cost_mode=mdp.cost_mode,
-        kind="markov",
         params={
             "omega_caps": mdp.omega_caps,
             "q_max": mdp.q_max,

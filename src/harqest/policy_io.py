@@ -1,7 +1,9 @@
 """Lossless text export of solved policies.
 
-Static entries are keyed "r,q"; Markov entries "r1,...,rB|q|xi" with
-zero-based gain indices. Floats are written with repr so a round trip
+Every file has one layout, `kind = markov`: the headers name the attempt
+caps, age cap and gains of the grid, and each entry is keyed
+"r1,...,rB|q|xi" with a zero-based gain index. A constant-gain table is the
+one-state case, keyed "r|q|0". Floats are written with repr so a round trip
 reproduces them bit for bit. A file lists an action for every state of the
 truncated grid its headers declare, and for no other state.
 """
@@ -25,18 +27,12 @@ def _flag(text: str) -> bool:
     return text == "true"
 
 
-def _state_key(kind: str, state) -> str:
-    if kind == "static":
-        r, q = state
-        return f"{r},{q}"
+def _state_key(state) -> str:
     omega, q, xi = state
     return f"{','.join(str(c) for c in omega)}|{q}|{xi}"
 
 
-def _parse_state(kind: str, key: str):
-    if kind == "static":
-        r, q = key.split(",")
-        return (int(r), int(q))
+def _parse_state(key: str):
     omega, q, xi = key.split("|")
     return (_ints(omega), int(q), int(xi))
 
@@ -44,24 +40,20 @@ def _parse_state(kind: str, key: str):
 def save_policy(policy: Policy, path):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# transmission-control policy\n")
-        fh.write(f"kind = {policy.kind}\n")
+        fh.write("kind = markov\n")
         fh.write(f"cost_mode = {policy.cost_mode}\n")
         fh.write(f"zeta = {policy.zeta!r}\n")
         fh.write(f"span = {policy.span!r}\n")
         fh.write(f"iterations = {policy.iterations}\n")
         fh.write(f"converged = {str(policy.converged).lower()}\n")
-        if policy.kind == "static":
-            fh.write(f"r_max = {policy.params['r_max']}\n")
-            fh.write(f"q_max = {policy.params['q_max']}\n")
-        else:
-            caps = ",".join(str(c) for c in policy.params["omega_caps"])
-            gains = ",".join(repr(float(g)) for g in policy.params["gains"])
-            fh.write(f"omega_caps = {caps}\n")
-            fh.write(f"q_max = {policy.params['q_max']}\n")
-            fh.write(f"gains = {gains}\n")
+        caps = ",".join(str(c) for c in policy.params["omega_caps"])
+        gains = ",".join(repr(float(g)) for g in policy.params["gains"])
+        fh.write(f"omega_caps = {caps}\n")
+        fh.write(f"q_max = {policy.params['q_max']}\n")
+        fh.write(f"gains = {gains}\n")
         fh.write("[actions]\n")
         for state, action in zip(policy.states, policy.actions):
-            fh.write(f"{_state_key(policy.kind, state)} = {int(action)}\n")
+            fh.write(f"{_state_key(state)} = {int(action)}\n")
 
 
 def load_policy(path) -> Policy:
@@ -99,18 +91,14 @@ def load_policy(path) -> Policy:
             raise ConfigError(f"{path}: cannot parse {key!r} header {meta[key]!r}") from exc
 
     kind = header("kind")
-    if kind not in ("static", "markov"):
+    if kind != "markov":
         raise ConfigError(f"{path}: unknown policy kind {kind!r}")
-    if kind == "static":
-        params = {"r_max": header("r_max", int), "q_max": header("q_max", int)}
-        caps = (params["r_max"],)
-    else:
-        params = {
-            "omega_caps": header("omega_caps", _ints),
-            "q_max": header("q_max", int),
-            "gains": header("gains", lambda text: tuple(float(g) for g in text.split(","))),
-        }
-        caps = params["omega_caps"]
+    params = {
+        "omega_caps": header("omega_caps", _ints),
+        "q_max": header("q_max", int),
+        "gains": header("gains", lambda text: tuple(float(g) for g in text.split(","))),
+    }
+    caps = params["omega_caps"]
     solve = {
         "zeta": header("zeta", float),
         "span": header("span", float),
@@ -123,13 +111,11 @@ def load_policy(path) -> Policy:
         states = truncated_grid(caps, params["q_max"], len(caps))[1]
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    if kind == "static":
-        states = tuple((omega[0], q) for omega, q, _ in states)
     grid = set(states)
     by_state = {}
     for lineno, key, action in actions:
         try:
-            state = _parse_state(kind, key)
+            state = _parse_state(key)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad state {key!r}") from exc
         if state in by_state:
@@ -141,7 +127,7 @@ def load_policy(path) -> Policy:
     if missing:
         raise ConfigError(
             f"{path}: {len(missing)} states of the grid have no action, "
-            f"the first is {_state_key(kind, missing[0])!r}"
+            f"the first is {_state_key(missing[0])!r}"
         )
     table = np.array([by_state[s] for s in states], dtype=np.int8)
-    return Policy(actions=table, states=states, kind=kind, params=params, **solve)
+    return Policy(actions=table, states=states, params=params, **solve)

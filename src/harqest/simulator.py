@@ -20,7 +20,6 @@ from .errors import ConfigError, DepthError
 from .harq_model import HarqModel, conditional_error_prob
 from .lti_estimation import CostLadder
 from .mdp_core import Policy
-from .mdp_static import markov_policy
 
 __all__ = [
     "PolicySpec",
@@ -176,18 +175,15 @@ class TransitionMachine:
     def _compile(self, spec: PolicySpec):
         """The policy as act(counts, q, xi) -> action over plain ints."""
         if spec.kind in ("table", "delay_optimal_table"):
-            ch = self.ch
-            # A static (r, q) table is the one-state table keyed ((r,), q, 0).
-            table = markov_policy(spec.table) if spec.table.kind == "static" else spec.table
+            ch, table = self.ch, spec.table
             action = dict(zip(table.states, table.actions.tolist()))
             caps = tuple(table.params["omega_caps"])
             q_max = table.params["q_max"]
             if len(caps) != ch.size:
                 raise ConfigError(f"table was solved for {len(caps)} gain states, channel has {ch.size}")
-            # Static tables record no gains, so only their count is checked.
-            gains = table.params.get("gains")
-            if gains is not None and tuple(gains) != ch.gains:
-                raise ConfigError(f"table was solved for gains {tuple(gains)}, channel has {ch.gains}")
+            gains = tuple(table.params["gains"])
+            if gains != ch.gains:
+                raise ConfigError(f"table was solved for gains {gains}, channel has {ch.gains}")
 
             def act(counts, q, xi):
                 return action[(tuple(map(min, counts, caps)), q if q < q_max else q_max, xi)]
@@ -421,8 +417,7 @@ def evaluate_policies(
     totals = [np.zeros(cfg.slots) for _ in entries]
     first_trace = None
     for rep in range(cfg.replicates):
-        # A lone entry draws its own stream, which run frees after its loop.
-        stream = _draw_stream(ch, machines[0].edges, cfg, rep) if len(entries) > 1 else None
+        stream = _draw_stream(ch, machines[0].edges, cfg, rep)
         for i, (entry, model, machine) in enumerate(zip(entries, models, machines)):
             trace = run(
                 model, ch, ladder, entry.spec, cfg, replicate=rep, machine=machine, stream=stream

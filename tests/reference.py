@@ -22,7 +22,6 @@ from harqest import (
 )
 from harqest.errors import DepthError
 from harqest.mdp_markov import MarkovMdp, assemble_markov_mdp
-from harqest.mdp_static import markov_policy
 
 # Treat the retransmission as giving no reliability edge below this gap.
 _RELIABILITY_TIE = 1e-15
@@ -91,7 +90,6 @@ def myopic_policy(mdp) -> Policy:
         iterations=0,
         converged=True,
         cost_mode="mse",
-        kind="markov",
         params={"omega_caps": mdp.omega_caps, "q_max": mdp.q_max, "gains": mdp.channel.gains},
     )
 
@@ -195,7 +193,7 @@ def reference_run(harq, ch, ladder, spec, cfg, replicate=0):
 
     new_tx = tuple(block_error_prob(harq, (g,)) for g in ch.gains)
     if spec.kind in ("table", "delay_optimal_table"):
-        table = markov_policy(spec.table) if spec.table.kind == "static" else spec.table
+        table = spec.table
         action = dict(zip(table.states, table.actions.tolist()))
         caps = tuple(table.params["omega_caps"])
         q_max = table.params["q_max"]

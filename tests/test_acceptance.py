@@ -30,7 +30,6 @@ from harqest import (
     evaluate_policies,
     f_apply,
     relative_value_iteration,
-    solve_rvi,
     solve_rvi_markov,
     solve_steady_state,
     static_channel,
@@ -278,8 +277,8 @@ def comparison(ref_system, ref_ladder, ref_channel):
     ir = HarqModel.from_db("ir", 10.0, 100, 4.0)
     cfg = SimConfig(slots=10_000, replicates=20, seed=1)
 
-    st_opt = solve_rvi(build_static_mdp(cc, 2.0, ref_ladder, 20, 20, "mse"))
-    st_delay = solve_rvi(build_static_mdp(cc, 2.0, ref_ladder, 20, 20, "delay"))
+    st_opt = solve_rvi_markov(build_static_mdp(cc, 2.0, ref_ladder, 20, 20, "mse"))
+    st_delay = solve_rvi_markov(build_static_mdp(cc, 2.0, ref_ladder, 20, 20, "delay"))
     static_table = evaluate_policies(
         [
             PolicyEntry("optimal", PolicySpec(kind="table", table=st_opt)),
@@ -325,8 +324,8 @@ def tradeoff(ref_system, ref_ladder, ref_channel):
     ir = HarqModel.from_db("ir", 8.5, 100, 4.0)
     cfg = SimConfig(slots=10_000, replicates=20, seed=1)
 
-    st_opt = solve_rvi(build_static_mdp(cc, 2.0, ref_ladder, 20, 20, "mse"))
-    st_delay = solve_rvi(build_static_mdp(cc, 2.0, ref_ladder, 20, 20, "delay"))
+    st_opt = solve_rvi_markov(build_static_mdp(cc, 2.0, ref_ladder, 20, 20, "mse"))
+    st_delay = solve_rvi_markov(build_static_mdp(cc, 2.0, ref_ladder, 20, 20, "delay"))
     static_table = evaluate_policies(
         [
             PolicyEntry("optimal", PolicySpec(kind="table", table=st_opt)),

@@ -259,7 +259,9 @@ class TestCliStability:
     def test_static(self, static_cfg, capsys):
         path, out = static_cfg
         assert main(["stability", "--config", str(path)]) == 0
-        assert "stable: product < 1" in capsys.readouterr().out
+        text = capsys.readouterr().out
+        assert "stable: product < 1" in text
+        assert "monotone decreasing: " in text and "at budget boundary: " in text
         assert (out / "stability.txt").exists()
 
     def test_markov_with_region(self, markov_cfg, capsys):
@@ -322,7 +324,8 @@ class TestCliSolveAndSimulate:
         assert main(["solve", "--config", str(path)]) == 0
         assert "switching structure: pass" in capsys.readouterr().out
         policy = load_policy(out / "policy_static_mse.txt")
-        assert policy.kind == "static"
+        assert policy.params == {"omega_caps": (8,), "q_max": 10, "gains": (2.0,)}
+        assert policy.states[0] == ((1,), 1, 0)
 
     def test_solve_delay_mode(self, static_cfg):
         path, out = static_cfg
@@ -350,14 +353,14 @@ class TestCliSolveAndSimulate:
         assert main(["solve", "--config", str(path)]) == 0
         policy_path = out / "policy_static_mse.txt"
         text = policy_path.read_text()
-        assert "\n1,1 = 0\n" in text
-        policy_path.write_text(text.replace("\n1,1 = 0\n", "\n1,1 = 7\n"))
+        assert "\n1|1|0 = 0\n" in text
+        policy_path.write_text(text.replace("\n1|1|0 = 0\n", "\n1|1|0 = 7\n"))
         assert main(["simulate", "--config", str(path), "--policy", str(policy_path)]) == 2
         assert "action must be 0 or 1, got '7'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "line, replacement",
-        [("iterations = ", "iterations = many"), ("zeta = ", "zeta = abc"), ("r_max = ", "")],
+        [("iterations = ", "iterations = many"), ("zeta = ", "zeta = abc"), ("omega_caps = ", "")],
     )
     def test_simulate_rejects_a_bad_header(self, static_cfg, capsys, line, replacement):
         path, out = static_cfg
@@ -396,17 +399,30 @@ class TestCliSolveAndSimulate:
         )
         assert not (out / "comparison.csv").exists()
 
+    def test_simulate_rejects_a_static_table_solved_for_another_gain(
+        self, static_cfg, tmp_path, capsys
+    ):
+        path, out = static_cfg
+        assert main(["solve", "--config", str(path)]) == 0
+        other = tmp_path / "weak.cfg"
+        other.write_text(path.read_text().replace("gain = 2", "gain = 0.5"))
+        policy_path = out / "policy_static_mse.txt"
+        assert main(["simulate", "--config", str(other), "--policy", str(policy_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: table was solved for gains (2.0,), channel has (0.5,)" in err
+        assert not (out / "comparison.csv").exists()
+
     def test_simulate_rejects_a_table_with_a_missing_state(self, static_cfg, capsys):
         path, out = static_cfg
         assert main(["solve", "--config", str(path)]) == 0
         policy_path = out / "policy_static_mse.txt"
         text = policy_path.read_text()
-        assert "\n1,1 = 0\n" in text
-        policy_path.write_text(text.replace("\n1,1 = 0\n", "\n"))
+        assert "\n1|1|0 = 0\n" in text
+        policy_path.write_text(text.replace("\n1|1|0 = 0\n", "\n"))
         assert main(["simulate", "--config", str(path), "--policy", str(policy_path)]) == 2
         err = capsys.readouterr().err
         assert f"config error: {policy_path}: 1 states of the grid have no action" in err
-        assert "'1,1'" in err
+        assert "'1|1|0'" in err
 
     def test_simulate_missing_policy_file(self, static_cfg, tmp_path, capsys):
         path, _ = static_cfg

@@ -3,9 +3,13 @@
 Each config runs `solve` (mse and delay), `sweep`, `stability`, a `simulate`
 of `psi` (500 slots, 2 replicates, seed 5) and `highsnr`. The sha256 of every
 output file was recorded before static links were solved as the one-state
-Markov chain, and the files must stay byte-identical. Before hashing,
-`np.float64(x)` is rewritten to `x` (older releases wrote numpy reprs into
-the CSVs) and the output directory to `<out>`.
+Markov chain, and the files must stay byte-identical. Only the static
+configs' policy files and `stability.txt` have moved since, on purpose: the
+policy files are written in the one-state Markov layout (keys `r|q|0`,
+headers `omega_caps` and `gains`, the actions and solve headers unchanged
+key for key), and the `Lambda0` line carries the budget-boundary flag.
+Before hashing, `np.float64(x)` is rewritten to `x` (older releases wrote
+numpy reprs into the CSVs) and the output directory to `<out>`.
 
 `highsnr.txt` is compared by value instead: the threshold scan now evaluates
 the reduced chain by elimination, which moves the costs in the last digits.
@@ -70,11 +74,11 @@ GOLDEN = {
             "comparison.csv":
                 "e130dee3eef55601aee585f68c53ab7164dd25e3afe169dae182fe18d307f923",
             "policy_static_delay.txt":
-                "cc1339bc81e82afb9b0ebd1ba422384bc79a82c3b888469f404cd20e0a28dcfd",
+                "ea3ad84e90cb9d908d1018cb8117f061ae096137669cdadbf1a8a49222c0af4e",
             "policy_static_mse.txt":
-                "72ebfa410ab5db8ec59b9ef5edc0dac81da4e3dba2195387e409075b0ca69b49",
+                "cf8eabc65eb38eedada0aba47da033f46e16682a0c1206946e50d5e15e2e5ddf",
             "stability.txt":
-                "6af209d0b3e9394335926b61e55b96a62e0e12e16f8113589433fc6f6fa914d7",
+                "1472a3f4c5653a2fbec97449e2d1bef0a5ae408386684be6d419bdc971485e44",
             "sweep.csv":
                 "747ed9a37cb37a23e880996bb4de6583bec991fbd39b07c6e61bbf5bc59c6121",
             "trace_psi_rep0.csv":
@@ -121,11 +125,11 @@ GOLDEN = {
             "comparison.csv":
                 "d40a3b64a7f662934559d28fb076dc6d5430b30fdf34733720ec0e38893335ce",
             "policy_static_delay.txt":
-                "9d381c70ceeec7f009c3759dcef68a04edf9fa2ee76de28ef3aa489699dfdea2",
+                "b657d3e9f99fb27ab6cfdeb5e9814f032f178918fa832e1aa165e0e1eeb8a3b2",
             "policy_static_mse.txt":
-                "0315c99d62067a6af48347f4e52e1761985cea6b5ef68d69524019bb9ceefa26",
+                "6356c01893e469459b624624a7f400e1c0c22fa5a019f1938e3edb0888738055",
             "stability.txt":
-                "93e8489d7cbf7abc10def5bfbec02bf7c97182ccfa11e3abe642e4bced827220",
+                "588e973115e208dd6d2fe8c15bfa861c9f1c07c722bf3033d68b81e52c5cb006",
             "sweep.csv":
                 "747ed9a37cb37a23e880996bb4de6583bec991fbd39b07c6e61bbf5bc59c6121",
             "trace_psi_rep0.csv":

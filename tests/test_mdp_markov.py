@@ -195,7 +195,6 @@ class TestVerifySwitchingMarkov:
             span=0.0,
             iterations=0,
             converged=True,
-            kind="markov",
         )
         assert verify_switching_markov(policy).passed
 
@@ -209,7 +208,6 @@ class TestVerifySwitchingMarkov:
             span=0.0,
             iterations=0,
             converged=True,
-            kind="markov",
         )
         report = verify_switching_markov(policy)
         assert not report.passed

@@ -2,10 +2,11 @@
 
 `build_static_mdp` builds that chain. Its states are ((r,), q, 0): r attempts
 in the pending round, age q; `at(mdp, r, q)` looks one up. The (r, q)
-relabelling that policy files and the benchmark use is checked at the end.
+labels that the benchmark reads off `solve_rvi` are checked at the end.
 """
 
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,17 +25,22 @@ from harqest import (
     FiniteAverageCostMdp,
     HarqModel,
     Policy,
+    build_cost_ladder,
     build_high_snr_chain,
     build_static_mdp,
     check_stability_markov,
     high_snr_markov,
     policy_average_cost,
     relative_value_iteration,
+    solve_rvi,
     solve_rvi_markov,
+    solve_steady_state,
     static_channel,
     verify_switching_markov,
     worst_retransmission_error_markov,
 )
+from harqest.cli import main
+from harqest.config import load_config
 from harqest.mdp_markov import assemble_markov_mdp
 
 STATIC_PI = np.ones((1, 1))
@@ -224,7 +230,6 @@ class TestVerifySwitching:
             span=0.0,
             iterations=0,
             converged=True,
-            kind="markov",
         )
         assert verify_switching_markov(policy).passed
 
@@ -238,7 +243,6 @@ class TestVerifySwitching:
             span=0.0,
             iterations=0,
             converged=True,
-            kind="markov",
         )
         report = verify_switching_markov(policy)
         assert not report.passed
@@ -316,17 +320,42 @@ class TestBenchmarkImportSurface:
     def test_static_module_imports(self):
         import harqest.mdp_static
 
-        assert sorted(harqest.mdp_static.__all__) == [
-            "build_static_mdp", "markov_policy", "solve_rvi", "static_policy"
-        ]
+        assert harqest.mdp_static.__all__ == ["build_static_mdp", "solve_rvi"]
 
     def test_static_solve_returns_r_q_states(self, cc_model, ref_ladder, ref_mdp, ref_policy):
         policy = harqest.solve_rvi(harqest.build_static_mdp(cc_model, 2.0, ref_ladder, 20, 20))
-        assert policy.kind == "static"
-        assert policy.params == {"r_max": 20, "q_max": 20}
+        assert policy.params == {"omega_caps": (20,), "q_max": 20, "gains": (2.0,)}
         assert policy.states == tuple((r, q) for ((r,), q, _) in ref_mdp.states)
         assert policy.actions.tobytes() == ref_policy.actions.tobytes()
         assert (policy.zeta, policy.span) == (ref_policy.zeta, ref_policy.span)
+
+    @pytest.mark.parametrize("cost_mode", ["mse", "delay"])
+    def test_static_solve_is_the_table_solve_writes(self, tmp_path, cost_mode):
+        # The benchmark costs `solve`'s static files; its oracle test reads
+        # `solve_rvi`'s (r, q) table. Both must be the same solve.
+        path = Path(__file__).resolve().parent.parent / "configs" / "default_static.cfg"
+        argv = ["solve", "--config", str(path), "--out", str(tmp_path), "--cost", cost_mode]
+        assert main(argv) == 0
+        text = (tmp_path / f"policy_static_{cost_mode}.txt").read_text()
+        head, body = text.split("[actions]\n")
+        header = dict(line.split(" = ") for line in head.splitlines()[1:])
+        written = {}
+        for line in body.splitlines():
+            key, action = line.split(" = ")
+            r, q, xi = key.split("|")
+            assert xi == "0"
+            written[int(r), int(q)] = int(action)
+        cfg = load_config(str(path))
+        ladder = build_cost_ladder(cfg.system, solve_steady_state(cfg.system), cfg.solver.q_max + 2)
+        (gain,), (r_max,) = cfg.channel.gains, cfg.solver.omega_caps
+        mdp = build_static_mdp(cfg.harq, gain, ladder, r_max, cfg.solver.q_max, cost_mode)
+        policy = solve_rvi(mdp, tol=cfg.solver.tol, max_iters=cfg.solver.max_iters)
+        assert written == dict(zip(policy.states, policy.actions.tolist()))
+        assert (header["kind"], header["omega_caps"], header["gains"]) == ("markov", "20", "2.0")
+        assert float(header["zeta"]) == policy.zeta
+        assert float(header["span"]) == policy.span
+        assert int(header["iterations"]) == policy.iterations
+        assert header["converged"] == str(policy.converged).lower()
 
     @pytest.mark.parametrize(
         "name", ["build_markov_mdp", "solve_rvi_markov", "verify_switching_markov", "high_snr_markov"]

@@ -6,21 +6,25 @@ import pytest
 from harqest import (
     ConfigError,
     build_markov_mdp,
-    build_static_mdp,
     load_policy,
     save_policy,
-    solve_rvi,
     solve_rvi_markov,
+    static_channel,
 )
 
-# The header of a valid static policy file, up to its action lines.
+# The header of a valid two-gain policy file, up to its action lines.
 HEADER = (
-    "kind = static\ncost_mode = mse\nzeta = 1.0\nspan = 0.0\niterations = 1\n"
-    "converged = true\nr_max = 2\nq_max = 2\n[actions]\n"
+    "kind = markov\ncost_mode = mse\nzeta = 1.0\nspan = 0.0\niterations = 1\n"
+    "converged = true\nomega_caps = 1,1\nq_max = 2\ngains = 2.0,1.0\n[actions]\n"
 )
-# A valid policy file of each kind; the Markov one is on one gain.
+# Two valid one-state files: a constant-gain table with attempts capped at
+# 2, and the smallest grid.
 FILES = {
-    "static": HEADER + "1,1 = 0\n1,2 = 0\n2,2 = 1\n",
+    "static": (
+        "kind = markov\ncost_mode = mse\nzeta = 1.0\nspan = 0.0\niterations = 1\n"
+        "converged = true\nomega_caps = 2\nq_max = 2\ngains = 2.0\n[actions]\n"
+        "1|1|0 = 0\n1|2|0 = 0\n2|2|0 = 1\n"
+    ),
     "markov": (
         "kind = markov\ncost_mode = mse\nzeta = 1.0\nspan = 0.0\niterations = 1\n"
         "converged = false\nomega_caps = 1\nq_max = 1\ngains = 2.0\n[actions]\n1|1|0 = 0\n"
@@ -30,7 +34,8 @@ FILES = {
 
 @pytest.fixture(scope="module")
 def static_policy(cc_model, ref_ladder):
-    return solve_rvi(build_static_mdp(cc_model, 2.0, ref_ladder, 6, 8, "mse"))
+    mdp = build_markov_mdp(cc_model, static_channel(2.0), ref_ladder, (6,), 8, "mse")
+    return solve_rvi_markov(mdp)
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +54,7 @@ class TestRoundTrip:
         assert loaded.span == static_policy.span
         assert loaded.iterations == static_policy.iterations
         assert loaded.cost_mode == static_policy.cost_mode
-        assert loaded.params["r_max"] == 6 and loaded.params["q_max"] == 8
+        assert loaded.params == {"omega_caps": (6,), "q_max": 8, "gains": (2.0,)}
 
     def test_markov_lossless(self, markov_policy, tmp_path):
         path = tmp_path / "markov.policy"
@@ -72,7 +77,7 @@ class TestRoundTrip:
 class TestLoadErrors:
     def test_missing_header(self, tmp_path):
         path = tmp_path / "broken.policy"
-        path.write_text("kind = static\n[actions]\n1,1 = 0\n")
+        path.write_text("kind = markov\n[actions]\n1|1|0 = 0\n")
         with pytest.raises(ConfigError):
             load_policy(path)
 
@@ -80,9 +85,16 @@ class TestLoadErrors:
         path = tmp_path / "broken.policy"
         path.write_text(
             "kind = fancy\ncost_mode = mse\nzeta = 1.0\nspan = 0.0\niterations = 1\n"
-            "converged = true\nq_max = 2\n[actions]\n1,1 = 0\n"
+            "converged = true\nq_max = 2\n[actions]\n1|1|0 = 0\n"
         )
         with pytest.raises(ConfigError):
+            load_policy(path)
+
+    def test_static_layout_is_an_unknown_kind(self, tmp_path):
+        # Files of the retired (r, q) layout must be solved again.
+        path = tmp_path / "old.policy"
+        path.write_text(FILES["static"].replace("kind = markov", "kind = static"))
+        with pytest.raises(ConfigError, match="unknown policy kind 'static'"):
             load_policy(path)
 
     def test_malformed_line(self, tmp_path):
@@ -94,14 +106,15 @@ class TestLoadErrors:
     @pytest.mark.parametrize("value", ["7", "-1", "2", "0.5", "one", ""])
     def test_action_other_than_0_or_1(self, tmp_path, value):
         path = tmp_path / "broken.policy"
-        path.write_text(HEADER + f"1,1 = {value}\n")
+        path.write_text(HEADER + f"1,1|2|0 = {value}\n")
         with pytest.raises(ConfigError, match="action must be 0 or 1"):
             load_policy(path)
 
     @pytest.mark.parametrize("second", ["1,1", "1, 1", "01,1"])
     def test_duplicate_state(self, tmp_path, second):
+        # `second` spells the attempt counts (1, 1) of the first line's state.
         path = tmp_path / "broken.policy"
-        path.write_text(HEADER + f"1,1 = 0\n{second} = 1\n")
+        path.write_text(HEADER + f"1,1|2|0 = 0\n{second}|2|0 = 1\n")
         with pytest.raises(ConfigError, match="listed twice"):
             load_policy(path)
 
@@ -123,7 +136,7 @@ class TestLoadErrors:
             ("static", "span", "wide"),
             ("static", "converged", "yes"),
             ("static", "converged", "True"),
-            ("static", "r_max", "two"),
+            ("static", "omega_caps", "two"),
             ("static", "q_max", "2.5"),
             ("markov", "omega_caps", "1,x"),
             ("markov", "gains", "2.0;1.0"),
@@ -137,7 +150,7 @@ class TestLoadErrors:
         assert str(info.value) == f"{path}: cannot parse {key!r} header {value!r}"
 
     @pytest.mark.parametrize(
-        "kind, key", [("static", "r_max"), ("markov", "omega_caps"), ("markov", "gains")]
+        "kind, key", [("static", "omega_caps"), ("markov", "omega_caps"), ("markov", "gains")]
     )
     def test_missing_kind_specific_header(self, tmp_path, kind, key):
         path = tmp_path / "broken.policy"
@@ -150,28 +163,29 @@ class TestLoadErrors:
         "kind, old, new, message",
         [
             pytest.param(
-                "static", "1,2 = 0\n", "",
-                "1 states of the grid have no action, the first is '1,2'", id="static-missing",
+                "static", "1|2|0 = 0\n", "",
+                "1 states of the grid have no action, the first is '1|2|0'", id="static-missing",
             ),
             pytest.param(
                 "static", "q_max = 2", "q_max = 3",
-                "2 states of the grid have no action, the first is '1,3'", id="static-q_max-large",
+                "2 states of the grid have no action, the first is '1|3|0'",
+                id="static-q_max-large",
             ),
             pytest.param(
                 "markov", "1|1|0 = 0\n", "",
                 "1 states of the grid have no action, the first is '1|1|0'", id="markov-none",
             ),
             pytest.param(
-                "static", "2,2 = 1", "2,1 = 1",
-                "state '2,1' is off the grid of its headers", id="static-q-below-r",
+                "static", "2|2|0 = 1", "2|1|0 = 1",
+                "state '2|1|0' is off the grid of its headers", id="static-q-below-r",
             ),
             pytest.param(
-                "static", "2,2 = 1", "3,3 = 1",
-                "state '3,3' is off the grid of its headers", id="static-r-above-r_max",
+                "static", "2|2|0 = 1", "3|3|0 = 1",
+                "state '3|3|0' is off the grid of its headers", id="static-r-above-r_max",
             ),
             pytest.param(
-                "static", "2,2 = 1", "0,2 = 1",
-                "state '0,2' is off the grid of its headers", id="static-r-zero",
+                "static", "2|2|0 = 1", "0|2|0 = 1",
+                "state '0|2|0' is off the grid of its headers", id="static-r-zero",
             ),
             pytest.param(
                 "markov", "1|1|0", "1|1|1",
@@ -204,4 +218,6 @@ class TestLoadErrors:
     def test_valid_files_load(self, tmp_path, kind):
         path = tmp_path / "valid.policy"
         path.write_text(FILES[kind])
-        assert load_policy(path).kind == kind
+        again = tmp_path / "again.policy"
+        save_policy(load_policy(path), again)
+        assert again.read_text() == "# transmission-control policy\n" + FILES[kind]

@@ -1,8 +1,8 @@
-"""Invariants of the (r, q) relabelling, of policy files, of the kernel and
-its assembly, of the first-passage evaluation, of the worst-error scan, of
-the high-SNR reduced chain, of common random numbers in the simulator and of
-the simulator against its reference loop, checked on generated tables,
-grids, chains and links.
+"""Invariants of policy files, of the kernel and its assembly, of the
+first-passage evaluation, of the worst-error scan, of the high-SNR reduced
+chain, of common random numbers in the simulator and of the simulator
+against its reference loop, checked on generated tables, grids, chains and
+links.
 
 Examples are derived from a fixed seed, so every run checks the same cases.
 """
@@ -42,7 +42,6 @@ from harqest import (
     worst_retransmission_error_markov,
 )
 from harqest.mdp_markov import assemble_markov_mdp
-from harqest.mdp_static import markov_policy, static_policy
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -53,21 +52,6 @@ solve_fields = st.fixed_dictionaries({
     "converged": st.booleans(),
     "cost_mode": st.sampled_from(["mse", "delay"]),
 })
-
-
-@st.composite
-def static_policies(draw):
-    r_max = draw(st.integers(2, 6))
-    q_max = draw(st.integers(r_max, r_max + 4))
-    states = tuple((r, q) for r in range(1, r_max + 1) for q in range(r, q_max + 1))
-    actions = draw(st.lists(st.integers(0, 1), min_size=len(states), max_size=len(states)))
-    return Policy(
-        actions=np.array(actions, dtype=np.int8),
-        states=states,
-        kind="static",
-        params={"r_max": r_max, "q_max": q_max},
-        **draw(solve_fields),
-    )
 
 
 @st.composite
@@ -84,28 +68,13 @@ def markov_policies(draw):
     return Policy(
         actions=np.array(actions, dtype=np.int8),
         states=states,
-        kind="markov",
         params={"omega_caps": caps, "q_max": q_max, "gains": gains},
         **draw(solve_fields),
     )
 
 
 @PROPERTY
-@given(static_policies())
-def test_relabelling_round_trip_is_identity(policy):
-    back = static_policy(markov_policy(policy))
-    assert back.actions.dtype == policy.actions.dtype
-    assert back.actions.tobytes() == policy.actions.tobytes()
-    assert back.states == policy.states
-    assert (back.zeta, back.span, back.iterations) == (policy.zeta, policy.span, policy.iterations)
-    assert (back.converged, back.cost_mode, back.kind) == (
-        policy.converged, policy.cost_mode, policy.kind
-    )
-    assert back.params == policy.params
-
-
-@PROPERTY
-@given(st.one_of(static_policies(), markov_policies()))
+@given(markov_policies())
 def test_policy_file_round_trip_is_byte_identical(policy):
     with tempfile.TemporaryDirectory() as tmp:
         first, second = Path(tmp) / "first.policy", Path(tmp) / "second.policy"
@@ -118,9 +87,7 @@ def test_policy_file_round_trip_is_byte_identical(policy):
     assert (loaded.zeta, loaded.span, loaded.iterations) == (
         policy.zeta, policy.span, policy.iterations
     )
-    assert (loaded.converged, loaded.cost_mode, loaded.kind) == (
-        policy.converged, policy.cost_mode, policy.kind
-    )
+    assert (loaded.converged, loaded.cost_mode) == (policy.converged, policy.cost_mode)
     assert loaded.params == policy.params
 
 
@@ -279,7 +246,6 @@ def small_table(ch, actions) -> Policy:
         span=0.0,
         iterations=0,
         converged=True,
-        kind="markov",
         params={"omega_caps": caps, "q_max": q_max, "gains": ch.gains},
     )
 

@@ -21,7 +21,6 @@ from harqest import (
     conditional_error_prob,
     evaluate_policies,
     run,
-    solve_rvi,
     solve_rvi_markov,
     static_channel,
 )
@@ -84,7 +83,7 @@ def conformance_tables(ref_ladder):
     for snr_db in (5.0, 8.5):
         model = HarqModel.from_db("cc", snr_db, 100, 4.0)
         for cost_mode in ("mse", "delay"):
-            tables[snr_db, "static", cost_mode] = solve_rvi(
+            tables[snr_db, "static", cost_mode] = solve_rvi_markov(
                 build_static_mdp(model, 2.0, ref_ladder, 20, 20, cost_mode)
             )
             tables[snr_db, "fading", cost_mode] = solve_rvi_markov(
@@ -413,7 +412,7 @@ class TestTablePolicies:
         # a link whose fresh transmissions always fail pushes q far past the
         # table's range; lookups must clamp instead of raising
         model = HarqModel(scheme="cc", snr=1e-9, blocklength=100, rate=4.0)
-        table = solve_rvi(
+        table = solve_rvi_markov(
             build_static_mdp(model, 2.0, ref_ladder, 3, 5, "mse")
         )
         cfg = SimConfig(slots=60, replicates=1, seed=2)
@@ -424,7 +423,7 @@ class TestTablePolicies:
         assert int(trace.q.max()) >= 5
 
     def test_table_rejects_channel_with_other_gain_count(self, cc_model, ref_channel, ref_ladder):
-        table = solve_rvi(build_static_mdp(cc_model, 2.0, ref_ladder, 3, 5, "mse"))
+        table = solve_rvi_markov(build_static_mdp(cc_model, 2.0, ref_ladder, 3, 5, "mse"))
         cfg = SimConfig(slots=10, replicates=1, seed=2)
         with pytest.raises(ConfigError, match="gain states"):
             run(cc_model, ref_channel, ref_ladder, PolicySpec(kind="table", table=table), cfg)

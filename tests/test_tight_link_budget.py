@@ -23,7 +23,6 @@ from harqest import (
     build_static_mdp,
     check_stability_markov,
     evaluate_policies,
-    solve_rvi,
     solve_rvi_markov,
     static_channel,
     worst_retransmission_error_markov,
@@ -35,8 +34,8 @@ BASELINE = 15.8397
 @pytest.fixture(scope="module")
 def static_8db_table(ref_system, ref_ladder):
     model = HarqModel.from_db("cc", 8.0, 100, 4.0)
-    opt = solve_rvi(build_static_mdp(model, 2.0, ref_ladder, 20, 20, "mse"))
-    delay = solve_rvi(build_static_mdp(model, 2.0, ref_ladder, 20, 20, "delay"))
+    opt = solve_rvi_markov(build_static_mdp(model, 2.0, ref_ladder, 20, 20, "mse"))
+    delay = solve_rvi_markov(build_static_mdp(model, 2.0, ref_ladder, 20, 20, "delay"))
     cfg = SimConfig(slots=10_000, replicates=10, seed=1)
     table = evaluate_policies(
         [
