@@ -168,12 +168,14 @@ def load_config(path) -> Config:
     solver_sec = _Section(parser, "solver")
     r_max = solver_sec.number("r_max", 20, cast=int)
     caps = (4,) * channel.size
-    if solver_sec.has("omega_caps"):
-        caps = tuple(solver_sec.vector("omega_caps", int).tolist())
     if has_static:
+        if solver_sec.has("omega_caps"):
+            raise ConfigError("[solver] omega_caps: a constant-gain link is capped by r_max alone")
         if r_max < 2:
             raise ConfigError("r_max must be at least 2")
         caps = (r_max,)
+    elif solver_sec.has("omega_caps"):
+        caps = tuple(solver_sec.vector("omega_caps", int).tolist())
     solver = SolverSettings(
         omega_caps=caps,
         q_max=solver_sec.number("q_max", 20, cast=int),

@@ -1,11 +1,12 @@
 """Lossless text export of solved policies.
 
 Every file has one layout, `kind = markov`: the headers name the attempt
-caps, age cap and gains of the grid, and each entry is keyed
+caps, age cap and gains of the grid, and each action line is keyed
 "r1,...,rB|q|xi" with a zero-based gain index. A constant-gain table is the
 one-state case, keyed "r|q|0". Floats are written with repr so a round trip
-reproduces them bit for bit. A file lists an action for every state of the
-truncated grid its headers declare, and for no other state.
+reproduces them bit for bit. The action lines list the truncated grid the
+headers declare in the solver's order, one line per state under the key
+`save_policy` writes for it; a file is refused at its first other line.
 """
 
 import numpy as np
@@ -17,10 +18,6 @@ from .mdp_markov import truncated_grid
 __all__ = ["save_policy", "load_policy"]
 
 
-def _ints(text: str) -> tuple:
-    return tuple(int(c) for c in text.split(","))
-
-
 def _flag(text: str) -> bool:
     if text not in ("true", "false"):
         raise ValueError(f"expected true or false, got {text!r}")
@@ -30,11 +27,6 @@ def _flag(text: str) -> bool:
 def _state_key(state) -> str:
     omega, q, xi = state
     return f"{','.join(str(c) for c in omega)}|{q}|{xi}"
-
-
-def _parse_state(key: str):
-    omega, q, xi = key.split("|")
-    return (_ints(omega), int(q), int(xi))
 
 
 def save_policy(policy: Policy, path):
@@ -94,11 +86,11 @@ def load_policy(path) -> Policy:
     if kind != "markov":
         raise ConfigError(f"{path}: unknown policy kind {kind!r}")
     params = {
-        "omega_caps": header("omega_caps", _ints),
+        "omega_caps": header("omega_caps", lambda text: tuple(int(c) for c in text.split(","))),
         "q_max": header("q_max", int),
         "gains": header("gains", lambda text: tuple(float(g) for g in text.split(","))),
     }
-    caps = params["omega_caps"]
+    caps, gains = params["omega_caps"], params["gains"]
     solve = {
         "zeta": header("zeta", float),
         "span": header("span", float),
@@ -106,28 +98,17 @@ def load_policy(path) -> Policy:
         "converged": header("converged", _flag),
         "cost_mode": header("cost_mode"),
     }
+    if len(gains) != len(caps):
+        raise ConfigError(f"{path}: {len(gains)} gains for {len(caps)} omega caps")
     # The grid the headers declare, in the solver's state order.
     try:
         states = truncated_grid(caps, params["q_max"], len(caps))[1]
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    grid = set(states)
-    by_state = {}
-    for lineno, key, action in actions:
-        try:
-            state = _parse_state(key)
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: bad state {key!r}") from exc
-        if state in by_state:
-            raise ConfigError(f"{path}:{lineno}: state {key!r} is listed twice")
-        if state not in grid:
-            raise ConfigError(f"{path}:{lineno}: state {key!r} is off the grid of its headers")
-        by_state[state] = action
-    missing = [s for s in states if s not in by_state]
-    if missing:
-        raise ConfigError(
-            f"{path}: {len(missing)} states of the grid have no action, "
-            f"the first is {_state_key(missing[0])!r}"
-        )
-    table = np.array([by_state[s] for s in states], dtype=np.int8)
+    for expected, (lineno, key, _) in zip(map(_state_key, states), actions):
+        if key != expected:
+            raise ConfigError(f"{path}:{lineno}: expected state {expected!r}, found {key!r}")
+    if len(actions) != len(states):
+        raise ConfigError(f"{path}: {len(actions)} action lines for the {len(states)} grid states")
+    table = np.array([action for _, _, action in actions], dtype=np.int8)
     return Policy(actions=table, states=states, params=params, **solve)

@@ -408,6 +408,8 @@ def evaluate_policies(
     labels = [entry.label for entry in entries]
     if len(set(labels)) != len(labels):
         raise ConfigError(f"duplicate comparison labels: {labels}")
+    if any("," in label for label in labels):
+        raise ConfigError(f"comparison labels must not hold a comma: {labels}")
     models = [entry.harq if entry.harq is not None else harq for entry in entries]
     machines = [
         TransitionMachine(model, ch, ladder, entry.spec) for entry, model in zip(entries, models)

@@ -168,10 +168,12 @@ class TestConfigErrors:
             ("slots = 1500", "slots = 2.5", "[sim] slots: must be an integer, got '2.5'"),
             ("r_max = 8", "r_max = 1", "r_max must be at least 2"),
             ("slots = 1500", "slots = 5%", "[sim] slots: cannot parse '5%'"),
+            ("r_max = 8", "r_max = 8\nomega_caps = 3",
+             "[solver] omega_caps: a constant-gain link is capped by r_max alone"),
         ],
         ids=[
             "zero-slots", "zero-replicates", "negative-seed", "fractional-slots", "r_max-1",
-            "percent-sign",
+            "percent-sign", "omega_caps-on-constant-gain",
         ],
     )
     def test_bad_value(self, tmp_path, capsys, line, replacement, message):
@@ -421,8 +423,31 @@ class TestCliSolveAndSimulate:
         policy_path.write_text(text.replace("\n1|1|0 = 0\n", "\n"))
         assert main(["simulate", "--config", str(path), "--policy", str(policy_path)]) == 2
         err = capsys.readouterr().err
-        assert f"config error: {policy_path}: 1 states of the grid have no action" in err
-        assert "'1|1|0'" in err
+        assert f"config error: {policy_path}:12: expected state '1|1|0', found '1|2|0'\n" in err
+
+    def test_simulate_rejects_a_table_out_of_solver_order(self, static_cfg, capsys):
+        path, out = static_cfg
+        assert main(["solve", "--config", str(path)]) == 0
+        policy_path = out / "policy_static_mse.txt"
+        lines = policy_path.read_text().splitlines(keepends=True)
+        assert lines[11:13] == ["1|1|0 = 0\n", "1|2|0 = 0\n"]
+        lines[11:13] = lines[12], lines[11]
+        policy_path.write_text("".join(lines))
+        assert main(["simulate", "--config", str(path), "--policy", str(policy_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {policy_path}:12: expected state '1|1|0', found '1|2|0'\n" in err
+
+    def test_simulate_rejects_a_label_with_a_comma(self, static_cfg, capsys):
+        # comparison.csv separates its fields by commas, so a label may not hold one.
+        path, out = static_cfg
+        assert main(["solve", "--config", str(path)]) == 0
+        policy_path = out / "opt,v2.txt"
+        policy_path.write_text((out / "policy_static_mse.txt").read_text())
+        assert main(["simulate", "--config", str(path), "--policy", str(policy_path)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: comparison labels must not hold a comma: ['opt,v2']\n"
+        )
+        assert not (out / "comparison.csv").exists()
 
     def test_simulate_missing_policy_file(self, static_cfg, tmp_path, capsys):
         path, _ = static_cfg

@@ -17,6 +17,15 @@ HEADER = (
     "kind = markov\ncost_mode = mse\nzeta = 1.0\nspan = 0.0\niterations = 1\n"
     "converged = true\nomega_caps = 1,1\nq_max = 2\ngains = 2.0,1.0\n[actions]\n"
 )
+# A valid two-gain file: HEADER, then its grid in solver order; the key
+# 1,1|2|0 is on line 19.
+TWO_GAIN = HEADER + "".join(
+    f"{key} = 0\n"
+    for key in (
+        "0,1|1|0", "0,1|1|1", "0,1|2|0", "0,1|2|1", "1,0|1|0",
+        "1,0|1|1", "1,0|2|0", "1,0|2|1", "1,1|2|0", "1,1|2|1",
+    )
+)
 # Two valid one-state files: a constant-gain table with attempts capped at
 # 2, and the smallest grid.
 FILES = {
@@ -112,17 +121,36 @@ class TestLoadErrors:
 
     @pytest.mark.parametrize("second", ["1,1", "1, 1", "01,1"])
     def test_duplicate_state(self, tmp_path, second):
-        # `second` spells the attempt counts (1, 1) of the first line's state.
+        # `second` spells the attempt counts (1, 1) of the first line's state;
+        # that line is already not the grid's first state, so loading stops there.
         path = tmp_path / "broken.policy"
         path.write_text(HEADER + f"1,1|2|0 = 0\n{second}|2|0 = 1\n")
-        with pytest.raises(ConfigError, match="listed twice"):
+        with pytest.raises(ConfigError) as info:
             load_policy(path)
+        assert str(info.value) == f"{path}:11: expected state '0,1|1|0', found '1,1|2|0'"
 
     def test_bad_state_key(self, tmp_path):
         path = tmp_path / "broken.policy"
         path.write_text(HEADER + "1|1 = 0\n")
-        with pytest.raises(ConfigError, match="bad state"):
+        with pytest.raises(ConfigError) as info:
             load_policy(path)
+        assert str(info.value) == f"{path}:11: expected state '0,1|1|0', found '1|1'"
+
+    @pytest.mark.parametrize("spelling", ["1, 1|2|0", "01,1|2|0"])
+    def test_key_spelled_another_way(self, tmp_path, spelling):
+        # Only the key save_policy writes names a state.
+        path = tmp_path / "broken.policy"
+        path.write_text(TWO_GAIN.replace("1,1|2|0 =", f"{spelling} ="))
+        with pytest.raises(ConfigError) as info:
+            load_policy(path)
+        assert str(info.value) == f"{path}:19: expected state '1,1|2|0', found {spelling!r}"
+
+    def test_gains_count_must_match_the_caps(self, tmp_path):
+        path = tmp_path / "broken.policy"
+        path.write_text(TWO_GAIN.replace("gains = 2.0,1.0", "gains = 2.0"))
+        with pytest.raises(ConfigError) as info:
+            load_policy(path)
+        assert str(info.value) == f"{path}: 1 gains for 2 omega caps"
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read policy file"):
@@ -164,44 +192,47 @@ class TestLoadErrors:
         [
             pytest.param(
                 "static", "1|2|0 = 0\n", "",
-                "1 states of the grid have no action, the first is '1|2|0'", id="static-missing",
+                ":12: expected state '1|2|0', found '2|2|0'", id="static-missing",
             ),
             pytest.param(
                 "static", "q_max = 2", "q_max = 3",
-                "2 states of the grid have no action, the first is '1|3|0'",
-                id="static-q_max-large",
+                ":13: expected state '1|3|0', found '2|2|0'", id="static-q_max-large",
             ),
             pytest.param(
                 "markov", "1|1|0 = 0\n", "",
-                "1 states of the grid have no action, the first is '1|1|0'", id="markov-none",
+                ": 0 action lines for the 1 grid states", id="markov-none",
+            ),
+            pytest.param(
+                "static", "2|2|0 = 1\n", "2|2|0 = 1\n2|2|0 = 1\n",
+                ": 4 action lines for the 3 grid states", id="static-extra-line",
             ),
             pytest.param(
                 "static", "2|2|0 = 1", "2|1|0 = 1",
-                "state '2|1|0' is off the grid of its headers", id="static-q-below-r",
+                ":13: expected state '2|2|0', found '2|1|0'", id="static-q-below-r",
             ),
             pytest.param(
                 "static", "2|2|0 = 1", "3|3|0 = 1",
-                "state '3|3|0' is off the grid of its headers", id="static-r-above-r_max",
+                ":13: expected state '2|2|0', found '3|3|0'", id="static-r-above-r_max",
             ),
             pytest.param(
                 "static", "2|2|0 = 1", "0|2|0 = 1",
-                "state '0|2|0' is off the grid of its headers", id="static-r-zero",
+                ":13: expected state '2|2|0', found '0|2|0'", id="static-r-zero",
             ),
             pytest.param(
                 "markov", "1|1|0", "1|1|1",
-                "state '1|1|1' is off the grid of its headers", id="markov-xi-out-of-range",
+                ":11: expected state '1|1|0', found '1|1|1'", id="markov-xi-out-of-range",
             ),
             pytest.param(
                 "markov", "1|1|0", "2|2|0",
-                "state '2|2|0' is off the grid of its headers", id="markov-omega-above-cap",
+                ":11: expected state '1|1|0', found '2|2|0'", id="markov-omega-above-cap",
             ),
             pytest.param(
                 "static", "q_max = 2", "q_max = 1",
-                "q_max must be at least sum(omega_caps) = 2", id="static-q_max-small",
+                ": q_max must be at least sum(omega_caps) = 2", id="static-q_max-small",
             ),
             pytest.param(
                 "markov", "omega_caps = 1", "omega_caps = 0",
-                "every omega cap must be at least 1", id="markov-zero-cap",
+                ": every omega cap must be at least 1", id="markov-zero-cap",
             ),
         ],
     )
@@ -211,8 +242,7 @@ class TestLoadErrors:
         path.write_text(FILES[kind].replace(old, new))
         with pytest.raises(ConfigError) as info:
             load_policy(path)
-        assert str(info.value).endswith(message)
-        assert str(info.value).startswith(f"{path}")
+        assert str(info.value) == f"{path}{message}"
 
     @pytest.mark.parametrize("kind", ["static", "markov"])
     def test_valid_files_load(self, tmp_path, kind):

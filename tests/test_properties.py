@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from reference import (
     assert_matches_reference,
@@ -26,6 +26,7 @@ from reference import (
 )
 
 from harqest import (
+    ConfigError,
     HarqModel,
     MarkovChannel,
     Policy,
@@ -89,6 +90,27 @@ def test_policy_file_round_trip_is_byte_identical(policy):
     )
     assert (loaded.converged, loaded.cost_mode) == (policy.converged, policy.cost_mode)
     assert loaded.params == policy.params
+
+
+@PROPERTY
+@given(markov_policies(), st.data())
+def test_policy_file_out_of_solver_order_is_refused_at_the_first_swapped_line(policy, data):
+    n = len(policy.states)
+    assume(n >= 2)
+    i = data.draw(st.integers(0, n - 2))
+    j = data.draw(st.integers(i + 1, n - 1))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "swapped.policy"
+        save_policy(policy, path)
+        lines = path.read_text().splitlines(keepends=True)
+        first = lines.index("[actions]\n") + 1
+        a, b = first + i, first + j
+        lines[a], lines[b] = lines[b], lines[a]
+        path.write_text("".join(lines))
+        with pytest.raises(ConfigError) as info:
+            load_policy(path)
+    expected, found = lines[b].split(" = ")[0], lines[a].split(" = ")[0]
+    assert str(info.value) == f"{path}:{a + 1}: expected state {expected!r}, found {found!r}"
 
 
 @PROPERTY
