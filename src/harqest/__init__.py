@@ -25,9 +25,7 @@ from .mdp_core import (
     relative_value_iteration,
 )
 from .mdp_markov import (
-    HighSnrChain,
     StabilityReport,
-    build_high_snr_chain,
     build_markov_mdp,
     check_stability_markov,
     high_snr_markov,

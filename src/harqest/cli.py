@@ -102,6 +102,8 @@ def _solve(cfg: Config, harq: HarqModel, ladder, cost_mode: str):
 def cmd_stability(args) -> int:
     if args.grid_steps < 1:
         raise ConfigError("--grid-steps must be at least 1")
+    if not all(0.0 <= v < float("inf") for v in args.rho_sq):
+        raise ConfigError(f"--rho-sq values must be finite and nonnegative, got {args.rho_sq}")
     cfg, out_dir = _prepare(args)
     caps = cfg.solver.omega_caps
     rho_sq = cfg.system.rho_squared

@@ -11,7 +11,6 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 
 from .errors import ModelError
 from .numerics import gaussian_q
@@ -116,6 +115,14 @@ def conditional_error_prob(model: HarqModel, gains, counts, xi: int) -> float:
     return min(numerator / denominator, 1.0)
 
 
+def _histories(b: int, budget: int) -> list:
+    """Every b-tuple of nonnegative counts summing to at most budget, in
+    lexicographic order."""
+    if b == 0:
+        return [()]
+    return [(c,) + rest for c in range(budget + 1) for rest in _histories(b - 1, budget - c)]
+
+
 @dataclass(frozen=True)
 class WorstMarkovError:
     """Largest retransmission error probability over histories with ||omega||_1 <= budget.
@@ -145,11 +152,7 @@ def worst_retransmission_error_markov(
     gains = tuple(float(g) for g in gains)
     if not 0 <= channel_index < len(gains):
         raise ValueError(f"channel_index {channel_index} out of range for {len(gains)} gains")
-    histories = [
-        counts
-        for counts in product(range(omega_budget + 1), repeat=len(gains))
-        if 1 <= sum(counts) <= omega_budget
-    ]
+    histories = _histories(len(gains), omega_budget)[1:]  # all but the empty round
     values = tuple(conditional_error_prob(model, gains, c, channel_index) for c in histories)
     best = max(range(len(values)), key=values.__getitem__)
     return WorstMarkovError(

@@ -1,5 +1,5 @@
 """Average-cost MDP for a finite-state Markov channel, plus the
-perfect-retransmission reduced chain and its average cost.
+perfect-retransmission threshold search costed on its kernel.
 
 States are (omega, q, xi): omega counts the pending round's attempts per gain
 state, q is the age of the freshest delivered estimate, and xi is the current
@@ -30,8 +30,6 @@ __all__ = [
     "solve_rvi_markov",
     "SwitchingReport",
     "verify_switching_markov",
-    "HighSnrChain",
-    "build_high_snr_chain",
     "high_snr_markov",
     "HighSnrMarkovResult",
 ]
@@ -266,78 +264,6 @@ def verify_switching_markov(policy: Policy) -> SwitchingReport:
     return SwitchingReport(passed=not violations, violations=tuple(violations))
 
 
-@dataclass(frozen=True, eq=False)
-class HighSnrChain:
-    """Reduced chain of the perfect-retransmission regime for one threshold vector.
-
-    Block layout per gain index: position 0 is the post-retransmission state
-    (age 2, fresh round just delivered), position p >= 1 is (round length 1,
-    age p). The block covers ages up to max(theta_max, 2) + 1 so the failure
-    step out of the post-retransmission state always lands inside the block.
-    """
-
-    thetas: tuple
-    block_size: int
-    transition: np.ndarray  # column-stochastic, B * block_size square
-    costs: np.ndarray
-    stationary: np.ndarray
-    zeta: float
-
-
-def build_high_snr_chain(
-    ch: MarkovChannel, lambda_primes, thetas, ladder: CostLadder
-) -> HighSnrChain:
-    """Assemble the reduced chain, its stationary vector (by GTH elimination on
-    its closed class), and its average cost.
-
-    lambda_primes[i] is the fresh-transmission error probability in gain
-    state i, which may be 1: retransmissions always succeed, so a gain state
-    whose fresh packets never arrive still delivers. thetas[i] is the age
-    threshold beyond which a round-length-1 state retransmits under gain i.
-    """
-    b = ch.size
-    thetas = tuple(int(t) for t in thetas)
-    lambda_primes = tuple(float(v) for v in lambda_primes)
-    if len(thetas) != b or len(lambda_primes) != b:
-        raise ModelError("thetas and lambda_primes must have one entry per gain state")
-    if any(t < 1 for t in thetas):
-        raise ModelError("every threshold must be at least 1")
-    if any(not 0.0 <= v <= 1.0 for v in lambda_primes):
-        raise ModelError("lambda_primes must lie in [0, 1]")
-    top = max(max(thetas), 2)
-    block = top + 2
-    ladder = ladder.extended(top + 1)
-    m = np.zeros((b * block, b * block))
-    for i in range(b):
-        within = np.zeros((block, block))
-        lam = lambda_primes[i]
-        for pos in range(block):
-            age = 2 if pos == 0 else pos
-            fresh = pos == 0 or age <= thetas[i]
-            if fresh:
-                within[1, pos] += 1.0 - lam       # success: age resets to 1
-                within[age + 1, pos] += lam       # failure: age advances
-            else:
-                within[0, pos] += 1.0             # retransmission always succeeds
-        for xi_next in range(b):
-            rows = slice(xi_next * block, (xi_next + 1) * block)
-            cols = slice(i * block, (i + 1) * block)
-            m[rows, cols] = ch.pi[xi_next, i] * within
-    block_costs = [ladder.trace(2)] + [ladder.trace(q) for q in range(1, top + 2)]
-    costs = np.array(block_costs * b)
-    # Position 1 of block 0 (age 1 under gain 0) is reached from every state.
-    stationary = gth_stationary(m, start=1)
-    zeta = float(costs @ stationary)
-    return HighSnrChain(
-        thetas=thetas,
-        block_size=block,
-        transition=m,
-        costs=costs,
-        stationary=stationary,
-        zeta=zeta,
-    )
-
-
 @dataclass(frozen=True)
 class HighSnrMarkovResult:
     theta_star: tuple
@@ -350,13 +276,44 @@ def high_snr_markov(
 ) -> HighSnrMarkovResult:
     """Exhaustive threshold-vector search over {1..theta_max_search}^B.
 
-    The first minimizer in lexicographic order wins ties.
+    A fresh attempt under gain xi fails with lambda_primes[xi], possibly 1,
+    and a retransmission never fails. The table of thetas retransmits exactly
+    at round length 1 once q > thetas[xi]. It is costed on the MDP's own
+    kernel for that link, whose caps (2,) * B and q_max = max(2B,
+    theta_max_search + 2) hold every round and age it reaches. There a
+    state's future depends on (sum(omega), q, xi) alone, so the chain is
+    lumped onto one state per class (Kemeny and Snell, Finite Markov Chains,
+    1960) and eliminated by GTH toward the reference state's class. The first
+    minimizer in lexicographic order wins ties.
     """
     if theta_max_search < 1:
         raise ValueError("theta_max_search must be at least 1")
-    evaluated = {
-        thetas: build_high_snr_chain(ch, lambda_primes, thetas, ladder).zeta
-        for thetas in product(range(1, theta_max_search + 1), repeat=ch.size)
-    }
+    b = ch.size
+    lam = tuple(float(v) for v in lambda_primes)
+    if len(lam) != b:
+        raise ModelError("lambda_primes must have one entry per gain state")
+    if any(not 0.0 <= v <= 1.0 for v in lam):
+        raise ModelError("lambda_primes must lie in [0, 1]")
+
+    def attempt_error(omega, xi):
+        return 0.0 if any(omega) else lam[xi]
+
+    mdp = assemble_markov_mdp(attempt_error, ch, ladder, (2,) * b, max(2 * b, theta_max_search + 2))
+    classes = {}  # (sum(omega), q, xi) -> its number, in order of first state
+    cls = np.array([classes.setdefault((sum(o), q, x), len(classes)) for o, q, x in mdp.states])
+    m = len(classes)
+    reps = np.searchsorted(np.maximum.accumulate(cls), np.arange(m))  # each class's first state
+    r, q, xi = np.array(list(classes)).T
+    # Per action: flat (successor class, class) positions in the lumped matrix, and probabilities.
+    (fresh_at, fresh_p), (retx_at, retx_p) = [
+        (cls[idx[reps]] * m + np.arange(m)[:, None], prob[reps]) for idx, prob in mdp.core.transitions
+    ]
+    costs, ref = mdp.core.costs[reps, 0], int(cls[mdp.core.ref])
+    evaluated = {}
+    for thetas in product(range(1, theta_max_search + 1), repeat=b):
+        retx = ((r == 1) & (q > np.array(thetas)[xi]))[:, None]
+        at, p = np.where(retx, retx_at, fresh_at), np.where(retx, retx_p, fresh_p)
+        chain = np.bincount(at.ravel(), p.ravel(), m * m).reshape(m, m)
+        evaluated[thetas] = float(costs @ gth_stationary(chain, start=ref))
     best = min(evaluated, key=evaluated.__getitem__)
     return HighSnrMarkovResult(theta_star=best, zeta_star=evaluated[best], evaluated=evaluated)

@@ -225,8 +225,17 @@ class TestConfigErrors:
             (["highsnr", "--theta-max", "0"], "--theta-max must be at least 1"),
             (["stability", "--grid-steps", "0"], "--grid-steps must be at least 1"),
             (["stability", "--grid-steps", "-1"], "--grid-steps must be at least 1"),
+            (["stability", "--rho-sq", "2", "-1"],
+             "--rho-sq values must be finite and nonnegative, got [2.0, -1.0]"),
+            (["stability", "--rho-sq", "nan"],
+             "--rho-sq values must be finite and nonnegative, got [nan]"),
+            (["stability", "--rho-sq", "inf"],
+             "--rho-sq values must be finite and nonnegative, got [inf]"),
         ],
-        ids=["duplicate-label", "theta-max-0", "grid-steps-0", "grid-steps-negative"],
+        ids=[
+            "duplicate-label", "theta-max-0", "grid-steps-0", "grid-steps-negative",
+            "rho-sq-negative", "rho-sq-nan", "rho-sq-inf",
+        ],
     )
     def test_bad_option(self, markov_cfg, capsys, argv, message):
         path, out = markov_cfg

@@ -11,8 +11,9 @@ key for key), and the `Lambda0` line carries the budget-boundary flag.
 Before hashing, `np.float64(x)` is rewritten to `x` (older releases wrote
 numpy reprs into the CSVs) and the output directory to `<out>`.
 
-`highsnr.txt` is compared by value instead: the threshold scan now evaluates
-the reduced chain by elimination, which moves the costs in the last digits.
+`highsnr.txt` is compared by value instead: the threshold scan evaluates each
+table on the MDP's kernel by elimination, which moves the costs in the last
+digits.
 Static costs must stay within 1e-14 of the closed form, and the optimal
 thresholds must not move.
 """

@@ -158,6 +158,22 @@ class TestWorstRetransmissionMarkov:
         out = worst_retransmission_error_markov(cc_model, gains, 0, 3)
         assert out.value == pytest.approx(best, rel=1e-12)
 
+    @pytest.mark.parametrize("gains", [(2.0,), (2.0, 1.0), (2.0, 1.0, 0.5)], ids=["B1", "B2", "B3"])
+    def test_scan_is_the_filtered_product(self, gains):
+        # every history with 1 <= sum <= budget, in the order of the full
+        # product; at 0 dB nearly every history has its own error
+        model = HarqModel.from_db("ir", 0.0, 100, 4.0)
+        budget = 5
+        histories = [
+            c for c in itertools.product(range(budget + 1), repeat=len(gains)) if 1 <= sum(c) <= budget
+        ]
+        for xi in range(len(gains)):
+            worst = worst_retransmission_error_markov(model, gains, xi, budget)
+            values = tuple(conditional_error_prob(model, gains, c, xi) for c in histories)
+            assert worst.values == values
+            assert worst.argmax_counts == histories[values.index(max(values))]
+            assert worst.at_budget_boundary == (sum(worst.argmax_counts) == budget)
+
     def test_reference_markov_point(self, cc_model):
         gains = (2.0, 1.0)
         lam1 = worst_retransmission_error_markov(cc_model, gains, 0, 8)

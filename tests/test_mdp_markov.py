@@ -15,7 +15,6 @@ from harqest import (
     ModelError,
     Policy,
     block_error_prob,
-    build_high_snr_chain,
     build_markov_mdp,
     build_static_mdp,
     check_stability_markov,
@@ -26,6 +25,7 @@ from harqest import (
     static_channel,
     verify_switching_markov,
 )
+from harqest.mdp_markov import assemble_markov_mdp
 
 
 @pytest.fixture(scope="module")
@@ -251,50 +251,22 @@ def printed_block_pattern(pi, lambda_primes, thetas):
 
 class TestHighSnrChain:
     def test_matches_printed_block_pattern(self, ref_channel, ref_ladder, ref_lambda_primes):
+        # per gain block: the post-retransmission state (age 2), then round
+        # length 1 at ages 1..max(thetas) + 1
         thetas = (4, 3)
-        chain = build_high_snr_chain(ref_channel, ref_lambda_primes, thetas, ref_ladder)
+        result = high_snr_markov(ref_ladder, ref_channel, ref_lambda_primes, 4)
         oracle = printed_block_pattern(ref_channel.pi, ref_lambda_primes, thetas)
-        np.testing.assert_allclose(chain.transition, oracle, atol=0.0)
-
-    def test_column_stochastic_across_thetas(self, ref_channel, ref_ladder):
-        for thetas in itertools.product(range(1, 5), repeat=2):
-            chain = build_high_snr_chain(ref_channel, (0.3, 0.7), thetas, ref_ladder)
-            np.testing.assert_allclose(chain.transition.sum(axis=0), 1.0, atol=1e-12)
-            assert np.all(chain.stationary >= 0.0)
-            resid = np.max(np.abs(chain.transition @ chain.stationary - chain.stationary))
-            assert resid <= 1e-8
-
-    def test_unit_threshold_block_is_stochastic(self, ref_channel, ref_ladder):
-        # with both thresholds at 1 the block still carries the age-3 state
-        # reached by a failure out of the post-retransmission state
-        chain = build_high_snr_chain(ref_channel, (0.4, 0.6), (1, 1), ref_ladder)
-        assert chain.block_size == 4
-        np.testing.assert_allclose(chain.transition.sum(axis=0), 1.0, atol=1e-12)
-
-    def test_stationary_matches_empirical_frequencies(self, ref_channel, ref_ladder):
-        # long-run state frequencies of the simulated chain vs the null-space
-        # vector of (M - I), at unit thresholds
-        chain = build_high_snr_chain(ref_channel, (0.4, 0.6), (1, 1), ref_ladder)
-        n = chain.transition.shape[0]
-        cumulative = np.cumsum(chain.transition, axis=0)
-        rng = np.random.default_rng(123)
-        counts = np.zeros(n)
-        state = 0
-        steps = 200_000
-        for _ in range(steps):
-            counts[state] += 1
-            state = int(np.searchsorted(cumulative[:, state], rng.random(), side="right"))
-        freq = counts / steps
-        sigma = np.sqrt(np.clip(chain.stationary * (1 - chain.stationary), 1e-12, None) / steps)
-        assert np.all(np.abs(freq - chain.stationary) <= 5.0 * sigma + 1e-3)
+        costs = np.array([ref_ladder.trace(q) for q in (2, *range(1, max(thetas) + 2))] * 2)
+        expected = float(costs @ balance_stationary(oracle))
+        assert result.evaluated[thetas] == pytest.approx(expected, rel=1e-12)
 
     def test_single_state_matches_static_closed_form(self, ref_ladder):
         ch = static_channel(2.0)
         for lam in (0.1, 0.3, 0.5):
-            for theta in range(1, 9):
-                chain = build_high_snr_chain(ch, (lam,), (theta,), ref_ladder)
+            result = high_snr_markov(ref_ladder, ch, (lam,), 8)
+            for (theta,), zeta in result.evaluated.items():
                 closed = high_snr_zeta_static(ref_ladder, lam, theta)
-                assert chain.zeta == pytest.approx(closed, rel=1e-9)
+                assert zeta == pytest.approx(closed, rel=1e-9)
 
     def test_zero_error_baseline(self, ref_channel, ref_ladder):
         result = high_snr_markov(ref_ladder, ref_channel, (0.0, 0.0), 4)
@@ -302,48 +274,58 @@ class TestHighSnrChain:
 
     def test_search_returns_scan_minimum(self, ref_channel, ref_ladder, ref_lambda_primes):
         result = high_snr_markov(ref_ladder, ref_channel, ref_lambda_primes, 6)
+        assert sorted(result.evaluated) == list(itertools.product(range(1, 7), repeat=2))
         assert result.zeta_star == min(result.evaluated.values())
         assert result.evaluated[result.theta_star] == result.zeta_star
-        direct = build_high_snr_chain(
-            ref_channel, ref_lambda_primes, result.theta_star, ref_ladder
-        )
-        assert direct.zeta == pytest.approx(result.zeta_star, rel=1e-12)
+        assert min(result.evaluated, key=result.evaluated.__getitem__) == result.theta_star
+        exact = threshold_table_cost(ref_channel, ref_lambda_primes, result.theta_star, ref_ladder)
+        assert result.zeta_star == pytest.approx(exact, rel=1e-12)
 
     @pytest.mark.parametrize("thetas", [(1, 1), (3, 2), (2, 5)])
     def test_fresh_error_of_one_matches_balance_oracle(self, ref_channel, ref_ladder, thetas):
         # the weak state's fresh packets never arrive, its retransmissions do
-        chain = build_high_snr_chain(ref_channel, (0.4, 1.0), thetas, ref_ladder)
-        np.testing.assert_allclose(chain.transition.sum(axis=0), 1.0, atol=1e-12)
-        oracle = balance_stationary(chain.transition)
-        np.testing.assert_allclose(chain.stationary, oracle, rtol=1e-9, atol=1e-15)
-        assert chain.zeta == pytest.approx(float(chain.costs @ oracle), rel=1e-12)
+        lambdas = (0.4, 1.0)
+        zeta = high_snr_markov(ref_ladder, ref_channel, lambdas, 5).evaluated[thetas]
+        mdp = assemble_markov_mdp(
+            lambda omega, xi: 0.0 if any(omega) else lambdas[xi], ref_channel, ref_ladder, (2, 2), 7
+        )
+        # the table on the unlumped kernel, as a column-stochastic matrix
+        retx = np.array([sum(o) == 1 and q > thetas[xi] for o, q, xi in mdp.states])[:, None]
+        (fresh_idx, fresh_p), (retx_idx, retx_p) = mdp.core.transitions
+        n = len(mdp.states)
+        chain = np.zeros((n, n))
+        at = (np.where(retx, retx_idx, fresh_idx), np.arange(n)[:, None])
+        np.add.at(chain, at, np.where(retx, retx_p, fresh_p))
+        oracle = balance_stationary(chain)
+        assert zeta == pytest.approx(float(mdp.core.costs[:, 0] @ oracle), rel=1e-12)
 
     def test_invalid_inputs(self, ref_channel, ref_ladder):
         with pytest.raises(ModelError):
-            build_high_snr_chain(ref_channel, (0.5,), (2, 2), ref_ladder)
+            high_snr_markov(ref_ladder, ref_channel, (0.5,), 2)
         for lambdas in ((0.5, 1.0 + 1e-12), (-1e-12, 0.5), (0.5, float("nan"))):
             with pytest.raises(ModelError):
-                build_high_snr_chain(ref_channel, lambdas, (2, 2), ref_ladder)
-        with pytest.raises(ModelError):
-            build_high_snr_chain(ref_channel, (0.5, 0.5), (0, 2), ref_ladder)
+                high_snr_markov(ref_ladder, ref_channel, lambdas, 2)
+        with pytest.raises(ValueError):
+            high_snr_markov(ref_ladder, ref_channel, (0.5, 0.5), 0)
 
 
 class TestHighSnrExactCost:
-    """The reduced chain against the exact cost of the same threshold table
-    on the MDP's own kernel, under a link that never fails a retransmission."""
+    """The search's lumped chain against the exact cost of the same threshold
+    table on the unlumped kernel, under a link that never fails a
+    retransmission."""
 
     def test_near_zero_error_matches_exactly(self, ref_static_channel, ref_ladder):
         model = HarqModel(scheme="cc", snr=1e12, blocklength=100, rate=4.0)
         lam = (block_error_prob(model, (2.0,)),)
-        chain = build_high_snr_chain(ref_static_channel, lam, (2,), ref_ladder)
-        assert threshold_table_cost(ref_static_channel, lam, (2,), ref_ladder) == chain.zeta
-        assert chain.zeta == pytest.approx(ref_ladder.trace(1), rel=1e-12)
+        zeta = high_snr_markov(ref_ladder, ref_static_channel, lam, 2).evaluated[(2,)]
+        assert threshold_table_cost(ref_static_channel, lam, (2,), ref_ladder) == zeta
+        assert zeta == pytest.approx(ref_ladder.trace(1), rel=1e-12)
 
     def test_static_threshold_validation(self, cc_model, ref_static_channel, ref_ladder):
         lam = (block_error_prob(cc_model, (2.0,)),)
         exact = threshold_table_cost(ref_static_channel, lam, (2,), ref_ladder)
-        chain = build_high_snr_chain(ref_static_channel, lam, (2,), ref_ladder)
-        assert exact == pytest.approx(chain.zeta, rel=1e-12)
+        zeta = high_snr_markov(ref_ladder, ref_static_channel, lam, 2).evaluated[(2,)]
+        assert exact == pytest.approx(zeta, rel=1e-12)
         assert exact == pytest.approx(
             high_snr_zeta_static(ref_ladder, 7.27617035635667e-4, 2), rel=1e-12
         )
@@ -365,10 +347,11 @@ class TestHighSnrExactCost:
         self, ref_channel, ref_static_channel, ref_ladder, link, lambdas
     ):
         ch = ref_static_channel if link == "static" else ref_channel
-        for thetas in itertools.product(range(1, 9), repeat=ch.size):
+        result = high_snr_markov(ref_ladder, ch, lambdas, 8)
+        assert sorted(result.evaluated) == list(itertools.product(range(1, 9), repeat=ch.size))
+        for thetas, zeta in result.evaluated.items():
             exact = threshold_table_cost(ch, lambdas, thetas, ref_ladder)
-            chain = build_high_snr_chain(ch, lambdas, thetas, ref_ladder)
-            assert exact == pytest.approx(chain.zeta, rel=1e-12, abs=0.0), thetas
+            assert exact == pytest.approx(zeta, rel=1e-12, abs=0.0), thetas
             if link == "static" and lambdas[0] < 1.0:
                 closed = high_snr_zeta_static(ref_ladder, lambdas[0], thetas[0])
                 assert exact == pytest.approx(closed, rel=1e-12, abs=0.0), thetas

@@ -26,7 +26,6 @@ from harqest import (
     HarqModel,
     Policy,
     build_cost_ladder,
-    build_high_snr_chain,
     build_static_mdp,
     check_stability_markov,
     high_snr_markov,
@@ -287,8 +286,8 @@ class TestHighSnrClosedForm:
     @pytest.mark.parametrize("theta", range(1, 9))
     def test_matches_chain_oracle(self, ref_ladder, lam, theta):
         oracle = reduced_chain_zeta_oracle(ref_ladder, lam, theta)
-        chain = build_high_snr_chain(static_channel(1.0), (lam,), (theta,), ref_ladder)
-        assert chain.zeta == pytest.approx(oracle, rel=1e-9)
+        zeta = high_snr_markov(ref_ladder, static_channel(1.0), (lam,), theta).evaluated[(theta,)]
+        assert zeta == pytest.approx(oracle, rel=1e-9)
         assert high_snr_zeta_static(ref_ladder, lam, theta) == pytest.approx(oracle, rel=1e-9)
 
     def test_optimum_is_scan_minimum(self, ref_ladder):

@@ -32,11 +32,11 @@ from harqest import (
     Policy,
     PolicySpec,
     SimConfig,
-    build_high_snr_chain,
     build_markov_mdp,
     conditional_error_prob,
     first_passage_cost,
     gth_stationary,
+    high_snr_markov,
     load_policy,
     run,
     save_policy,
@@ -238,7 +238,7 @@ def test_worst_error_scan_is_the_first_maximum(gains, budget, index, snr_db, sch
     lambdas=st.lists(st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0]), min_size=2, max_size=2),
     thetas=st.lists(st.integers(1, 8), min_size=2, max_size=2),
 )
-def test_high_snr_chain_is_the_exact_threshold_cost(ref_ladder, stay, lambdas, thetas):
+def test_high_snr_search_costs_each_table_exactly(ref_ladder, stay, lambdas, thetas):
     b = len(stay)
     pi = np.array([[1.0]]) if b == 1 else np.array(
         [[stay[0], 1.0 - stay[1]], [1.0 - stay[0], stay[1]]]
@@ -246,8 +246,8 @@ def test_high_snr_chain_is_the_exact_threshold_cost(ref_ladder, stay, lambdas, t
     ch = MarkovChannel(gains=(2.0, 1.0)[:b], pi=pi)
     lam, thetas = tuple(lambdas[:b]), tuple(thetas[:b])
     exact = threshold_table_cost(ch, lam, thetas, ref_ladder)
-    chain = build_high_snr_chain(ch, lam, thetas, ref_ladder)
-    assert chain.zeta == pytest.approx(exact, rel=1e-12, abs=0.0)
+    zeta = high_snr_markov(ref_ladder, ch, lam, max(thetas)).evaluated[thetas]
+    assert zeta == pytest.approx(exact, rel=1e-12, abs=0.0)
     if b == 1 and lam[0] < 1.0:
         # the closed form's denominator cancels like 1 - lambda' as lambda' -> 1
         closed = high_snr_zeta_static(ref_ladder, lam[0], thetas[0])
