@@ -9,6 +9,7 @@ can hammer the same few hundred values cheaply.
 
 import logging
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -57,7 +58,15 @@ class HarqModel:
 
     @classmethod
     def from_db(cls, scheme: str, snr_db: float, blocklength: int, rate: float) -> "HarqModel":
-        return cls(scheme=scheme, snr=10.0 ** (snr_db / 10.0), blocklength=blocklength, rate=rate)
+        try:
+            snr = 10.0 ** (snr_db / 10.0)
+        except OverflowError:
+            snr = math.inf
+        if not 0.0 < snr < math.inf:
+            raise ModelError(
+                f"snr_db = {snr_db!r} gives no finite positive linear SNR 10 ** (snr_db / 10)"
+            )
+        return cls(scheme=scheme, snr=snr, blocklength=blocklength, rate=rate)
 
 
 @lru_cache(maxsize=None)
@@ -100,18 +109,28 @@ def conditional_error_prob(model: HarqModel, gains, counts, xi: int) -> float:
         raise ValueError("counts and gains must have the same length")
     if any(c < 0 for c in counts):
         raise ValueError("counts must be nonnegative")
-    current = (float(gains[xi]),)
-    past = tuple(float(g) for c, g in zip(counts, gains) for _ in range(c))
-    if not past:
-        return block_error_prob(model, current)
-    denominator = block_error_prob(model, past)
+    current = float(gains[xi])
+    # The buffered gains as the sorted multiset `block_error_prob` would key
+    # them by, built from the sorted (gain, count) pairs.
+    held = sorted((float(g), c) for g, c in zip(gains, counts) if c)
+    if not held:
+        return block_error_prob(model, (current,))
+    if any(g <= 0 for g, _ in held):
+        raise ValueError("gains must be positive")
+    past = ()
+    for g, c in held:
+        past += (g,) * c
+    denominator = _block_error(model, past)
     if denominator < _DENOMINATOR_FLOOR:
         log.debug(
             "retransmission after an all-but-decoded history %s; conditional error pinned to 0",
             tuple(counts),
         )
         return 0.0
-    numerator = block_error_prob(model, past + current)
+    if current <= 0:
+        raise ValueError("gains must be positive")
+    at = bisect_right(past, current)
+    numerator = _block_error(model, past[:at] + (current,) + past[at:])
     return min(numerator / denominator, 1.0)
 
 

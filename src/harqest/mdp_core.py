@@ -58,7 +58,7 @@ class Policy:
     params: dict = field(default_factory=dict)
 
     def index(self) -> dict:
-        return {s: i for i, s in enumerate(self.states)}
+        return dict(zip(self.states, range(len(self.states))))
 
 
 def relative_value_iteration(
@@ -111,17 +111,20 @@ def relative_value_iteration(
     stop = None
     lo = hi = 0.0
     iterations = 0
-    # Brent's cycle detection on the exact bits of v: the anchor is v after
-    # the last power-of-two sweep count.
-    bits = v.view(np.int64)
-    anchor = bits.copy()
-    anchored = 0
+    # First-repeat cycle detection on the exact bits of v: every sweep since
+    # the last improving one files hash(v) -> sweep number, so the table
+    # never holds more than `patience` entries. A hash filed p sweeps ago
+    # makes v a candidate, confirmed when v equals it bit for bit p sweeps
+    # later (bytes still tell -0.0 from 0.0).
+    filed = {}
+    held = None  # the bytes of a candidate v
+    confirm_at = 0
     while iterations < max_iters:
         iterations += 1
         bellman()
         np.minimum.reduce(q_by_action, axis=0, out=tv)
         np.subtract(tv, v, out=diff)
-        lo, hi = float(diff.min()), float(diff.max())
+        lo, hi = float(np.minimum.reduce(diff)), float(np.maximum.reduce(diff))
         span = hi - lo
         np.subtract(tv, tv[mdp.ref], out=v)
         if span < tol:
@@ -130,24 +133,31 @@ def relative_value_iteration(
         if span < best_span * (1.0 - 1e-6):
             best_span = span
             stall = 0
+            filed.clear()
+            held, confirm_at = None, 0
         else:
             missed = iterations
             stall += 1
-            if np.array_equal(bits, anchor):
-                # v repeats with period p, so every later sweep repeats one
-                # already made and none improves the span. Skipping whole
-                # periods leaves v, lo and hi as they are now.
-                period = iterations - anchored
-                jump = min(patience - stall, max_iters - iterations) // period * period
-                iterations += jump
-                stall += jump
-                missed = iterations
+            if iterations == confirm_at:
+                if v.tobytes() == held:
+                    # v repeats with period p, so every later sweep repeats
+                    # one already made and none improves the span. Skipping
+                    # whole periods leaves v, lo and hi as they are now.
+                    jump = min(patience - stall, max_iters - iterations) // period * period
+                    iterations += jump
+                    stall += jump
+                    missed = iterations
+                held = None
+            elif held is None:
+                key = hash(v.tobytes())
+                first = filed.get(key)
+                if first is not None:
+                    period = iterations - first
+                    held, confirm_at = v.tobytes(), iterations + period
+                filed[key] = iterations
             if stall >= patience:
                 stop = "plateau"
                 break
-        if iterations & (iterations - 1) == 0:
-            anchor[:] = bits
-            anchored = iterations
         if iterations % patience == 0:
             if window_span is not None and iterations - missed >= patience and (
                 tol <= 0.0

@@ -248,18 +248,18 @@ def verify_switching_markov(policy: Policy) -> SwitchingReport:
     contiguous.
     """
     index = policy.index()
+    actions = np.asarray(policy.actions).tolist()
     violations = []
-    for s, (omega, q, xi) in enumerate(policy.states):
-        a = policy.actions[s]
+    for (omega, q, xi), a in zip(policy.states, actions):
         if a == 0:
-            for i in range(len(omega)):
-                bumped = tuple(o + (1 if j == i else 0) for j, o in enumerate(omega))
+            for i, o in enumerate(omega):
+                bumped = (*omega[:i], o + 1, *omega[i + 1:])
                 neighbor = index.get((bumped, q, xi))
-                if neighbor is not None and policy.actions[neighbor] != 0:
+                if neighbor is not None and actions[neighbor] != 0:
                     violations.append(((omega, q, xi), (bumped, q, xi)))
         else:
             neighbor = index.get((omega, q + 1, xi))
-            if neighbor is not None and policy.actions[neighbor] != 1:
+            if neighbor is not None and actions[neighbor] != 1:
                 violations.append(((omega, q, xi), (omega, q + 1, xi)))
     return SwitchingReport(passed=not violations, violations=tuple(violations))
 

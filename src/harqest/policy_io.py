@@ -9,6 +9,8 @@ headers declare in the solver's order, one line per state under the key
 `save_policy` writes for it; a file is refused at its first other line.
 """
 
+from itertools import groupby
+
 import numpy as np
 
 from .errors import ConfigError
@@ -44,8 +46,11 @@ def save_policy(policy: Policy, path):
         fh.write(f"q_max = {policy.params['q_max']}\n")
         fh.write(f"gains = {gains}\n")
         fh.write("[actions]\n")
-        for state, action in zip(policy.states, policy.actions):
-            fh.write(f"{_state_key(state)} = {int(action)}\n")
+        # One block per omega: solver order keeps each omega's states together.
+        rows = zip(policy.states, np.asarray(policy.actions, dtype=np.int64).tolist())
+        for omega, block in groupby(rows, key=lambda row: row[0][0]):
+            prefix = ",".join(str(c) for c in omega)
+            fh.write("".join(f"{prefix}|{q}|{xi} = {action}\n" for (_, q, xi), action in block))
 
 
 def load_policy(path) -> Policy:

@@ -170,10 +170,12 @@ class TestConfigErrors:
             ("slots = 1500", "slots = 5%", "[sim] slots: cannot parse '5%'"),
             ("r_max = 8", "r_max = 8\nomega_caps = 3",
              "[solver] omega_caps: a constant-gain link is capped by r_max alone"),
+            ("snr_db = 10", "snr_db = 4000",
+             "[harq]: snr_db = 4000.0 gives no finite positive linear SNR 10 ** (snr_db / 10)"),
         ],
         ids=[
             "zero-slots", "zero-replicates", "negative-seed", "fractional-slots", "r_max-1",
-            "percent-sign", "omega_caps-on-constant-gain",
+            "percent-sign", "omega_caps-on-constant-gain", "snr_db-overflow",
         ],
     )
     def test_bad_value(self, tmp_path, capsys, line, replacement, message):
@@ -243,6 +245,15 @@ class TestConfigErrors:
         assert capsys.readouterr().err == f"config error: {message}\n"
         # not even a header-only region grid
         assert not (out / "stability_region.csv").exists()
+
+    @pytest.mark.parametrize("snr_db", [["1e308"], ["8.5", "1e308"]], ids=["alone", "after-a-cell"])
+    def test_sweep_snr_beyond_float_range(self, static_cfg, capsys, snr_db):
+        path, out = static_cfg
+        assert main(["sweep", "--config", str(path), "--snr-db", *snr_db]) == 2
+        assert capsys.readouterr().err == (
+            "error: snr_db = 1e+308 gives no finite positive linear SNR 10 ** (snr_db / 10)\n"
+        )
+        assert not (out / "sweep.csv").exists()
 
     def test_policy_files_with_one_basename(self, static_cfg, capsys):
         path, out = static_cfg

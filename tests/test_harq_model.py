@@ -1,4 +1,5 @@
 import itertools
+import random
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -11,6 +12,7 @@ from harqest import (
     conditional_error_prob,
     worst_retransmission_error_markov,
 )
+from harqest import harq_model
 
 # Single-attempt error probability at the reference operating point
 # (CC, 10 dB, L=100, R=4, gain 2), evaluated independently before the
@@ -102,6 +104,48 @@ class TestConditionalErrorProb:
             conditional_error_prob(cc_model, (0.0,), (1,), 0)
         with pytest.raises(ValueError):
             conditional_error_prob(cc_model, (0.0,), (0,), 0)
+        with pytest.raises(ValueError):
+            conditional_error_prob(cc_model, (1.0, 0.0), (1, 0), 1)
+
+    @pytest.mark.parametrize("b", [1, 2, 3, 4, 5])
+    def test_keys_match_the_expanded_history(self, b, cc_model, ir_model, monkeypatch):
+        # The same block-error keys, in the same order, and the same value
+        # bit for bit as expanding counts into a flat gain tuple and sorting
+        # it in block_error_prob. Gains repeat to exercise ties.
+        keys = []
+        block_error = harq_model._block_error
+
+        def recording(model, gains):
+            keys.append((model, gains, tuple(type(g) for g in gains)))
+            return block_error(model, gains)
+
+        monkeypatch.setattr(harq_model, "_block_error", recording)
+        rng = random.Random(b)
+        for _ in range(200):
+            gains = tuple(rng.choice((0.5, 1.0, 1.5, 2.0, 3.0)) for _ in range(b))
+            counts = tuple(rng.choice((0, 0, 1, 2, 4)) for _ in range(b))
+            xi = rng.randrange(b)
+            for model in (cc_model, ir_model):
+                got = conditional_error_prob(model, gains, counts, xi)
+                got_keys = keys[:]
+                keys.clear()
+                expected = expanded_error_prob(model, gains, counts, xi)
+                assert repr(got) == repr(expected)
+                assert got_keys == keys
+                keys.clear()
+
+
+def expanded_error_prob(model, gains, counts, xi):
+    """conditional_error_prob by expanding counts into a flat gain tuple
+    that block_error_prob sorts on every call."""
+    current = (float(gains[xi]),)
+    past = tuple(float(g) for c, g in zip(counts, gains) for _ in range(c))
+    if not past:
+        return block_error_prob(model, current)
+    denominator = block_error_prob(model, past)
+    if denominator < 1e-300:
+        return 0.0
+    return min(block_error_prob(model, past + current) / denominator, 1.0)
 
 
 def worst_static(model, gain, r_max):
@@ -220,6 +264,11 @@ class TestModelValidation:
     def test_db_conversion(self):
         model = HarqModel.from_db("ir", 10.0, 100, 4.0)
         assert model.snr == pytest.approx(10.0)
+
+    @pytest.mark.parametrize("snr_db", [1e308, 4000.0, float("inf"), -4000.0, float("nan")])
+    def test_db_out_of_float_range(self, snr_db):
+        with pytest.raises(ModelError, match=r"^snr_db = .* gives no finite positive linear SNR"):
+            HarqModel.from_db("cc", snr_db, 100, 4.0)
 
 
 class TestCacheConcurrency:

@@ -258,27 +258,42 @@ class TestReferenceConformance:
 
 
 def reference_iterates(mdp, sweeps):
-    """The bytes of v after each of the first `sweeps` sweeps of `reference_rvi`."""
+    """The bytes of v and the span after each of the first `sweeps` sweeps
+    of `reference_rvi`, as two lists."""
     n, n_actions = mdp.n_states, mdp.n_actions
     v = np.zeros(n)
     q = np.empty((n, n_actions))
-    iterates = []
+    iterates, spans = [], []
     for _ in range(sweeps):
         for a in range(n_actions):
             idx, prob = mdp.transitions[a]
             q[:, a] = mdp.costs[:, a] + np.einsum("sk,sk->s", prob, v[idx])
         q[~mdp.available] = np.inf
         tv = q.min(axis=1)
+        diff = tv - v
+        spans.append(float(diff.max()) - float(diff.min()))
         v = tv - tv[mdp.ref]
         iterates.append(v.tobytes())
-    return iterates
+    return iterates, spans
 
 
 def final_period(mdp, sweeps):
     """The smallest p for which v after `sweeps` sweeps equals, bit for bit,
     v p sweeps earlier."""
-    iterates = reference_iterates(mdp, sweeps)
+    iterates, _ = reference_iterates(mdp, sweeps)
     return next(p for p in range(1, sweeps) if iterates[-1] == iterates[-1 - p])
+
+
+def first_repeat(mdp, sweeps, period):
+    """t1: the first sweep after the last one that improved the span whose v
+    equals, bit for bit, v `period` sweeps before (sweeps count from 1)."""
+    iterates, spans = reference_iterates(mdp, sweeps)
+    best, last = np.inf, 0
+    for t, span in enumerate(spans, start=1):
+        if span < best * (1.0 - 1e-6):
+            best, last = span, t
+    return next(t for t in range(max(last + 1, period + 1), sweeps + 1)
+                if iterates[t - 1] == iterates[t - 1 - period])
 
 
 @pytest.fixture
@@ -334,6 +349,17 @@ class TestCycleJump:
         iterations = relative_value_iteration(mdp)[3]
         assert ran < iterations
         assert final_period(mdp, iterations) == self.GRIDS[name][-1]
+
+    @pytest.mark.parametrize("name", GRIDS)
+    def test_runs_at_most_two_periods_past_the_first_repeat(self, name, ref_ladder, ref_channel,
+                                                            sweeps_run):
+        # A repeat that starts at sweep t1 is confirmed p sweeps later, and
+        # fewer than p sweeps are left after the jump.
+        mdp = self.build(name, ref_ladder, ref_channel)
+        period = self.GRIDS[name][-1]
+        iterations = relative_value_iteration(mdp)[3]
+        ran = sweeps_run()
+        assert ran <= first_repeat(mdp, iterations, period) + 2 * period
 
     def test_budget_ends_inside_a_jump(self, ref_ladder, ref_channel, sweeps_run):
         # Period 4: of four consecutive budgets one ends on a whole number of

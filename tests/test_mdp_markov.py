@@ -213,6 +213,37 @@ class TestVerifySwitchingMarkov:
         assert not report.passed
         assert (((1, 0), 5, 0), ((2, 0), 5, 0)) in report.violations
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_reports_the_per_state_scan(self, seed, ref_markov_mdp):
+        # The same violations, in the same order, as one pass over every
+        # state in grid order, on random tables with many violations.
+        rng = np.random.default_rng(seed)
+        available = ref_markov_mdp.core.available[:, 1]
+        actions = np.where(available, rng.integers(0, 2, len(available)), 0).astype(np.int8)
+        policy = Policy(actions=actions, states=ref_markov_mdp.states, zeta=0.0, span=0.0,
+                        iterations=0, converged=True)
+        violations = verify_switching_markov(policy).violations
+        assert len(violations) > 20
+        assert violations == per_state_violations(policy)
+
+
+def per_state_violations(policy):
+    """Switching violations found by visiting every state in grid order."""
+    index = policy.index()
+    violations = []
+    for s, (omega, q, xi) in enumerate(policy.states):
+        if policy.actions[s] == 0:
+            for i in range(len(omega)):
+                bumped = tuple(o + (1 if j == i else 0) for j, o in enumerate(omega))
+                neighbor = index.get((bumped, q, xi))
+                if neighbor is not None and policy.actions[neighbor] != 0:
+                    violations.append(((omega, q, xi), (bumped, q, xi)))
+        else:
+            neighbor = index.get((omega, q + 1, xi))
+            if neighbor is not None and policy.actions[neighbor] != 1:
+                violations.append(((omega, q, xi), (omega, q + 1, xi)))
+    return tuple(violations)
+
 
 def printed_block_pattern(pi, lambda_primes, thetas):
     """Reduced-chain transition matrix written exactly as the block layout:
