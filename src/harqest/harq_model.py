@@ -55,6 +55,15 @@ class HarqModel:
             raise ModelError("blocklength must be at least one symbol")
         if not self.rate > 0:
             raise ModelError("rate must be positive")
+        # Every `_block_error` lookup hashes the model: hash the fields once.
+        object.__setattr__(self, "_hash", hash((self.scheme, self.snr, self.blocklength, self.rate)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild through __init__, so a copy made in another process hashes there.
+        return type(self), (self.scheme, self.snr, self.blocklength, self.rate)
 
     @classmethod
     def from_db(cls, scheme: str, snr_db: float, blocklength: int, rate: float) -> "HarqModel":
@@ -107,15 +116,15 @@ def conditional_error_prob(model: HarqModel, gains, counts, xi: int) -> float:
     """
     if len(counts) != len(gains):
         raise ValueError("counts and gains must have the same length")
-    if any(c < 0 for c in counts):
+    current = float(gains[xi])  # first, so that empty gains still raise IndexError
+    if min(counts) < 0:
         raise ValueError("counts must be nonnegative")
-    current = float(gains[xi])
     # The buffered gains as the sorted multiset `block_error_prob` would key
     # them by, built from the sorted (gain, count) pairs.
     held = sorted((float(g), c) for g, c in zip(gains, counts) if c)
     if not held:
         return block_error_prob(model, (current,))
-    if any(g <= 0 for g, _ in held):
+    if held[0][0] <= 0:  # held is sorted: its first gain is the least
         raise ValueError("gains must be positive")
     past = ()
     for g, c in held:

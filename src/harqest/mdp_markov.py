@@ -18,7 +18,7 @@ from .errors import ConfigError, ModelError
 from .harq_model import HarqModel, conditional_error_prob
 from .lti_estimation import CostLadder
 from .mdp_core import FiniteAverageCostMdp, Policy, policy_iteration, relative_value_iteration
-from .numerics import gth_stationary, spectral_radius
+from .numerics import _reachable, gth_stationary, spectral_radius
 
 __all__ = [
     "StabilityReport",
@@ -283,8 +283,26 @@ def high_snr_markov(
     theta_max_search + 2) hold every round and age it reaches. There a
     state's future depends on (sum(omega), q, xi) alone, so the chain is
     lumped onto one state per class (Kemeny and Snell, Finite Markov Chains,
-    1960) and eliminated by GTH toward the reference state's class. The first
-    minimizer in lexicographic order wins ties.
+    1960). Every table's chain is eliminated by GTH toward the reference
+    state's class in one stacked call. The first minimizer in lexicographic
+    order wins ties.
+    """
+    tables, chains, costs, ref = _threshold_chains(ladder, ch, lambda_primes, theta_max_search)
+    zetas = gth_stationary(chains, start=ref) @ costs
+    best = int(np.argmin(zetas))  # the first minimizer
+    evaluated = dict(zip(tables, zetas.tolist()))
+    return HighSnrMarkovResult(
+        theta_star=tables[best], zeta_star=evaluated[tables[best]], evaluated=evaluated
+    )
+
+
+def _threshold_chains(ladder: CostLadder, ch: MarkovChannel, lambda_primes, theta_max_search: int):
+    """The lumped chains `high_snr_markov` costs, as (tables, chains, costs, ref).
+
+    tables lists the threshold vectors in lexicographic order. chains[t] is
+    table t's column-stochastic chain on the classes that some table reaches
+    from the reference class, in class order; costs holds their stage costs,
+    and ref is the reference class's place among them.
     """
     if theta_max_search < 1:
         raise ValueError("theta_max_search must be at least 1")
@@ -304,16 +322,36 @@ def high_snr_markov(
     m = len(classes)
     reps = np.searchsorted(np.maximum.accumulate(cls), np.arange(m))  # each class's first state
     r, q, xi = np.array(list(classes)).T
-    # Per action: flat (successor class, class) positions in the lumped matrix, and probabilities.
-    (fresh_at, fresh_p), (retx_at, retx_p) = [
-        (cls[idx[reps]] * m + np.arange(m)[:, None], prob[reps]) for idx, prob in mdp.core.transitions
+    ref = cls[mdp.core.ref]
+    tables = list(product(range(1, theta_max_search + 1), repeat=b))
+    retx = (r == 1) & (q > np.array(tables)[:, xi])  # [table, class]: retransmit there
+    # Per action: each class's successor classes and their probabilities.
+    (fresh_to, fresh_p), (retx_to, retx_p) = [
+        (cls[idx[reps]], prob[reps]) for idx, prob in mdp.core.transitions
     ]
-    costs, ref = mdp.core.costs[reps, 0], int(cls[mdp.core.ref])
-    evaluated = {}
-    for thetas in product(range(1, theta_max_search + 1), repeat=b):
-        retx = ((r == 1) & (q > np.array(thetas)[xi]))[:, None]
-        at, p = np.where(retx, retx_at, fresh_at), np.where(retx, retx_p, fresh_p)
-        chain = np.bincount(at.ravel(), p.ravel(), m * m).reshape(m, m)
-        evaluated[thetas] = float(costs @ gth_stationary(chain, start=ref))
-    best = min(evaluated, key=evaluated.__getitem__)
-    return HighSnrMarkovResult(theta_star=best, zeta_star=evaluated[best], evaluated=evaluated)
+    # Keep the classes some table reaches from the reference class.
+    to = np.concatenate([fresh_to, retx_to], axis=1)
+    used = np.concatenate(
+        [(fresh_p > 0.0) & ~retx.all(axis=0)[:, None], (retx_p > 0.0) & retx.any(axis=0)[:, None]],
+        axis=1,
+    )
+
+    def successors(frontier):
+        out = np.zeros(m, dtype=bool)
+        out[to[frontier][used[frontier]]] = True
+        return out
+
+    keep = np.flatnonzero(_reachable(successors, np.arange(m) == ref))
+    # A kept class steps outside `keep` only with probability 0, and place
+    # sends that step to class 0, where adding 0.0 changes nothing.
+    place = np.zeros(m, dtype=np.int64)
+    place[keep] = np.arange(len(keep))
+    n = len(keep)
+    at_retx = retx[:, keep, None]
+    to = np.where(at_retx, place[retx_to[keep]], place[fresh_to[keep]])
+    p = np.where(at_retx, retx_p[keep], fresh_p[keep])
+    # Flat (table, successor, class) positions; duplicates add up in order.
+    at = (np.arange(len(tables))[:, None, None] * n + to) * n + np.arange(n)[:, None]
+    chains = np.bincount(at.ravel(), p.ravel(), len(tables) * n * n).reshape(-1, n, n)
+    costs = mdp.core.costs[reps[keep], 0]
+    return tables, chains, costs, int(place[ref])

@@ -18,6 +18,7 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
+_SPLIT = "more than one closed class is reachable; the stationary vector is not unique"
 
 
 def spectral_radius(m):
@@ -41,39 +42,79 @@ def gth_stationary(p, start: int = 0) -> np.ndarray:
     """Stationary distribution of the closed class a chain reaches from `start`.
 
     Grassmann-Taksar-Heyman elimination (Grassmann, Taksar and Heyman, 1985)
-    on that class of the column-stochastic matrix p. The elimination only
-    adds, multiplies and divides nonnegative numbers, so even tail
-    probabilities near 1e-300 keep full relative precision. States outside
-    the class get probability 0. Raises ModelError when more than one closed
-    class can be reached from `start`.
+    on that class of the column-stochastic matrix p, or of each matrix in a
+    stack of shape (..., n, n), which gives a stack of shape (..., n). The
+    elimination only adds, multiplies and divides nonnegative numbers, so
+    even tail probabilities near 1e-300 keep full relative precision. States
+    outside the class get probability 0. Raises ModelError when more than
+    one closed class can be reached from `start`; for a stack, the message
+    names the item.
+
+    A stack is eliminated in one pass. Each item's class comes first, in the
+    order a lone call uses, and an item leaves the pass once its class is
+    eliminated, so it sums exactly the terms a lone call would.
     """
     p = np.asarray(p, dtype=float)
-    if p.ndim != 2 or p.shape[0] != p.shape[1]:
+    if p.ndim < 2 or p.shape[-1] != p.shape[-2]:
         raise ModelError(f"transition matrix must be square, got shape {p.shape}")
-    if np.min(p) < 0.0 or np.max(np.abs(p.sum(axis=0) - 1.0)) > 1e-9:
-        raise ModelError("matrix is not column-stochastic")
-    linked = p > 0.0  # linked[j, i]: one step leads from i to j
-    cls, _ = _closed_class(
-        lambda f: linked[:, f].any(axis=1), lambda f: linked[f].any(axis=0), start, p.shape[0]
+    lead, n = p.shape[:-2], p.shape[-1]
+    stack = p.reshape(-1, n, n)
+    if not len(stack):
+        return np.zeros(p.shape[:-1])
+
+    def item(t):
+        return f"stack item {tuple(int(i) for i in np.unravel_index(t, lead))}: " if lead else ""
+
+    bad = (stack.min(axis=(1, 2)) < 0.0) | (np.abs(stack.sum(axis=1) - 1.0).max(axis=1) > 1e-9)
+    if bad.any():
+        raise ModelError(f"{item(bad.argmax())}matrix is not column-stochastic")
+    # linked[t, j, i] is 1 where one step leads from i to j; a matrix product
+    # with it counts a mask's one-step successors (or predecessors) per state.
+    linked = (stack > 0.0).astype(float)
+    cls, _, split = _closed_class(
+        lambda f: (linked @ f[:, :, None])[:, :, 0] > 0.0,
+        lambda f: (f[:, None, :] @ linked)[:, 0, :] > 0.0,
+        np.full(len(stack), start),
+        n,
     )
-    members = np.flatnonzero(cls)
-    if cls[start]:
-        # Eliminate toward `start`: states whose probability underflows must
-        # not be the root, or the flow back to it underflows to a zero pivot.
-        members = np.r_[start, members[members != start]]
-    a = p[np.ix_(members, members)].T.copy()  # row-stochastic on the class
+    del linked  # as large as the stack: free it before the gather below
+    if split.any():
+        raise ModelError(f"{item(split.argmax())}{_SPLIT}")
+    # Per item: the class first (`start` first when it is recurrent, so that
+    # states whose probability underflows are not the root and the flow back
+    # to it cannot underflow to a zero pivot; then the others in ascending
+    # order), then the other states. Items go largest class first, so the
+    # items still being eliminated are always a leading block.
+    rank = np.where(cls, np.arange(n), n)
+    rank[cls[:, start], start] = -1
+    sizes = cls.sum(axis=1)
+    items = np.argsort(-sizes, kind="stable")
+    sizes = sizes[items]
+    width = int(sizes[0])
+    order = np.argsort(rank[items], axis=1, kind="stable")[:, :width]
+    # Row-stochastic on each class: a[t, i, j] is the flow from member i to j.
+    a = stack[items[:, None, None], order[:, None, :], order[:, :, None]]
+    live = (sizes[:, None] > np.arange(width)).sum(axis=0).tolist()  # items with member k
     # Censor the states from the last one down: a[:k, k] becomes the flow
     # into k per unit leaving it, and paths through k fold into a[:k, :k].
-    for k in range(len(members) - 1, 0, -1):
-        a[:k, k] /= a[k, :k].sum()
-        a[:k, :k] += a[:k, k, None] * a[k, :k]
-    x = np.zeros(len(members))  # unnormalized, back-substituted from state 0
-    x[0] = 1.0
-    for k in range(1, len(members)):
-        x[k] = x[:k] @ a[:k, k]
-    e = np.zeros(p.shape[0])
-    e[members] = x / x.sum()
-    return e
+    for k in range(width - 1, 0, -1):
+        b = a[: live[k]]
+        b[:, :k, k] /= b[:, k, :k].sum(axis=1)[:, None]
+        b[:, :k, :k] += b[:, :k, k, None] * b[:, k, None, :k]
+    x = np.zeros((len(stack), width))  # unnormalized, back-substituted from member 0
+    x[:, 0] = 1.0
+    for k in range(1, width):
+        x[: live[k], k] = (x[: live[k], :k] * a[: live[k], :k, k]).sum(axis=1)
+    # Normalize by the sum over each item's own members, as a lone call does
+    # (zero padding would regroup the pairwise sum), a block of equal sizes
+    # at a time.
+    cuts = [0, *(np.flatnonzero(np.diff(sizes)) + 1).tolist(), len(sizes)]
+    total = np.empty(len(stack))
+    for lo, hi in zip(cuts, cuts[1:]):
+        total[lo:hi] = x[lo:hi, : sizes[lo]].sum(axis=1)
+    e = np.zeros((len(stack), n))
+    e[items[:, None], order] = x / total[:, None]
+    return e.reshape(*lead, n)
 
 
 def first_passage_cost(succ, prob, cost, start: int, graph):
@@ -122,12 +163,15 @@ def first_passage_cost(succ, prob, cost, start: int, graph):
     def predecessors(frontier):
         return (frontier[succ] & positive).any(axis=1)
 
-    _, anchor = _closed_class(successors, predecessors, start, n)
+    _, anchor, split = _closed_class(successors, predecessors, start, n)
+    if split:
+        raise ModelError(_SPLIT)
+    anchor = int(anchor)
     # States that reach the anchor with probability one cannot reach a state
     # from which the anchor is out of reach.
-    sure = ~_reachable(predecessors, ~_reachable(predecessors, anchor, n), n)
+    sure = ~_reachable(predecessors, ~_reachable(predecessors, mark(anchor)))
     graph = np.asarray(graph)
-    level = _distances(lambda f: mark(graph[f].ravel()), anchor, n)
+    level = _distances(lambda f: mark(graph[f].ravel()), mark(anchor))
     top = int(level.max()) + 1
     level[sure & (level < 0)] = top  # not reached along graph: eliminated first
     level[~sure] = -1
@@ -195,30 +239,36 @@ def first_passage_cost(succ, prob, cost, start: int, graph):
     return zeta, h
 
 
-def _closed_class(forward, backward, start: int, n: int):
-    """Mask of the closed class a chain reaches from `start`, and a state of
-    it (`start` itself when it is recurrent). forward and backward map a mask
-    of states to the mask of their one-step successors or predecessors.
-    Raises ModelError when more than one closed class can be reached."""
-    ahead = _reachable(forward, start, n)
+def _closed_class(forward, backward, start, n: int):
+    """The closed class a chain reaches from `start`, for one chain or for
+    each of a stack of them: `start` is an int or an int array, and forward
+    and backward map masks of shape start.shape + (n,) to the masks of their
+    one-step successors or predecessors. Returns the class mask, a state of
+    the class (`start` itself when it is recurrent), and a flag that is true
+    where more than one closed class can be reached."""
+    start = np.asarray(start)
+    states = np.arange(n)
+    ahead = _reachable(forward, states == start[..., None])
     cls, centre = ahead, start
     while True:
-        strays = np.flatnonzero(cls & ~_reachable(backward, centre, n))
-        if not len(strays):
+        strays = cls & ~_reachable(backward, states == centre[..., None])
+        moving = strays.any(axis=-1)
+        if not moving.any():
             break
-        centre = strays[0]  # cannot return to centre: its closed class lies further on
-        cls = _reachable(forward, centre, n)
-    if centre != start and (ahead & ~_reachable(backward, cls, n)).any():
-        raise ModelError("more than one closed class is reachable; the stationary vector is not unique")
-    return cls, int(centre)
+        # A stray cannot return to centre: its closed class lies further on.
+        centre = np.where(moving, strays.argmax(axis=-1), centre)
+        cls = _reachable(forward, states == centre[..., None])
+    split = centre != start
+    if split.any():
+        split &= (ahead & ~_reachable(backward, cls)).any(axis=-1)
+    return cls, centre, split
 
 
-def _distances(step, seeds, n: int) -> np.ndarray:
-    """Breadth-first step count from the seed state(s), -1 where unreachable;
-    step maps a mask of states to the mask of their one-step neighbours."""
-    dist = np.full(n, -1)
-    frontier = np.zeros(n, dtype=bool)
-    frontier[seeds] = True
+def _distances(step, frontier) -> np.ndarray:
+    """Breadth-first step count from the states of the mask `frontier`, -1
+    where unreachable; step maps a mask of states to the mask of their
+    one-step neighbours. The mask may carry leading axes, one per search."""
+    dist = np.full(frontier.shape, -1)
     d = 0
     while frontier.any():
         dist[frontier] = d
@@ -227,6 +277,6 @@ def _distances(step, seeds, n: int) -> np.ndarray:
     return dist
 
 
-def _reachable(step, seeds, n: int) -> np.ndarray:
-    """Mask of the states reachable from the seed state(s) along `step`."""
-    return _distances(step, seeds, n) >= 0
+def _reachable(step, frontier) -> np.ndarray:
+    """Mask of the states reachable from the states of the mask `frontier`."""
+    return _distances(step, frontier) >= 0

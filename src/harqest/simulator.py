@@ -171,6 +171,7 @@ class TransitionMachine:
         self.index = {}  # state -> number, or _DIVERGED
         self.a, self.q, self.xi, self.counts, self.p = [], [], [], [], []
         self.successors = []
+        self._arrays, self._arrays_for = None, None
 
     def _compile(self, spec: PolicySpec):
         """The policy as act(counts, q, xi) -> action over plain ints."""
@@ -241,6 +242,23 @@ class TransitionMachine:
         self.p.append(self._error(self.zeros if a == 0 else counts, xi))
         self.successors.extend([_UNBUILT] * self.width)
         return s
+
+    def arrays(self):
+        """The per-state lists and the ladder's traces as numpy arrays: (a, q,
+        xi, p, counts, traces), counts one row per state. The lists only
+        grow, so the arrays are rebuilt only when their lengths have changed."""
+        size = (len(self.a), len(self.traces))
+        if self._arrays_for != size:
+            self._arrays = (
+                np.array(self.a, dtype=np.int8),
+                np.array(self.q, dtype=np.int64),
+                np.array(self.xi, dtype=np.int64),
+                np.array(self.p),
+                np.array(self.counts, dtype=np.int64).reshape(-1, self.ch.size),
+                np.array(self.traces),
+            )
+            self._arrays_for = size
+        return self._arrays
 
     def successor(self, k: int) -> int:
         """Fill and return successors[k]."""
@@ -332,18 +350,19 @@ def run(
             path.append(s)
     recorded = len(path)
     at = np.array(path, dtype=np.intp)
-    q = np.array(machine.q, dtype=np.int64)[at]
-    cost = np.array(machine.traces)[q - 1]
+    a_of, q_of, xi_of, p_of, counts_of, traces = machine.arrays()
+    q = q_of[at]
+    cost = traces[q - 1]
     running = np.cumsum(cost) / np.arange(1, recorded + 1) if recorded else np.array([])
-    omega = np.array(machine.counts, dtype=np.int64).reshape(-1, ch.size).take(at, axis=0)
+    omega = counts_of.take(at, axis=0)
     diverged = recorded < slots
     return SimulationTrace(
         k=np.arange(1, recorded + 1, dtype=np.int64),
-        a=np.array(machine.a, dtype=np.int8)[at],
-        gamma=(outcomes[:recorded] >= np.array(machine.p)[at]).astype(np.int8),
+        a=a_of[at],
+        gamma=(outcomes[:recorded] >= p_of[at]).astype(np.int8),
         r=sum(omega.T),  # adds the B count columns; faster than numpy's row sum here
         q=q,
-        xi=np.array(machine.xi, dtype=np.int64)[at],
+        xi=xi_of[at],
         trace_mse=cost,
         running_avg=running,
         omega=omega,

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import pickle
 import random
 from concurrent.futures import ThreadPoolExecutor
 
@@ -106,6 +108,20 @@ class TestConditionalErrorProb:
             conditional_error_prob(cc_model, (0.0,), (0,), 0)
         with pytest.raises(ValueError):
             conditional_error_prob(cc_model, (1.0, 0.0), (1, 0), 1)
+
+    @pytest.mark.parametrize(
+        "gains, counts, xi, error, message",
+        [
+            ((1.0, 2.0), (1,), 0, ValueError, "counts and gains must have the same length"),
+            ((1.0, 2.0), (1, -1), 0, ValueError, "counts must be nonnegative"),
+            ((2.0, -1.0, 0.5), (1, 2, 1), 0, ValueError, "gains must be positive"),
+            ((1.0, 0.0), (1, 0), 1, ValueError, "gains must be positive"),
+            ((), (), 0, IndexError, None),
+        ],
+    )
+    def test_validation_messages(self, cc_model, gains, counts, xi, error, message):
+        with pytest.raises(error, match=message):
+            conditional_error_prob(cc_model, gains, counts, xi)
 
     @pytest.mark.parametrize("b", [1, 2, 3, 4, 5])
     def test_keys_match_the_expanded_history(self, b, cc_model, ir_model, monkeypatch):
@@ -264,6 +280,14 @@ class TestModelValidation:
     def test_db_conversion(self):
         model = HarqModel.from_db("ir", 10.0, 100, 4.0)
         assert model.snr == pytest.approx(10.0)
+
+    def test_hash_is_the_hash_of_the_fields(self):
+        model = HarqModel.from_db("cc", 10.0, 100, 4.0)
+        assert hash(model) == hash(("cc", model.snr, 100, 4.0))
+        other = dataclasses.replace(model, scheme="ir")
+        assert hash(other) == hash(("ir", model.snr, 100, 4.0))
+        copy = pickle.loads(pickle.dumps(model))
+        assert copy == model and hash(copy) == hash(model)
 
     @pytest.mark.parametrize("snr_db", [1e308, 4000.0, float("inf"), -4000.0, float("nan")])
     def test_db_out_of_float_range(self, snr_db):

@@ -18,6 +18,7 @@ from harqest import (
     build_markov_mdp,
     build_static_mdp,
     check_stability_markov,
+    gth_stationary,
     high_snr_markov,
     policy_average_cost,
     solve_rvi,
@@ -25,7 +26,8 @@ from harqest import (
     static_channel,
     verify_switching_markov,
 )
-from harqest.mdp_markov import assemble_markov_mdp
+from harqest import mdp_markov
+from harqest.mdp_markov import _threshold_chains, assemble_markov_mdp
 
 
 @pytest.fixture(scope="module")
@@ -386,3 +388,32 @@ class TestHighSnrExactCost:
             if link == "static" and lambdas[0] < 1.0:
                 closed = high_snr_zeta_static(ref_ladder, lambdas[0], thetas[0])
                 assert exact == pytest.approx(closed, rel=1e-12, abs=0.0), thetas
+
+
+class TestHighSnrStackedCall:
+    """The search costs every table in one stacked `gth_stationary` call, and
+    each cost is the one a lone call on that table's chain gives."""
+
+    @pytest.mark.parametrize(
+        "link, lambdas",
+        [("fading", (0.2, 1.0)), ("fading", (5e-324, 1e-62)), ("static", (1.0,))],
+        ids=lambda v: v if isinstance(v, str) else "-".join(map(repr, v)),
+    )
+    def test_every_cost_matches_a_lone_call(
+        self, monkeypatch, ref_channel, ref_static_channel, ref_ladder, link, lambdas
+    ):
+        ch = ref_static_channel if link == "static" else ref_channel
+        shapes = []
+
+        def spy(p, start=0):
+            shapes.append(np.shape(p))
+            return gth_stationary(p, start)
+
+        monkeypatch.setattr(mdp_markov, "gth_stationary", spy)
+        result = high_snr_markov(ref_ladder, ch, lambdas, 8)
+        tables, chains, costs, ref = _threshold_chains(ref_ladder, ch, lambdas, 8)
+        assert shapes == [chains.shape]
+        assert list(result.evaluated) == tables
+        for thetas, chain in zip(tables, chains):
+            lone = float(costs @ gth_stationary(chain, start=ref))
+            assert result.evaluated[thetas] == pytest.approx(lone, rel=1e-15, abs=0.0), thetas

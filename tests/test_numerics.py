@@ -195,3 +195,98 @@ class TestNullSpaceVector:
         e = gth_stationary(p)
         assert e[-1] < 1e-150
         np.testing.assert_allclose(e[1:] / e[:-1], up / down, rtol=1e-13)
+
+
+class TestStackedStationary:
+    """`gth_stationary` on a stack of chains: each item as a lone call gives it."""
+
+    @staticmethod
+    def assert_matches_lone_calls(stack, start=0):
+        stacked = gth_stationary(stack, start=start)
+        assert stacked.shape == stack.shape[:-1]
+        for cell in np.ndindex(stack.shape[:-2]):
+            lone = gth_stationary(stack[cell], start=start)
+            # each item sums exactly the terms of a lone call, in the same order
+            assert stacked[cell].tobytes() == lone.tobytes(), cell
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 20])
+    def test_random_chains_with_classes_of_every_size(self, n):
+        rng = np.random.default_rng(500 + n)
+        stack = rng.uniform(0.05, 1.0, size=(3, 4, n, n))
+        # no state leads into a dropped one, so each item's class is its kept
+        # states; state 0, the start, is always kept
+        dropped = rng.uniform(size=(3, 4, n)) < 0.4
+        dropped[..., 0] = False
+        stack[dropped] = 0.0
+        stack /= stack.sum(axis=-2, keepdims=True)
+        self.assert_matches_lone_calls(stack)
+
+    def test_transient_start_next_to_recurrent_ones(self):
+        # item 0 is test_start_in_transient_loop's chain: from state 0 the
+        # chain swaps with state 1 until it leaves for the closed pair {2, 3}
+        loop = np.array([
+            [0.0, 0.9, 0.0, 0.0],
+            [0.9, 0.0, 0.0, 0.0],
+            [0.1, 0.1, 0.0, 0.5],
+            [0.0, 0.0, 1.0, 0.5],
+        ])
+        rng = np.random.default_rng(7)
+        dense = rng.uniform(0.1, 1.0, size=(2, 4, 4))
+        dense /= dense.sum(axis=-2, keepdims=True)
+        stack = np.stack([loop, dense[0], loop[::-1, ::-1], dense[1]])
+        self.assert_matches_lone_calls(stack)
+        np.testing.assert_allclose(
+            gth_stationary(stack)[0], [0.0, 0.0, 1.0 / 3.0, 2.0 / 3.0], rtol=1e-15
+        )
+
+    def test_birth_death_tails(self):
+        # detailed balance gives e[i + 1] / e[i] = up / down; at up = 1e-3 the
+        # tail is near 1e-160
+        n, down = 60, 0.5
+        stack = np.zeros((3, n, n))
+        for item, up in enumerate((1e-3, 0.05, 0.4)):
+            p = stack[item]
+            for i in range(n):
+                if i + 1 < n:
+                    p[i + 1, i] = up
+                if i > 0:
+                    p[i - 1, i] = down
+                p[i, i] = 1.0 - p[:, i].sum()
+        self.assert_matches_lone_calls(stack)
+        e = gth_stationary(stack)
+        assert e[0, -1] < 1e-150
+        np.testing.assert_allclose(e[0, 1:] / e[0, :-1], 1e-3 / down, rtol=1e-13)
+
+    def test_start_is_the_root(self):
+        # birth-death chains whose mass sits on the last state, the start: the
+        # far tail underflows, and with state 0 as the root the flow back to
+        # it would underflow to a zero pivot
+        n, down = 150, 0.5
+        stack = np.zeros((2, n, n))
+        for item, up in enumerate((1e-3, 2e-3)):
+            p = stack[item]
+            for i in range(n):
+                if i > 0:
+                    p[i - 1, i] = up
+                if i + 1 < n:
+                    p[i + 1, i] = down
+                p[i, i] = 1.0 - p[:, i].sum()
+        self.assert_matches_lone_calls(stack, start=n - 1)
+        e = gth_stationary(stack, start=n - 1)
+        assert np.all(np.isfinite(e))
+        assert e[0, 0] == 0.0 < e[0, -100]
+        ratios = e[:, -99:] / e[:, -100:-1]
+        np.testing.assert_allclose(ratios[0], 0.5 / 1e-3, rtol=1e-13)
+        np.testing.assert_allclose(ratios[1], 0.5 / 2e-3, rtol=1e-13)
+
+    def test_names_the_item_that_reaches_two_closed_classes(self):
+        # from state 1, item (1, 0) is absorbed in state 0 or in state 2
+        split = np.array([[1.0, 0.5, 0.0], [0.0, 0.0, 0.0], [0.0, 0.5, 1.0]])
+        fine = np.array([[0.5, 0.5, 0.0], [0.5, 0.0, 0.5], [0.0, 0.5, 0.5]])
+        stack = np.array([[fine, fine], [split, fine]])
+        with pytest.raises(ModelError, match=r"stack item \(1, 0\): more than one closed class"):
+            gth_stationary(stack, start=1)
+        assert gth_stationary(stack[0], start=1).shape == (2, 3)
+
+    def test_empty_stack(self):
+        assert gth_stationary(np.zeros((0, 3, 3))).shape == (0, 3)
