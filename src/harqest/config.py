@@ -7,6 +7,7 @@ conversion happens here, once.
 """
 
 import configparser
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,6 +184,11 @@ def load_config(path) -> Config:
         max_iters=solver_sec.number("max_iters", 100_000, cast=int),
         cost_mode=solver_sec.get("cost_mode", "mse").lower(),
     )
+    # A tol of inf stops on the first sweep and nan never does.
+    if not (math.isfinite(solver.tol) and solver.tol >= 0.0):
+        raise ConfigError(f"[solver] tol must be finite and at least 0, got {solver.tol!r}")
+    if solver.max_iters < 1:
+        raise ConfigError(f"[solver] max_iters must be at least 1, got {solver.max_iters}")
     if solver.cost_mode not in ("mse", "delay"):
         raise ConfigError(f"[solver] cost_mode: must be 'mse' or 'delay', got {solver.cost_mode!r}")
 

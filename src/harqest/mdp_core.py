@@ -5,10 +5,19 @@ The transition kernel is stored per action as fixed-width (successor index,
 probability) arrays, which keeps the Bellman sweep fully vectorized. Both the
 retransmission MDPs and the random instances used for solver validation fit
 this shape.
+
+The solvers stack every action's rows and keep each distinct (successors,
+probabilities, cost) row once, with where[a, s] naming the row that holds
+(s, a). A sweep computes Q on the distinct rows and expands it with one
+gather. On the retransmission grids the fresh action's row and cost depend
+on (q, xi) alone and every unavailable retransmission row is the same inf
+row, so 230 of 420 rows remain on the static 10 dB grid, 299 of 656 on the
+fading 10 dB grid and 3383 of 7328 on the fading (8, 8), q_max 30 grid.
 """
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -42,6 +51,12 @@ class FiniteAverageCostMdp:
     @property
     def n_actions(self) -> int:
         return self.costs.shape[1]
+
+    @cached_property
+    def stacked(self):
+        """`_stacked(self)`, built at the first solve and shared by every
+        later solve and evaluation of this MDP."""
+        return _stacked(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,19 +105,22 @@ def relative_value_iteration(
     n = mdp.n_states
     if not mdp.available.any(axis=1).all():
         raise ValueError("every state needs at least one available action")
-    idx, prob, costs = _stacked(mdp)
+    idx, prob, costs, where = mdp.stacked
     v = np.zeros(n)
     q = np.empty(len(costs))
-    q_by_action = q.reshape(mdp.n_actions, n)
     tv = np.empty(n)
     diff = np.empty(n)
 
     def bellman():
+        """The Q table, by action: Q of each distinct row, expanded."""
         # Keep this einsum: from width 3 on its row sum differs from a
         # left-to-right sum of products, so a column-wise sum would move the
-        # iterates in the last bit.
+        # iterates in the last bit. Each output row reduces its own K
+        # products in an order set by K alone, so bit-equal rows give
+        # bit-equal Q and one copy of each row is enough.
         np.einsum("sk,sk->s", prob, v[idx], out=q)
         np.add(q, costs, out=q)
+        return q[where]
 
     best_span = np.inf
     stall = 0
@@ -121,8 +139,7 @@ def relative_value_iteration(
     confirm_at = 0
     while iterations < max_iters:
         iterations += 1
-        bellman()
-        np.minimum.reduce(q_by_action, axis=0, out=tv)
+        np.minimum.reduce(bellman(), axis=0, out=tv)
         np.subtract(tv, v, out=diff)
         lo, hi = float(np.minimum.reduce(diff)), float(np.maximum.reduce(diff))
         span = hi - lo
@@ -173,8 +190,7 @@ def relative_value_iteration(
             f"(final span {hi - lo:.3e})"
         )
     # Greedy actions off the final Q table; lower-numbered actions win ties.
-    bellman()
-    actions = _improve(q_by_action, np.zeros(n, dtype=np.int8))
+    actions = _improve(bellman(), np.zeros(n, dtype=np.int8))
     zeta = (lo + hi) / 2.0
     return actions, float(zeta), float(hi - lo), iterations, stop == "tol", stop
 
@@ -196,7 +212,7 @@ def policy_iteration(mdp: FiniteAverageCostMdp, actions):
     policies evaluated. Raises ModelError when some state may never reach
     the chain's recurrent class under a policy it evaluates.
     """
-    idx, prob, costs = _stacked(mdp)
+    idx, prob, costs, where = mdp.stacked
     graph = _successor_graph(mdp)
 
     def evaluate(policy):
@@ -209,7 +225,7 @@ def policy_iteration(mdp: FiniteAverageCostMdp, actions):
     zeta, h = evaluate(actions)
     steps = 0
     while True:
-        q_by_action = (costs + np.einsum("sk,sk->s", prob, h[idx])).reshape(mdp.n_actions, -1)
+        q_by_action = (costs + np.einsum("sk,sk->s", prob, h[idx]))[where]
         th_h = q_by_action.min(axis=0) - h
         better = _improve(q_by_action, actions)
         if np.array_equal(better, actions):
@@ -233,14 +249,42 @@ def policy_average_cost(mdp: FiniteAverageCostMdp, actions) -> float:
     return _evaluate(mdp, actions, _successor_graph(mdp))[0]
 
 
+# An odd 64-bit constant (the golden ratio's fraction, as in Fibonacci hashing).
+_HASH_MULTIPLIER = np.int64(-0x61C8864680B583EB)
+
+
 def _stacked(mdp: FiniteAverageCostMdp):
-    """Every action's kernel rows stacked: row a * n + s holds (s, a), so one
-    gather and one einsum make a Bellman sweep. An unavailable action costs
-    inf, which its kernel row cannot change."""
+    """Every action's kernel rows stacked, each distinct row once. Returns
+    (idx, prob, costs, where): row where[a, s] of idx, prob and costs holds
+    (s, a). A Bellman sweep is then one gather of v, one einsum, one
+    add and one gather back through `where`. An unavailable action costs
+    inf, which its kernel row cannot change.
+
+    Rows are grouped by the exact bits of their 2K + 1 words (successors,
+    probabilities and cost; -0.0 and 0.0 stay apart). They are sorted on a
+    hash of those words, and a run of equal hashes is split wherever two
+    neighbours differ in any word, so a group only ever holds bit-equal
+    rows. A hash collision can only leave two copies of a row apart."""
     idx = np.concatenate([idx_a for idx_a, _ in mdp.transitions])
     prob = np.concatenate([prob_a for _, prob_a in mdp.transitions])
     costs = np.where(mdp.available, mdp.costs, np.inf).T.ravel()
-    return idx, prob, costs
+    words = [costs.view(np.int64), *idx.T, *prob.view(np.int64).T]
+    key = np.zeros(len(costs), dtype=np.int64)
+    for word in words:
+        key *= _HASH_MULTIPLIER  # wraps modulo 2**64
+        key += word
+    # Stable: the default quicksort pages in about 0.3 MB of SIMD sort code
+    # that nothing else in the program runs.
+    order = np.argsort(key, kind="stable")
+    first = np.zeros(len(order), dtype=bool)
+    first[0] = True
+    for word in words:
+        sorted_word = word[order]
+        first[1:] |= sorted_word[1:] != sorted_word[:-1]
+    where = np.empty(len(order), dtype=np.intp)
+    where[order] = np.cumsum(first) - 1
+    rows = order[first]
+    return idx[rows], prob[rows], costs[rows], where.reshape(mdp.n_actions, -1)
 
 
 def _improve(q_by_action, actions) -> np.ndarray:
@@ -276,6 +320,6 @@ def _evaluate(mdp: FiniteAverageCostMdp, actions, graph):
     states = np.arange(mdp.n_states)
     if not mdp.available[states, actions].all():
         raise ValueError("policy selects an unavailable action")
-    succ = np.stack([idx for idx, _ in mdp.transitions])[actions, states]
-    prob = np.stack([prob for _, prob in mdp.transitions])[actions, states]
-    return first_passage_cost(succ, prob, mdp.costs[states, actions], mdp.ref, graph)
+    idx, prob, _, where = mdp.stacked
+    rows = where[actions, states]
+    return first_passage_cost(idx[rows], prob[rows], mdp.costs[states, actions], mdp.ref, graph)

@@ -172,10 +172,17 @@ class TestConfigErrors:
              "[solver] omega_caps: a constant-gain link is capped by r_max alone"),
             ("snr_db = 10", "snr_db = 4000",
              "[harq]: snr_db = 4000.0 gives no finite positive linear SNR 10 ** (snr_db / 10)"),
+            ("q_max = 10", "q_max = 10\ntol = inf", "[solver] tol must be finite and at least 0, got inf"),
+            ("q_max = 10", "q_max = 10\ntol = nan", "[solver] tol must be finite and at least 0, got nan"),
+            ("q_max = 10", "q_max = 10\ntol = -1e-9",
+             "[solver] tol must be finite and at least 0, got -1e-09"),
+            ("q_max = 10", "q_max = 10\nmax_iters = 0", "[solver] max_iters must be at least 1, got 0"),
+            ("q_max = 10", "q_max = 10\nmax_iters = -5", "[solver] max_iters must be at least 1, got -5"),
         ],
         ids=[
             "zero-slots", "zero-replicates", "negative-seed", "fractional-slots", "r_max-1",
-            "percent-sign", "omega_caps-on-constant-gain", "snr_db-overflow",
+            "percent-sign", "omega_caps-on-constant-gain", "snr_db-overflow", "tol-inf", "tol-nan",
+            "tol-negative", "max_iters-0", "max_iters-negative",
         ],
     )
     def test_bad_value(self, tmp_path, capsys, line, replacement, message):

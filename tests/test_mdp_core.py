@@ -197,6 +197,43 @@ def assert_same_solve(mdp, **kwargs):
     return stop
 
 
+def with_repeated_rows(mdp):
+    """`mdp` with kernel rows that repeat and the same solve: every state
+    copied once as a new state with the same rows, costs and actions; a
+    zero-probability column added, which is -0.0 on the first copy; and
+    every unavailable row given the successors, probabilities and cost of
+    the first available row, which only its stacked cost of inf tells
+    apart."""
+    n = mdp.n_states
+    keep = np.concatenate([np.arange(n), np.arange(n)])
+    costs = mdp.costs[keep]
+    available = mdp.available[keep]
+    transitions = []
+    for idx, prob in mdp.transitions:
+        idx = np.column_stack([idx[keep], np.full(2 * n, mdp.ref)])
+        prob = np.column_stack([prob[keep], np.zeros(2 * n)])
+        prob[n, -1] = -0.0
+        transitions.append((idx, prob))
+    s, a = np.argwhere(available)[0]
+    for t, b in np.argwhere(~available):
+        transitions[b][0][t] = transitions[a][0][s]
+        transitions[b][1][t] = transitions[a][1][s]
+        costs[t, b] = costs[s, a]
+    return FiniteAverageCostMdp(costs=costs, transitions=transitions, available=available, ref=mdp.ref)
+
+
+def slow_swap_mdp():
+    """The two-state swap of `test_slow_stop_only_when_tol_lies_beyond_the_budget`
+    under action 0, next to an action 1 that is unavailable everywhere."""
+    idx = np.array([[0, 1], [1, 0]])
+    prob = np.array([[1.0 - 5e-4, 5e-4]] * 2)
+    return FiniteAverageCostMdp(
+        costs=np.array([[0.0, 0.0], [1.0, 0.0]]),
+        transitions=[(idx, prob), (idx, prob)],
+        available=np.array([[True, False], [True, False]]),
+    )
+
+
 class TestReferenceConformance:
     """The stacked sweep reproduces the per-action sweep bit for bit."""
 
@@ -240,6 +277,26 @@ class TestReferenceConformance:
         assert assert_same_solve(mdp, max_iters=20_718) == "tol"
         assert relative_value_iteration(mdp, max_iters=20_718)[3] == 20_714
 
+    @pytest.mark.parametrize(
+        "seed, n_actions, kwargs, stop",
+        [
+            (200, 2, {"tol": 1e-11}, "tol"),
+            (203, 3, {"tol": 1e-11}, "tol"),
+            (7, 3, {"tol": 0.0, "patience": 50}, "plateau"),
+            (8, 3, {"tol": 0.0, "max_iters": 40, "patience": 10_000}, "budget"),
+        ],
+        ids=["tol-2", "tol-3", "plateau", "budget"],
+    )
+    def test_repeated_rows(self, seed, n_actions, kwargs, stop):
+        mdp = with_repeated_rows(random_mdp(seed, max_states=30, n_actions=n_actions, unavailable=0.3))
+        assert len(mdp.stacked[0]) < mdp.n_states * mdp.n_actions
+        assert assert_same_solve(mdp, **kwargs) == stop
+
+    def test_repeated_rows_slow_stop(self):
+        mdp = with_repeated_rows(slow_swap_mdp())
+        assert assert_same_solve(mdp, max_iters=20_708) == "slow"
+        assert relative_value_iteration(mdp, max_iters=20_708)[3] == 1000
+
     def test_ir_static_plateau(self, ref_ladder):
         # IR at 6.5 dB on the constant-gain (20, 20) grid: long runs of
         # improving sweeps, each broken inside a window, end on the plateau
@@ -255,6 +312,93 @@ class TestReferenceConformance:
         mdp = build_markov_mdp(harq, ref_channel, ref_ladder, (4, 4), 10)
         assert assert_same_solve(mdp.core, max_iters=2000) == "slow"
         assert relative_value_iteration(mdp.core, max_iters=2000)[3] == 1000
+
+
+class TestStackedKernel:
+    """`_stacked` keeps each distinct kernel row once, and a solve builds it once."""
+
+    @staticmethod
+    def stacked_words(mdp):
+        """The (A * S, 2K + 1) exact bits of every stacked row: successors,
+        probabilities and the cost, inf where the action is unavailable."""
+        idx = np.concatenate([idx for idx, _ in mdp.transitions])
+        prob = np.concatenate([prob for _, prob in mdp.transitions])
+        costs = np.where(mdp.available, mdp.costs, np.inf).T.reshape(-1, 1)
+        return np.hstack([idx, prob.view(np.int64), costs.view(np.int64)])
+
+    def kept_words(self, mdp):
+        """The exact bits of the rows `_stacked` keeps, after checking that
+        row where[a, s] holds (s, a) bit for bit."""
+        idx, prob, costs, where = harqest.mdp_core._stacked(mdp)
+        assert where.shape == (mdp.n_actions, mdp.n_states)
+        kept = np.hstack([idx, prob.view(np.int64), costs.view(np.int64)[:, None]])
+        assert np.array_equal(kept[where.ravel()], self.stacked_words(mdp))
+        return kept
+
+    def distinct_rows(self, mdp):
+        """The number of rows `_stacked` keeps, after checking that no two
+        of them are bit-equal."""
+        kept = self.kept_words(mdp)
+        assert len({row.tobytes() for row in kept}) == len(kept)
+        return len(kept)
+
+    @pytest.mark.parametrize(
+        "scheme, snr_db, fading, caps, q_max, rows",
+        [
+            ("cc", 10.0, False, (20,), 20, (230, 420)),
+            ("cc", 10.0, True, (4, 4), 10, (299, 656)),
+            ("ir", 6.5, True, (4, 4), 10, (299, 656)),
+            ("cc", 8.5, True, (8, 8), 30, (3383, 7328)),
+        ],
+        ids=["static-10dB", "fading-10dB", "fading-ir-6.5dB", "fading-8x8-q30-8.5dB"],
+    )
+    def test_reference_grids(self, scheme, snr_db, fading, caps, q_max, rows, ref_ladder, ref_channel):
+        # The fresh action's row and cost depend on (q, xi) alone, and every
+        # unavailable retransmission row is the same inf row.
+        ch = ref_channel if fading else static_channel(2.0)
+        mdp = build_markov_mdp(HarqModel.from_db(scheme, snr_db, 100, 4.0), ch, ref_ladder, caps, q_max).core
+        assert (self.distinct_rows(mdp), mdp.n_states * mdp.n_actions) == rows
+
+    def test_signed_zero_and_availability_split_rows(self):
+        base = random_mdp(203, max_states=30, n_actions=3, unavailable=0.3)
+        mdp = with_repeated_rows(base)
+        n = base.n_states
+        where = mdp.stacked[3]
+        # the first copy's available rows differ from its state's only by a
+        # -0.0; the other copies share their state's rows
+        available = mdp.available[0]
+        assert available.any() and (where[available, n] != where[available, 0]).all()
+        assert (where[:, n + 1:] == where[:, 1:n]).all()
+        # an unavailable row is kept apart from the available row it copies
+        s, a = np.argwhere(mdp.available)[0]
+        t, b = np.argwhere(~mdp.available)[0]
+        assert where[b, t] != where[a, s]
+        self.distinct_rows(mdp)
+
+    def test_groups_survive_hash_collisions(self, monkeypatch):
+        # With a multiplier of 0 the hash is the last probability column
+        # alone, which is zero on almost every row: rows that share it group
+        # only when bit-equal, and the solve is still that of the reference.
+        monkeypatch.setattr(harqest.mdp_core, "_HASH_MULTIPLIER", np.int64(0))
+        mdp = with_repeated_rows(random_mdp(203, max_states=30, n_actions=3, unavailable=0.3))
+        self.kept_words(mdp)
+        assert assert_same_solve(mdp, tol=1e-11) == "tol"
+
+    def test_slow_stop_solve_builds_once(self, ref_ladder, ref_channel, monkeypatch):
+        # RVI's slow stop hands over to policy iteration, whose Q table and
+        # exact evaluations read the same stacked kernel.
+        built = []
+        stacked = harqest.mdp_core._stacked
+
+        def counting(mdp):
+            built.append(None)
+            return stacked(mdp)
+
+        monkeypatch.setattr(harqest.mdp_core, "_stacked", counting)
+        mdp = build_markov_mdp(HarqModel.from_db("ir", 6.5, 100, 4.0), ref_channel, ref_ladder, (4, 4), 10)
+        policy = solve_rvi_markov(mdp)
+        assert policy.converged
+        assert len(built) == 1
 
 
 def reference_iterates(mdp, sweeps):
