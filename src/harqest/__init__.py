@@ -5,8 +5,8 @@ from .channel import MarkovChannel, static_channel
 from .errors import ConfigError, ConvergenceError, DepthError, HarqestError, ModelError
 from .harq_model import (
     HarqModel,
+    LinkErrors,
     block_error_prob,
-    conditional_error_prob,
     worst_retransmission_error_markov,
 )
 from .lti_estimation import (

@@ -15,7 +15,7 @@ import numpy as np
 from .channel import MarkovChannel
 from .config import Config, load_config
 from .errors import ConfigError, ConvergenceError, HarqestError
-from .harq_model import HarqModel, block_error_prob, worst_retransmission_error_markov
+from .harq_model import HarqModel, LinkErrors, block_error_prob, worst_retransmission_error_markov
 from .lti_estimation import build_cost_ladder, solve_steady_state
 from .mdp_markov import (
     build_markov_mdp,
@@ -110,9 +110,10 @@ def cmd_stability(args) -> int:
     lines = [f"rho^2(A) = {rho_sq:.6f}"]
     # A static round capped at r_max attempts buffers at most r_max - 1 of them.
     budget = caps[0] - 1 if cfg.is_static else sum(caps)
+    link = LinkErrors(cfg.harq, cfg.channel.gains)
     lambdas = []
     for i in range(cfg.channel.size):
-        worst = worst_retransmission_error_markov(cfg.harq, cfg.channel.gains, i, budget)
+        worst = worst_retransmission_error_markov(link, i, budget)
         lambdas.append(worst.value)
         if cfg.is_static:
             monotone = all(b <= a for a, b in zip(worst.values, worst.values[1:]))

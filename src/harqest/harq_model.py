@@ -2,16 +2,14 @@
 
 The block error probability of an attempt is the normal-approximation
 Q-expression over the accumulated channel gains of the combining round;
-conditional (per-slot) error probabilities are ratios of two block
-evaluations. Evaluations are cached per sorted gain multiset, so the solvers
-can hammer the same few hundred values cheaply.
+the error of one attempt is the ratio of two block evaluations. One
+`LinkErrors` table per link holds its block errors keyed by attempt counts,
+for as long as its holder keeps it; nothing is cached at module level.
 """
 
 import logging
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import ModelError
 from .numerics import gaussian_q
@@ -19,7 +17,7 @@ from .numerics import gaussian_q
 __all__ = [
     "HarqModel",
     "block_error_prob",
-    "conditional_error_prob",
+    "LinkErrors",
     "worst_retransmission_error_markov",
     "WorstMarkovError",
 ]
@@ -55,15 +53,6 @@ class HarqModel:
             raise ModelError("blocklength must be at least one symbol")
         if not self.rate > 0:
             raise ModelError("rate must be positive")
-        # Every `_block_error` lookup hashes the model: hash the fields once.
-        object.__setattr__(self, "_hash", hash((self.scheme, self.snr, self.blocklength, self.rate)))
-
-    def __hash__(self):
-        return self._hash
-
-    def __reduce__(self):
-        # Rebuild through __init__, so a copy made in another process hashes there.
-        return type(self), (self.scheme, self.snr, self.blocklength, self.rate)
 
     @classmethod
     def from_db(cls, scheme: str, snr_db: float, blocklength: int, rate: float) -> "HarqModel":
@@ -78,7 +67,6 @@ class HarqModel:
         return cls(scheme=scheme, snr=snr, blocklength=blocklength, rate=rate)
 
 
-@lru_cache(maxsize=None)
 def _block_error(model: HarqModel, gains: tuple) -> float:
     """P[round still undecodable | len(gains) attempts with these gains]."""
     snr, length, rate = model.snr, model.blocklength, model.rate
@@ -106,41 +94,49 @@ def block_error_prob(model: HarqModel, gains) -> float:
     return _block_error(model, gains)
 
 
-def conditional_error_prob(model: HarqModel, gains, counts, xi: int) -> float:
-    """Error probability of an attempt under gains[xi], given the pending round.
+class LinkErrors:
+    """One link's error table over attempt counts, filled on first use.
 
-    counts[i] is how many of the round's buffered attempts saw gains[i]; all
-    zeros is a new transmission (single-attempt block error). Otherwise the
-    attempt fails with the ratio of the block error over the buffered attempts
-    plus this one to the block error over the buffered attempts alone.
+    counts[i] is how many of a round's attempts saw gains[i]. A block is
+    evaluated over those attempts as the ascending gain tuple that
+    `block_error_prob` builds, so every value has the same bits as there.
     """
-    if len(counts) != len(gains):
-        raise ValueError("counts and gains must have the same length")
-    current = float(gains[xi])  # first, so that empty gains still raise IndexError
-    if min(counts) < 0:
-        raise ValueError("counts must be nonnegative")
-    # The buffered gains as the sorted multiset `block_error_prob` would key
-    # them by, built from the sorted (gain, count) pairs.
-    held = sorted((float(g), c) for g, c in zip(gains, counts) if c)
-    if not held:
-        return block_error_prob(model, (current,))
-    if held[0][0] <= 0:  # held is sorted: its first gain is the least
-        raise ValueError("gains must be positive")
-    past = ()
-    for g, c in held:
-        past += (g,) * c
-    denominator = _block_error(model, past)
-    if denominator < _DENOMINATOR_FLOOR:
-        log.debug(
-            "retransmission after an all-but-decoded history %s; conditional error pinned to 0",
-            tuple(counts),
-        )
-        return 0.0
-    if current <= 0:
-        raise ValueError("gains must be positive")
-    at = bisect_right(past, current)
-    numerator = _block_error(model, past[:at] + (current,) + past[at:])
-    return min(numerator / denominator, 1.0)
+
+    def __init__(self, model: HarqModel, gains):
+        self.model = model
+        self.gains = tuple(float(g) for g in gains)
+        if any(g <= 0 for g in self.gains):
+            raise ValueError("gains must be positive")
+        self._ascending = sorted(range(len(self.gains)), key=self.gains.__getitem__)
+        self._blocks = {}
+
+    def block(self, counts) -> float:
+        """Error probability of the round that made the attempts `counts`."""
+        p = self._blocks.get(counts)
+        if p is None:
+            if len(counts) != len(self.gains):
+                raise ValueError("counts and gains must have the same length")
+            if min(counts) < 0:
+                raise ValueError("counts must be nonnegative")
+            gains = tuple(g for i in self._ascending for g in (self.gains[i],) * counts[i])
+            p = self._blocks[counts] = _block_error(self.model, gains)
+        return p
+
+    def attempt(self, counts, xi: int) -> float:
+        """Error probability of an attempt under gains[xi] after a round that
+        buffered the attempts `counts` (all zeros for a fresh transmission):
+        the block error with this attempt over the block error without it."""
+        bumped = counts[:xi] + (counts[xi] + 1,) + counts[xi + 1 :]
+        if not any(counts):
+            return self.block(bumped)
+        denominator = self.block(counts)
+        if denominator < _DENOMINATOR_FLOOR:
+            log.debug(
+                "retransmission after an all-but-decoded history %s; conditional error pinned to 0",
+                counts,
+            )
+            return 0.0
+        return min(self.block(bumped) / denominator, 1.0)
 
 
 def _histories(b: int, budget: int) -> list:
@@ -166,9 +162,9 @@ class WorstMarkovError:
 
 
 def worst_retransmission_error_markov(
-    model: HarqModel, gains, channel_index: int, omega_budget: int
+    link: LinkErrors, channel_index: int, omega_budget: int
 ) -> WorstMarkovError:
-    """Exhaustively maximize the conditional error for gain gains[channel_index].
+    """Exhaustively maximize the attempt error for gain link.gains[channel_index].
 
     Histories are scanned in lexicographic count order and the first maximum
     wins. A maximum attained at ||omega||_1 == omega_budget is flagged: the
@@ -177,11 +173,11 @@ def worst_retransmission_error_markov(
     """
     if omega_budget < 1:
         raise ValueError("omega_budget must be at least 1")
-    gains = tuple(float(g) for g in gains)
-    if not 0 <= channel_index < len(gains):
-        raise ValueError(f"channel_index {channel_index} out of range for {len(gains)} gains")
-    histories = _histories(len(gains), omega_budget)[1:]  # all but the empty round
-    values = tuple(conditional_error_prob(model, gains, c, channel_index) for c in histories)
+    b = len(link.gains)
+    if not 0 <= channel_index < b:
+        raise ValueError(f"channel_index {channel_index} out of range for {b} gains")
+    histories = _histories(b, omega_budget)[1:]  # all but the empty round
+    values = tuple(link.attempt(c, channel_index) for c in histories)
     best = max(range(len(values)), key=values.__getitem__)
     return WorstMarkovError(
         value=values[best],

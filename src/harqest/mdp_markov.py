@@ -15,7 +15,7 @@ import numpy as np
 
 from .channel import MarkovChannel
 from .errors import ConfigError, ModelError
-from .harq_model import HarqModel, conditional_error_prob
+from .harq_model import HarqModel, LinkErrors
 from .lti_estimation import CostLadder
 from .mdp_core import FiniteAverageCostMdp, Policy, policy_iteration, relative_value_iteration
 from .numerics import _reachable, gth_stationary, spectral_radius
@@ -82,10 +82,7 @@ def build_markov_mdp(
     cost_mode: str = "mse",
 ) -> MarkovMdp:
     """Truncated MDP with error probabilities taken from the link model."""
-
-    def attempt_error(omega, xi):
-        return conditional_error_prob(harq, ch.gains, omega, xi)
-
+    attempt_error = LinkErrors(harq, ch.gains).attempt
     return assemble_markov_mdp(attempt_error, ch, ladder, omega_caps, q_max, cost_mode)
 
 

@@ -103,6 +103,8 @@ def load_policy(path) -> Policy:
         "converged": header("converged", _flag),
         "cost_mode": header("cost_mode"),
     }
+    if solve["cost_mode"] not in ("mse", "delay"):
+        raise ConfigError(f"{path}: cannot parse 'cost_mode' header {solve['cost_mode']!r}")
     if len(gains) != len(caps):
         raise ConfigError(f"{path}: {len(gains)} gains for {len(caps)} omega caps")
     # The grid the headers declare, in the solver's state order.

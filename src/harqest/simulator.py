@@ -17,7 +17,7 @@ import numpy as np
 
 from .channel import MarkovChannel
 from .errors import ConfigError, DepthError
-from .harq_model import HarqModel, conditional_error_prob
+from .harq_model import HarqModel, LinkErrors
 from .lti_estimation import CostLadder
 from .mdp_core import Policy
 
@@ -152,7 +152,7 @@ class TransitionMachine:
     """
 
     def __init__(self, harq: HarqModel, ch: MarkovChannel, ladder: CostLadder, policy: PolicySpec):
-        self.harq, self.ch = harq, ch
+        self.ch = ch
         self.built_for = (harq, ch, ladder, policy)
         size = ch.size
         self.zeros = (0,) * size
@@ -166,6 +166,7 @@ class TransitionMachine:
         self.next_x = [[0] + [bisect_right(column, e) for e in edges] for column in columns]
         self.traces = list(ladder.traces)  # index n - 1 holds Tr at age n
         self._grown = ladder
+        self._link = LinkErrors(harq, ch.gains)
         self._errors = {}
         self._act = self._compile(policy)
         self.index = {}  # state -> number, or _DIVERGED
@@ -208,11 +209,11 @@ class TransitionMachine:
         return lambda counts, q, xi: 0 if sum(counts) == q else 1  # always_retransmit_psi
 
     def _error(self, counts, xi):
-        """conditional_error_prob, memoized; a fresh attempt's counts are all zeros."""
+        """The link's attempt error, memoized; a fresh attempt's counts are all zeros."""
         key = (counts, xi)
         p = self._errors.get(key)
         if p is None:
-            p = self._errors[key] = conditional_error_prob(self.harq, self.ch.gains, counts, xi)
+            p = self._errors[key] = self._link.attempt(counts, xi)
         return p
 
     def _grow(self, n):

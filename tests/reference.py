@@ -3,7 +3,8 @@
 Each is written the direct way: the balance solve of a stationary vector, the
 kernel-row sum check, the one-step-lookahead (myopic) rule and the threshold
 closed form on the static link, the exact cost of a perfect-retransmission
-threshold table on the MDP's own kernel, the channel step, the count-tuple
+threshold table on the MDP's own kernel, an attempt's error from its round
+expanded into a flat gain tuple, the channel step, the count-tuple
 attempt-history update and the per-slot simulation loop they drive, and the
 per-state kernel loop of the MDP builder. Nothing in the package imports this
 module.
@@ -17,7 +18,6 @@ from harqest import (
     FiniteAverageCostMdp,
     Policy,
     block_error_prob,
-    conditional_error_prob,
     policy_average_cost,
 )
 from harqest.errors import DepthError
@@ -149,6 +149,20 @@ def step(ch, current_index: int, rng: np.random.Generator) -> int:
     return int(np.searchsorted(ch._cumulative[:, current_index], u, side="right"))
 
 
+def expanded_error_prob(model, gains, counts, xi) -> float:
+    """The error of an attempt under gains[xi] after the round `counts`, by
+    expanding the counts into a flat gain tuple that block_error_prob sorts
+    on every call."""
+    current = (float(gains[xi]),)
+    past = tuple(float(g) for c, g in zip(counts, gains) for _ in range(c))
+    if not past:
+        return block_error_prob(model, current)
+    denominator = block_error_prob(model, past)
+    if denominator < 1e-300:
+        return 0.0
+    return min(block_error_prob(model, past + current) / denominator, 1.0)
+
+
 def zero_history(gains) -> tuple:
     """The empty attempt counts over `gains`: no pending round."""
     return (0,) * len(gains)
@@ -205,7 +219,7 @@ def reference_run(harq, ch, ladder, spec, cfg, replicate=0):
 
         def act(r, q, omega, xi):
             g0 = new_tx[xi]
-            g1 = conditional_error_prob(harq, ch.gains, omega, xi)
+            g1 = expanded_error_prob(harq, ch.gains, omega, xi)
             fresh = g0 * trace(q + 1) + (1.0 - g0) * trace(1)
             retx = g1 * trace(q + 1) + (1.0 - g1) * trace(sum(omega) + 1)
             return 0 if retx >= fresh else 1
@@ -240,7 +254,7 @@ def reference_run(harq, ch, ladder, spec, cfg, replicate=0):
         if a == 0:
             p_err = new_tx[xi]
         else:
-            p_err = conditional_error_prob(harq, ch.gains, omega, xi)
+            p_err = expanded_error_prob(harq, ch.gains, omega, xi)
         gamma = 1 if rng.random() >= p_err else 0
         rows.append((a, gamma, r, q, xi, cost, omega))
         r_next = 1 if a == 0 else r + 1

@@ -19,6 +19,7 @@ from reference import high_snr_zeta_static, kernel_row, kernel_row_error, thresh
 from harqest import (
     FiniteAverageCostMdp,
     HarqModel,
+    LinkErrors,
     PolicyEntry,
     PolicySpec,
     SimConfig,
@@ -80,10 +81,10 @@ def test_c2_stability_checks(ref_system, ref_channel):
     verdicts = {}
     for scheme in ("cc", "ir"):
         model = HarqModel.from_db(scheme, 10.0, 100, 4.0)
-        worst = worst_retransmission_error_markov(model, (2.0,), 0, 19)
+        worst = worst_retransmission_error_markov(LinkErrors(model, (2.0,)), 0, 19)
         verdicts[f"static/{scheme}"] = check_stability_markov(STATIC_PI, [worst.value], rho_sq).stable
         lambdas = [
-            worst_retransmission_error_markov(model, ref_channel.gains, i, 8).value
+            worst_retransmission_error_markov(LinkErrors(model, ref_channel.gains), i, 8).value
             for i in range(2)
         ]
         verdicts[f"markov/{scheme}"] = check_stability_markov(
@@ -184,7 +185,7 @@ def test_c4_switching_structure_sweep(ref_system, ref_ladder, ref_channel):
         for scheme in ("cc", "ir"):
             model = HarqModel.from_db(scheme, snr_db, 100, 4.0)
             static = check_stability_markov(
-                STATIC_PI, [worst_retransmission_error_markov(model, (2.0,), 0, 19).value], rho_sq
+                STATIC_PI, [worst_retransmission_error_markov(LinkErrors(model, (2.0,)), 0, 19).value], rho_sq
             )
             key = f"static/{snr_db:g}dB/{scheme}"
             if static.stable:
@@ -195,7 +196,7 @@ def test_c4_switching_structure_sweep(ref_system, ref_ladder, ref_channel):
             else:
                 excluded[key] = round(static.product, 2)
             lambdas = [
-                worst_retransmission_error_markov(model, ref_channel.gains, i, sum(caps)).value
+                worst_retransmission_error_markov(LinkErrors(model, ref_channel.gains), i, sum(caps)).value
                 for i in range(ref_channel.size)
             ]
             markov = check_stability_markov(ref_channel.pi, lambdas, rho_sq)
@@ -353,7 +354,7 @@ def tradeoff(ref_system, ref_ladder, ref_channel):
         cfg,
     )
     rho_sq = ref_system.rho_squared
-    worst = worst_retransmission_error_markov(cc, (2.0,), 0, 19)
+    worst = worst_retransmission_error_markov(LinkErrors(cc, (2.0,)), 0, 19)
     return {
         "static": static_table,
         "markov": markov_table,

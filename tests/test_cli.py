@@ -276,6 +276,20 @@ class TestConfigErrors:
             "config error: duplicate comparison labels: ['policy', 'policy']\n"
         )
 
+    def test_policy_cost_mode_other_than_mse_or_delay(self, static_cfg, capsys):
+        path, out = static_cfg
+        assert main(["solve", "--config", str(path)]) == 0
+        policy = out / "policy_static_mse.txt"
+        edited = out / "banana.txt"
+        text = policy.read_text()
+        assert "\ncost_mode = mse\n" in text
+        edited.write_text(text.replace("\ncost_mode = mse\n", "\ncost_mode = banana\n"))
+        capsys.readouterr()
+        assert main(["simulate", "--config", str(path), "--policy", str(edited)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {edited}: cannot parse 'cost_mode' header 'banana'\n"
+        )
+
     @pytest.mark.parametrize("command", ("stability", "solve", "highsnr", "sweep"))
     def test_seed_is_a_simulate_option_only(self, static_cfg, command):
         path, _ = static_cfg

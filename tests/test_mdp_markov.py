@@ -12,6 +12,7 @@ from reference import (
 
 from harqest import (
     HarqModel,
+    LinkErrors,
     ModelError,
     Policy,
     block_error_prob,
@@ -94,7 +95,7 @@ class TestStabilityCheck:
         for scheme in ("cc", "ir"):
             model = HarqModel.from_db(scheme, 10.0, 100, 4.0)
             lambdas = [
-                worst_retransmission_error_markov(model, ref_channel.gains, i, 8).value
+                worst_retransmission_error_markov(LinkErrors(model, ref_channel.gains), i, 8).value
                 for i in range(2)
             ]
             report = check_stability_markov(ref_channel.pi, lambdas, ref_system.rho_squared)
@@ -111,12 +112,10 @@ class TestKernel:
     def test_readoff_retransmission_success(self, cc_model, ref_channel, ref_markov_mdp):
         # from ((1,0), q=3, xi=0), retransmit, success, next channel 1:
         # lands in ((2,0), 2, 1) with probability pi[1,0] * (1 - g~((1,0), gain0))
-        from harqest import conditional_error_prob
-
         s = ref_markov_mdp.index[((1, 0), 3, 0)]
         idx, prob = kernel_row(ref_markov_mdp.core, s, 1)
         target = ref_markov_mdp.index[((2, 0), 2, 1)]
-        g = conditional_error_prob(cc_model, ref_channel.gains, (1, 0), 0)
+        g = LinkErrors(cc_model, ref_channel.gains).attempt((1, 0), 0)
         expected = ref_channel.pi[1, 0] * (1.0 - g)
         hits = [p for j, p in zip(idx, prob) if j == target]
         assert len(hits) == 1

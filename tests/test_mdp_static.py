@@ -24,6 +24,7 @@ from harqest import (
     ConfigError,
     FiniteAverageCostMdp,
     HarqModel,
+    LinkErrors,
     Policy,
     build_cost_ladder,
     build_static_mdp,
@@ -86,7 +87,7 @@ class TestStabilityCheck:
 
     def test_reference_point_stable(self, cc_model, ir_model, ref_system):
         for model in (cc_model, ir_model):
-            worst = worst_retransmission_error_markov(model, (2.0,), 0, 19)
+            worst = worst_retransmission_error_markov(LinkErrors(model, (2.0,)), 0, 19)
             assert check_stability_markov(STATIC_PI, [worst.value], ref_system.rho_squared).stable
 
     def test_large_product_not_guaranteed(self):
@@ -208,7 +209,7 @@ class TestSwitchingSweep:
                 for scheme in ("cc", "ir"):
                     model = HarqModel.from_db(scheme, snr_db, 100, 4.0)
                     policy = solve_rvi_markov(build_static_mdp(model, gain, ref_ladder, 20, 20))
-                    worst = worst_retransmission_error_markov(model, (gain,), 0, 19)
+                    worst = worst_retransmission_error_markov(LinkErrors(model, (gain,)), 0, 19)
                     stable = check_stability_markov(
                         STATIC_PI, [worst.value], ref_system.rho_squared
                     ).stable

@@ -166,6 +166,8 @@ class TestLoadErrors:
             ("static", "converged", "True"),
             ("static", "omega_caps", "two"),
             ("static", "q_max", "2.5"),
+            ("static", "cost_mode", "banana"),
+            ("markov", "cost_mode", "MSE"),
             ("markov", "omega_caps", "1,x"),
             ("markov", "gains", "2.0;1.0"),
         ],

@@ -18,6 +18,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from reference import (
     assert_matches_reference,
+    expanded_error_prob,
     high_snr_zeta_static,
     kernel_row_error,
     reference_assemble,
@@ -28,12 +29,12 @@ from reference import (
 from harqest import (
     ConfigError,
     HarqModel,
+    LinkErrors,
     MarkovChannel,
     Policy,
     PolicySpec,
     SimConfig,
     build_markov_mdp,
-    conditional_error_prob,
     first_passage_cost,
     gth_stationary,
     high_snr_markov,
@@ -136,6 +137,30 @@ def test_available_kernel_rows_sum_to_one(
     assert kernel_row_error(mdp.core) <= 1e-12
 
 
+@PROPERTY
+@given(
+    gains=st.lists(st.sampled_from([0.5, 1.0, 2.0, 3.0]), min_size=1, max_size=3),
+    cap_choices=st.lists(st.integers(1, 4), min_size=3, max_size=3),
+    snr_db=st.floats(-5.0, 20.0),
+    scheme=st.sampled_from(["cc", "ir"]),
+)
+def test_link_kernel_equals_the_expanded_reference(ref_ladder, gains, cap_choices, snr_db, scheme):
+    # the builder's one error table against errors from expanded histories
+    b = len(gains)
+    ch = MarkovChannel(gains=tuple(gains), pi=np.full((b, b), 1.0 / b))
+    caps = tuple(cap_choices[:b])
+    harq = HarqModel.from_db(scheme, snr_db, 100, 4.0)
+    mdp = build_markov_mdp(harq, ch, ref_ladder, caps, sum(caps))
+
+    def attempt_error(omega, xi):
+        return expanded_error_prob(harq, ch.gains, omega, xi)
+
+    expected = reference_assemble(attempt_error, ch, ref_ladder, caps, sum(caps))
+    assert repr(list(mdp.errors.items())) == repr(list(expected.errors.items()))
+    for (idx, prob), (idx_ref, prob_ref) in zip(mdp.core.transitions, expected.core.transitions):
+        assert idx.tobytes() == idx_ref.tobytes() and prob.tobytes() == prob_ref.tobytes()
+
+
 @st.composite
 def kernel_grids(draw):
     """A 1-3 state chain with random columns, omega caps, q_max, cost mode
@@ -220,7 +245,7 @@ def test_first_passage_cost_equals_dense_gth(chain):
 def test_worst_error_scan_is_the_first_maximum(gains, budget, index, snr_db, scheme):
     harq = HarqModel.from_db(scheme, snr_db, 100, 4.0)
     xi = index % len(gains)
-    worst = worst_retransmission_error_markov(harq, gains, xi, budget)
+    worst = worst_retransmission_error_markov(LinkErrors(harq, gains), xi, budget)
     histories = [c for c in product(range(budget + 1), repeat=len(gains)) if 1 <= sum(c) <= budget]
     assert len(worst.values) == len(histories)
     assert worst.value == max(worst.values)
@@ -228,7 +253,7 @@ def test_worst_error_scan_is_the_first_maximum(gains, budget, index, snr_db, sch
     assert worst.at_budget_boundary == (sum(worst.argmax_counts) == budget)
     if len(gains) == 1:
         # the static link's scan: attempts 2..budget + 1 of one gain, exactly
-        direct = tuple(conditional_error_prob(harq, gains, (n,), 0) for n in range(1, budget + 1))
+        direct = tuple(LinkErrors(harq, gains).attempt((n,), 0) for n in range(1, budget + 1))
         assert worst.values == direct
 
 

@@ -11,6 +11,7 @@ from reference import (
 import harqest.simulator
 from harqest import (
     HarqModel,
+    LinkErrors,
     MarkovChannel,
     PolicyEntry,
     PolicySpec,
@@ -18,7 +19,6 @@ from harqest import (
     SimulationTrace,
     build_markov_mdp,
     build_static_mdp,
-    conditional_error_prob,
     evaluate_policies,
     run,
     solve_rvi_markov,
@@ -259,8 +259,8 @@ class TestHandTrace:
         # retransmission always succeeds: under the retransmit-until-success
         # rule the loop settles into (2,2) -> (1,3) -> (2,2) ...
         ch = static_channel(1.0)
-        assert conditional_error_prob(PERFECT_RETX, ch.gains, (0,), 0) == 1.0
-        assert conditional_error_prob(PERFECT_RETX, ch.gains, (1,), 0) == 0.0
+        assert LinkErrors(PERFECT_RETX, ch.gains).attempt((0,), 0) == 1.0
+        assert LinkErrors(PERFECT_RETX, ch.gains).attempt((1,), 0) == 0.0
         cfg = SimConfig(slots=8, replicates=1, seed=0)
         trace = run(PERFECT_RETX, ch, ref_ladder, PolicySpec(kind="always_retransmit_psi"), cfg)
         assert list(trace.a) == [0, 1, 0, 1, 0, 1, 0, 1]

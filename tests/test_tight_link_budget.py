@@ -15,6 +15,7 @@ import pytest
 
 from harqest import (
     HarqModel,
+    LinkErrors,
     PolicyEntry,
     PolicySpec,
     SimConfig,
@@ -58,7 +59,7 @@ class TestStatic8dB:
         fresh = block_error_prob(model, (2.0,))
         # fresh transmissions fail hard, yet the existence condition holds
         assert fresh * ref_system.rho_squared > 1.0
-        worst = worst_retransmission_error_markov(model, (2.0,), 0, 19)
+        worst = worst_retransmission_error_markov(LinkErrors(model, (2.0,)), 0, 19)
         assert check_stability_markov(np.ones((1, 1)), [worst.value], ref_system.rho_squared).stable
 
     def test_no_retransmission_diverges(self, static_8db_table):
