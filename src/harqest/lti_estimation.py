@@ -107,6 +107,8 @@ def solve_steady_state(sys: LtiSystem, tol: float = 1e-10, max_iters: int = 100_
     Raises ConvergenceError when the recursion does not settle, which is how a
     non-detectable or non-stabilizable configuration shows up operationally.
     """
+    if max_iters < 1:
+        raise ValueError("max_iters must be at least 1")
     a, c, q_w, q_v = sys.A, sys.C, sys.Q_w, sys.Q_v
     p = sys.Sigma0.copy()
     with np.errstate(over="ignore", invalid="ignore"):

@@ -1,23 +1,20 @@
 """Generic finite average-cost MDP machinery: relative value iteration,
 Howard policy iteration and exact policy evaluation.
 
-The transition kernel is stored per action as fixed-width (successor index,
-probability) arrays, which keeps the Bellman sweep fully vectorized. Both the
-retransmission MDPs and the random instances used for solver validation fit
-this shape.
-
-The solvers stack every action's rows and keep each distinct (successors,
-probabilities, cost) row once, with where[a, s] naming the row that holds
-(s, a). A sweep computes Q on the distinct rows and expands it with one
-gather. On the retransmission grids the fresh action's row and cost depend
-on (q, xi) alone and every unavailable retransmission row is the same inf
-row, so 230 of 420 rows remain on the static 10 dB grid, 299 of 656 on the
-fading 10 dB grid and 3383 of 7328 on the fading (8, 8), q_max 30 grid.
+The transition kernel is stored as its distinct rows: fixed-width (successor
+index, probability) arrays and a cost per row, with where[a, s] naming the
+row that action a takes at state s. Rows that several (state, action) pairs
+share are stored once, and an unavailable action points at a row whose cost
+is inf. A Bellman sweep computes Q on the rows and expands it with one
+gather. On the retransmission grids the builder writes the fresh action's
+row once per (q, xi), which is all it depends on, and one inf row for every
+state that may not retransmit: 230 rows for the 420 (state, action) pairs of
+the static 10 dB grid, 299 of 656 on the fading 10 dB grid and 3383 of 7328
+on the fading (8, 8), q_max 30 grid.
 """
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -35,28 +32,28 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class FiniteAverageCostMdp:
-    """costs[s, a]; transitions[a] = (idx, prob) arrays of shape (S, K), with
-    one K for every action; available[s, a] masks actions that are forbidden
-    at a state."""
+    """Row r moves to idx[r, k] with probability prob[r, k] and costs
+    cost[r]; idx and prob have shape (R, K). where[a, s] is the row of action
+    a at state s, and an action is unavailable where its row costs inf."""
 
-    costs: np.ndarray
-    transitions: list
-    available: np.ndarray
+    idx: np.ndarray
+    prob: np.ndarray
+    cost: np.ndarray
+    where: np.ndarray
     ref: int = 0
 
     @property
     def n_states(self) -> int:
-        return self.costs.shape[0]
+        return self.where.shape[1]
 
     @property
     def n_actions(self) -> int:
-        return self.costs.shape[1]
+        return self.where.shape[0]
 
-    @cached_property
-    def stacked(self):
-        """`_stacked(self)`, built at the first solve and shared by every
-        later solve and evaluation of this MDP."""
-        return _stacked(self)
+    @property
+    def available(self) -> np.ndarray:
+        """available[s, a]: whether action a may be taken at state s."""
+        return np.isfinite(self.cost[self.where]).T
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,21 +102,21 @@ def relative_value_iteration(
     n = mdp.n_states
     if not mdp.available.any(axis=1).all():
         raise ValueError("every state needs at least one available action")
-    idx, prob, costs, where = mdp.stacked
+    idx, prob, cost, where = mdp.idx, mdp.prob, mdp.cost, mdp.where
     v = np.zeros(n)
-    q = np.empty(len(costs))
+    q = np.empty(len(cost))
     tv = np.empty(n)
     diff = np.empty(n)
 
     def bellman():
-        """The Q table, by action: Q of each distinct row, expanded."""
+        """The Q table, by action: Q of each row, expanded."""
         # Keep this einsum: from width 3 on its row sum differs from a
         # left-to-right sum of products, so a column-wise sum would move the
         # iterates in the last bit. Each output row reduces its own K
         # products in an order set by K alone, so bit-equal rows give
         # bit-equal Q and one copy of each row is enough.
         np.einsum("sk,sk->s", prob, v[idx], out=q)
-        np.add(q, costs, out=q)
+        np.add(q, cost, out=q)
         return q[where]
 
     best_span = np.inf
@@ -212,7 +209,6 @@ def policy_iteration(mdp: FiniteAverageCostMdp, actions):
     policies evaluated. Raises ModelError when some state may never reach
     the chain's recurrent class under a policy it evaluates.
     """
-    idx, prob, costs, where = mdp.stacked
     graph = _successor_graph(mdp)
 
     def evaluate(policy):
@@ -225,7 +221,7 @@ def policy_iteration(mdp: FiniteAverageCostMdp, actions):
     zeta, h = evaluate(actions)
     steps = 0
     while True:
-        q_by_action = (costs + np.einsum("sk,sk->s", prob, h[idx]))[where]
+        q_by_action = (mdp.cost + np.einsum("sk,sk->s", mdp.prob, h[mdp.idx]))[mdp.where]
         th_h = q_by_action.min(axis=0) - h
         better = _improve(q_by_action, actions)
         if np.array_equal(better, actions):
@@ -249,44 +245,6 @@ def policy_average_cost(mdp: FiniteAverageCostMdp, actions) -> float:
     return _evaluate(mdp, actions, _successor_graph(mdp))[0]
 
 
-# An odd 64-bit constant (the golden ratio's fraction, as in Fibonacci hashing).
-_HASH_MULTIPLIER = np.int64(-0x61C8864680B583EB)
-
-
-def _stacked(mdp: FiniteAverageCostMdp):
-    """Every action's kernel rows stacked, each distinct row once. Returns
-    (idx, prob, costs, where): row where[a, s] of idx, prob and costs holds
-    (s, a). A Bellman sweep is then one gather of v, one einsum, one
-    add and one gather back through `where`. An unavailable action costs
-    inf, which its kernel row cannot change.
-
-    Rows are grouped by the exact bits of their 2K + 1 words (successors,
-    probabilities and cost; -0.0 and 0.0 stay apart). They are sorted on a
-    hash of those words, and a run of equal hashes is split wherever two
-    neighbours differ in any word, so a group only ever holds bit-equal
-    rows. A hash collision can only leave two copies of a row apart."""
-    idx = np.concatenate([idx_a for idx_a, _ in mdp.transitions])
-    prob = np.concatenate([prob_a for _, prob_a in mdp.transitions])
-    costs = np.where(mdp.available, mdp.costs, np.inf).T.ravel()
-    words = [costs.view(np.int64), *idx.T, *prob.view(np.int64).T]
-    key = np.zeros(len(costs), dtype=np.int64)
-    for word in words:
-        key *= _HASH_MULTIPLIER  # wraps modulo 2**64
-        key += word
-    # Stable: the default quicksort pages in about 0.3 MB of SIMD sort code
-    # that nothing else in the program runs.
-    order = np.argsort(key, kind="stable")
-    first = np.zeros(len(order), dtype=bool)
-    first[0] = True
-    for word in words:
-        sorted_word = word[order]
-        first[1:] |= sorted_word[1:] != sorted_word[:-1]
-    where = np.empty(len(order), dtype=np.intp)
-    where[order] = np.cumsum(first) - 1
-    rows = order[first]
-    return idx[rows], prob[rows], costs[rows], where.reshape(mdp.n_actions, -1)
-
-
 def _improve(q_by_action, actions) -> np.ndarray:
     """Greedy pass over a Q table from `actions`: an action switches only to
     one whose Q is lower by more than the tie width, and earlier actions are
@@ -306,10 +264,11 @@ def _improve(q_by_action, actions) -> np.ndarray:
 
 
 def _successor_graph(mdp: FiniteAverageCostMdp) -> np.ndarray:
-    """(S, A * K) successors of every state under its available actions."""
+    """(S, A * K) successors of every state under its available actions; an
+    unavailable action leads a state to itself."""
     states = np.arange(mdp.n_states)[:, None]
     return np.concatenate(
-        [np.where(mdp.available[:, a, None], idx, states) for a, (idx, _) in enumerate(mdp.transitions)],
+        [np.where(np.isfinite(mdp.cost[rows])[:, None], mdp.idx[rows], states) for rows in mdp.where],
         axis=1,
     )
 
@@ -317,9 +276,9 @@ def _successor_graph(mdp: FiniteAverageCostMdp) -> np.ndarray:
 def _evaluate(mdp: FiniteAverageCostMdp, actions, graph):
     """(zeta, h) of the chain a policy induces, by `first_passage_cost`."""
     actions = np.asarray(actions, dtype=int)
-    states = np.arange(mdp.n_states)
-    if not mdp.available[states, actions].all():
+    if ((actions < 0) | (actions >= mdp.n_actions)).any():
+        raise ValueError(f"policy actions must lie in 0..{mdp.n_actions - 1}")
+    rows = mdp.where[actions, np.arange(mdp.n_states)]
+    if not np.isfinite(mdp.cost[rows]).all():
         raise ValueError("policy selects an unavailable action")
-    idx, prob, _, where = mdp.stacked
-    rows = where[actions, states]
-    return first_passage_cost(idx[rows], prob[rows], mdp.costs[states, actions], mdp.ref, graph)
+    return first_passage_cost(mdp.idx[rows], mdp.prob[rows], mdp.cost[rows], mdp.ref, graph)

@@ -60,7 +60,7 @@ def check_stability_markov(pi, lambdas, rho_sq_a: float) -> StabilityReport:
 
 @dataclass(frozen=True, eq=False)
 class MarkovMdp:
-    """Truncated (omega, q, xi) grid with kernel, costs, and error tables."""
+    """Truncated (omega, q, xi) grid with its kernel and costs."""
 
     core: FiniteAverageCostMdp
     states: tuple
@@ -70,7 +70,6 @@ class MarkovMdp:
     q_max: int
     cost_mode: str
     ladder: CostLadder
-    errors: dict  # (omega, xi) -> error of the next attempt; all-zero omega is a fresh one
 
 
 def build_markov_mdp(
@@ -136,7 +135,7 @@ def assemble_markov_mdp(
     n = len(states)
     units = [tuple(1 if j == i else 0 for j in range(b)) for i in range(b)]
     fresh = (0,) * b
-    errors = {(fresh, xi): attempt_error(fresh, xi) for xi in range(b)}
+    fresh_error = np.array([attempt_error(fresh, xi) for xi in range(b)])
     # Per (omega, xi): the omega a retransmission leads to (-1 at the cap)
     # and the error of that attempt.
     number = {omega: k for k, omega in enumerate(omegas)}
@@ -145,7 +144,7 @@ def assemble_markov_mdp(
     for k, omega in enumerate(omegas):
         for xi in range(b):
             if omega[xi] < caps[xi]:
-                errors[(omega, xi)] = bump_error[k, xi] = attempt_error(omega, xi)
+                bump_error[k, xi] = attempt_error(omega, xi)
                 bump[k, xi] = number[tuple(o + u for o, u in zip(omega, units[xi]))]
 
     # Block k holds omega k's states, q from sum(omega) up, xi fastest, so
@@ -156,34 +155,41 @@ def assemble_markov_mdp(
     block = np.repeat(np.arange(len(omegas)), sizes)
     q, xi = np.divmod(np.arange(n) - base[block], b)
     q += sums[block]
-    q_fail = np.minimum(q + 1, q_max)
-    available = np.stack([np.ones(n, dtype=bool), bump[block, xi] >= 0], axis=1)
-    retx = np.flatnonzero(available[:, 1])
-
-    # Row s of action a lists (success, failure) successors per next gain
-    # index; a forbidden retransmission keeps an all-zero row.
-    kernel = [(np.zeros((n, 2 * b), dtype=np.int64), np.zeros((n, 2 * b))) for _ in range(2)]
-    fresh_error = np.array([errors[(fresh, x)] for x in range(b)])
+    retx = np.flatnonzero(bump[block, xi] >= 0)
     retx_block, retx_xi = block[retx], xi[retx]
-    moves = (  # rows, the omega they lead to, success age, attempt error
-        (slice(None), np.array([number[u] for u in units])[xi], 1, fresh_error[xi]),
-        (retx, bump[retx_block, retx_xi], sums[retx_block] + 1, bump_error[retx_block, retx_xi]),
-    )
-    for (idx, prob), (rows, target, q_success, g) in zip(kernel, moves):
-        start = base[target] - sums[target] * b
-        idx[rows, 0::2] = (start + q_success * b)[:, None] + np.arange(b)
-        idx[rows, 1::2] = (start + q_fail[rows] * b)[:, None] + np.arange(b)
-        pi_from = ch.pi.T[xi[rows]]  # pi[xn, xi] in column xn
-        prob[rows, 0::2] = pi_from * (1.0 - g)[:, None]
-        prob[rows, 1::2] = pi_from * g[:, None]
+
+    # The rows: a fresh transmission's per (q, xi), at (q - 1) * b + xi;
+    # then one retransmission row per state that may retransmit; then one
+    # inf row, taken by every state that may not.
+    fresh_q, fresh_xi = np.divmod(np.arange(q_max * b), b)
+    fresh_q += 1
+    row_q = np.concatenate([fresh_q, q[retx]])
+    row_xi = np.concatenate([fresh_xi, retx_xi])
+    # Per row: the omega it leads to, the success age and the attempt error.
+    target = np.concatenate([np.array([number[u] for u in units])[fresh_xi], bump[retx_block, retx_xi]])
+    q_success = np.concatenate([np.ones_like(fresh_q), sums[retx_block] + 1])
+    g = np.concatenate([fresh_error[fresh_xi], bump_error[retx_block, retx_xi]])
+    # Row r lists (success, failure) successors per next gain index.
+    start = base[target] - sums[target] * b
+    idx = np.zeros((len(row_q) + 1, 2 * b), dtype=np.int64)
+    idx[:-1, 0::2] = (start + q_success * b)[:, None] + np.arange(b)
+    idx[:-1, 1::2] = (start + np.minimum(row_q + 1, q_max) * b)[:, None] + np.arange(b)
+    pi_from = ch.pi.T[row_xi]  # pi[xn, xi] in column xn
+    prob = np.zeros(idx.shape)
+    prob[:-1, 0::2] = pi_from * (1.0 - g)[:, None]
+    prob[:-1, 1::2] = pi_from * g[:, None]
     if cost_mode == "mse":
-        stage = np.array([ladder.trace(age) for age in range(1, q_max + 1)])[q - 1]
+        stage = np.array([ladder.trace(age) for age in range(1, q_max + 1)])[row_q - 1]
     else:
-        stage = q.astype(float)
+        stage = row_q.astype(float)
+    where = np.full((2, n), len(row_q), dtype=np.int64)
+    where[0] = (q - 1) * b + xi
+    where[1, retx] = len(fresh_q) + np.arange(len(retx))
     core = FiniteAverageCostMdp(
-        costs=np.stack([stage, stage], axis=1),
-        transitions=kernel,
-        available=available,
+        idx=idx,
+        prob=prob,
+        cost=np.append(stage, np.inf),
+        where=where,
         ref=index[(units[0], 1, 0)],
     )
     return MarkovMdp(
@@ -195,7 +201,6 @@ def assemble_markov_mdp(
         q_max=q_max,
         cost_mode=cost_mode,
         ladder=ladder,
-        errors=errors,
     )
 
 
@@ -324,7 +329,7 @@ def _threshold_chains(ladder: CostLadder, ch: MarkovChannel, lambda_primes, thet
     retx = (r == 1) & (q > np.array(tables)[:, xi])  # [table, class]: retransmit there
     # Per action: each class's successor classes and their probabilities.
     (fresh_to, fresh_p), (retx_to, retx_p) = [
-        (cls[idx[reps]], prob[reps]) for idx, prob in mdp.core.transitions
+        (cls[mdp.core.idx[rows]], mdp.core.prob[rows]) for rows in mdp.core.where[:, reps]
     ]
     # Keep the classes some table reaches from the reference class.
     to = np.concatenate([fresh_to, retx_to], axis=1)
@@ -350,5 +355,5 @@ def _threshold_chains(ladder: CostLadder, ch: MarkovChannel, lambda_primes, thet
     # Flat (table, successor, class) positions; duplicates add up in order.
     at = (np.arange(len(tables))[:, None, None] * n + to) * n + np.arange(n)[:, None]
     chains = np.bincount(at.ravel(), p.ravel(), len(tables) * n * n).reshape(-1, n, n)
-    costs = mdp.core.costs[reps[keep], 0]
+    costs = mdp.core.cost[mdp.core.where[0, reps[keep]]]
     return tables, chains, costs, int(place[ref])

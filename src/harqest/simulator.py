@@ -167,7 +167,6 @@ class TransitionMachine:
         self.traces = list(ladder.traces)  # index n - 1 holds Tr at age n
         self._grown = ladder
         self._link = LinkErrors(harq, ch.gains)
-        self._errors = {}
         self._act = self._compile(policy)
         self.index = {}  # state -> number, or _DIVERGED
         self.a, self.q, self.xi, self.counts, self.p = [], [], [], [], []
@@ -196,8 +195,8 @@ class TransitionMachine:
             def act(counts, q, xi):
                 if q + 1 > len(self.traces):
                     self._grow(q + 1)
-                g0 = self._error(self.zeros, xi)
-                g1 = self._error(counts, xi)
+                g0 = self._link.attempt(self.zeros, xi)
+                g1 = self._link.attempt(counts, xi)
                 # A retransmission success ends the round at sum(counts) + 1 attempts.
                 fresh = g0 * self.traces[q] + (1.0 - g0) * self.traces[0]
                 retx = g1 * self.traces[q] + (1.0 - g1) * self.traces[sum(counts)]
@@ -207,14 +206,6 @@ class TransitionMachine:
         if spec.kind == "no_retransmission":
             return lambda counts, q, xi: 0
         return lambda counts, q, xi: 0 if sum(counts) == q else 1  # always_retransmit_psi
-
-    def _error(self, counts, xi):
-        """The link's attempt error, memoized; a fresh attempt's counts are all zeros."""
-        key = (counts, xi)
-        p = self._errors.get(key)
-        if p is None:
-            p = self._errors[key] = self._link.attempt(counts, xi)
-        return p
 
     def _grow(self, n):
         # Extend to n + 32: whether a DepthError fires depends on how far
@@ -240,7 +231,7 @@ class TransitionMachine:
         self.q.append(q)
         self.xi.append(xi)
         self.counts.append(counts)
-        self.p.append(self._error(self.zeros if a == 0 else counts, xi))
+        self.p.append(self._link.attempt(self.zeros if a == 0 else counts, xi))
         self.successors.extend([_UNBUILT] * self.width)
         return s
 

@@ -6,10 +6,11 @@ closed form on the static link, the exact cost of a perfect-retransmission
 threshold table on the MDP's own kernel, an attempt's error from its round
 expanded into a flat gain tuple, the channel step, the count-tuple
 attempt-history update and the per-slot simulation loop they drive, and the
-per-state kernel loop of the MDP builder. Nothing in the package imports this
-module.
+per-state kernel loop of the MDP builder, and the per-action form of a
+kernel. Nothing in the package imports this module.
 """
 
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -44,33 +45,65 @@ def balance_stationary(p) -> np.ndarray:
 
 def kernel_row(core, s: int, a: int):
     """(successor indices, probabilities) of state s under action a."""
-    idx, prob = core.transitions[a]
-    return idx[s], prob[s]
+    row = core.where[a, s]
+    return core.idx[row], core.prob[row]
 
 
 def kernel_row_error(core) -> float:
     """Largest |row sum - 1| over the available (state, action) rows."""
-    worst = 0.0
-    for a, (_, prob) in enumerate(core.transitions):
-        rows = core.available[:, a]
-        if rows.any():
-            worst = max(worst, float(np.max(np.abs(prob[rows].sum(axis=1) - 1.0))))
-    return worst
+    rows = core.where[core.available.T]
+    return float(np.max(np.abs(core.prob[rows].sum(axis=1) - 1.0)))
+
+
+# ---------------------------------------------------------------- per-action kernels
+
+
+def stacked_mdp(costs, transitions, available, ref=0) -> FiniteAverageCostMdp:
+    """The MDP with costs[s, a], transitions[a] = (idx, prob) of shape (S, K)
+    and available[s, a], every (state, action) pair on a row of its own:
+    row a * S + s."""
+    idx = np.concatenate([idx_a for idx_a, _ in transitions])
+    prob = np.concatenate([prob_a for _, prob_a in transitions])
+    cost = np.where(available, costs, np.inf).T.ravel()
+    where = np.arange(len(cost)).reshape(len(transitions), -1)
+    return FiniteAverageCostMdp(idx=idx, prob=prob, cost=cost, where=where, ref=ref)
+
+
+@dataclass(frozen=True, eq=False)
+class PerAction:
+    """costs[s, a], inf where the action is unavailable; transitions[a] =
+    (idx, prob) of shape (S, K); available[s, a]."""
+
+    costs: np.ndarray
+    transitions: list
+    available: np.ndarray
+    ref: int
+
+
+def per_action(mdp: FiniteAverageCostMdp) -> PerAction:
+    """The kernel of `mdp` laid out by action, one row per state."""
+    return PerAction(
+        costs=mdp.cost[mdp.where].T,
+        transitions=[(mdp.idx[rows], mdp.prob[rows]) for rows in mdp.where],
+        available=mdp.available,
+        ref=mdp.ref,
+    )
 
 
 # ---------------------------------------------------------------- static link
 
 
-def myopic_policy(mdp) -> Policy:
+def myopic_policy(mdp, attempt_error) -> Policy:
     """Closed-form one-step-lookahead table of a one-state MDP: no iteration,
-    no value function.
+    no value function. attempt_error(omega, xi) is the link's error after
+    the round omega, as `assemble_markov_mdp` takes it.
 
     Transmit fresh exactly when the expected next-slot cost of doing so is no
     worse than retransmitting; with no reliability edge the comparison
     degenerates and fresh wins. Returned on the MDP's own ((r,), q, 0) states.
     """
     (r_max,) = mdp.omega_caps
-    g = {omega[0] + 1: err for (omega, _), err in mdp.errors.items()}  # attempt -> error
+    g = {r + 1: attempt_error((r,), 0) for r in range(r_max)}  # attempt -> error
     ladder = mdp.ladder.extended(mdp.q_max + 1)
     c1 = ladder.trace(1)
     actions = np.zeros(len(mdp.states), dtype=np.int8)
@@ -296,7 +329,8 @@ def assert_matches_reference(trace, expected):
 def reference_assemble(attempt_error, ch, ladder, omega_caps, q_max, cost_mode="mse"):
     """The per-state loop `assemble_markov_mdp` replaced: each state's rows
     are looked up in the state index one successor at a time. Takes valid
-    arguments only; returns the same `MarkovMdp` fields."""
+    arguments only; returns the same `MarkovMdp` fields, with every (state,
+    action) pair on a row of its own."""
     b = ch.size
     caps = tuple(int(c) for c in omega_caps)
     ladder = ladder.extended(q_max)
@@ -332,12 +366,7 @@ def reference_assemble(attempt_error, ch, ladder, omega_caps, q_max, cost_mode="
         stage = np.array([ladder.trace(q) for (_, q, _) in states])
     else:
         stage = np.array([float(q) for (_, q, _) in states])
-    core = FiniteAverageCostMdp(
-        costs=np.stack([stage, stage], axis=1),
-        transitions=kernel,
-        available=available,
-        ref=index[(units[0], 1, 0)],
-    )
+    core = stacked_mdp(np.stack([stage, stage], axis=1), kernel, available, index[(units[0], 1, 0)])
     return MarkovMdp(
         core=core,
         states=states,
@@ -347,5 +376,4 @@ def reference_assemble(attempt_error, ch, ladder, omega_caps, q_max, cost_mode="
         q_max=q_max,
         cost_mode=cost_mode,
         ladder=ladder,
-        errors=errors,
     )

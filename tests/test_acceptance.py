@@ -14,10 +14,16 @@ import time
 
 import numpy as np
 import pytest
-from reference import high_snr_zeta_static, kernel_row, kernel_row_error, threshold_table_cost
+from reference import (
+    high_snr_zeta_static,
+    kernel_row,
+    kernel_row_error,
+    per_action,
+    stacked_mdp,
+    threshold_table_cost,
+)
 
 from harqest import (
-    FiniteAverageCostMdp,
     HarqModel,
     LinkErrors,
     PolicyEntry,
@@ -124,20 +130,19 @@ def _random_mdp(seed):
         rows = rng.uniform(0.05, 1.0, size=(n, n))
         rows /= rows.sum(axis=1, keepdims=True)
         transitions.append((np.tile(np.arange(n), (n, 1)), rows))
-    return FiniteAverageCostMdp(
-        costs=costs, transitions=transitions, available=np.ones((n, 2), bool), ref=0
-    )
+    return stacked_mdp(costs, transitions, np.ones((n, 2), bool), ref=0)
 
 
 def _stationary_gain(mdp, actions):
     n = mdp.n_states
+    costs = per_action(mdp).costs
     p = np.zeros((n, n))
     cost = np.empty(n)
     for s in range(n):
         idx, prob = kernel_row(mdp, s, actions[s])
         for j, pr in zip(idx, prob):
             p[s, int(j)] += pr
-        cost[s] = mdp.costs[s, actions[s]]
+        cost[s] = costs[s, actions[s]]
     a = p.T - np.eye(n)
     a[-1, :] = 1.0
     b = np.zeros(n)

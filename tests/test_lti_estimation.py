@@ -55,6 +55,12 @@ class TestSolveSteadyState:
         with pytest.raises(ConvergenceError):
             solve_steady_state(sys, max_iters=2_000)
 
+    @pytest.mark.parametrize("max_iters", [0, -1])
+    def test_rejects_budget_below_one(self, ref_system, max_iters):
+        # max_iters = 0 used to end in an UnboundLocalError
+        with pytest.raises(ValueError, match="max_iters must be at least 1"):
+            solve_steady_state(ref_system, max_iters=max_iters)
+
     def test_symmetry(self, ref_kalman):
         assert np.max(np.abs(ref_kalman.P_bar0 - ref_kalman.P_bar0.T)) < 1e-10
 

@@ -1,15 +1,17 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from reference import kernel_row, kernel_row_error
+from reference import kernel_row, kernel_row_error, per_action, reference_assemble, stacked_mdp
 
 import harqest.mdp_core
 from harqest import (
     ConvergenceError,
     FiniteAverageCostMdp,
     HarqModel,
+    LinkErrors,
     ModelError,
     build_markov_mdp,
     build_static_mdp,
@@ -41,20 +43,21 @@ def random_mdp(seed, max_states=12, n_actions=2, unavailable=0.0):
     available = rng.random((n, n_actions)) >= unavailable
     stuck = np.flatnonzero(~available.any(axis=1))
     available[stuck, rng.integers(0, n_actions, size=len(stuck))] = True
-    return FiniteAverageCostMdp(costs=costs, transitions=transitions, available=available, ref=0)
+    return stacked_mdp(costs, transitions, available, ref=0)
 
 
 def stationary_gain_oracle(mdp, actions):
     """Average cost via the stationary distribution of the induced chain,
     solved as an eigenproblem (independent of the package's linear-solve route)."""
     n = mdp.n_states
+    costs = per_action(mdp).costs
     p = np.zeros((n, n))
     cost = np.empty(n)
     for s in range(n):
         idx, prob = kernel_row(mdp, s, actions[s])
         for j, pr in zip(idx, prob):
             p[s, int(j)] += pr
-        cost[s] = mdp.costs[s, actions[s]]
+        cost[s] = costs[s, actions[s]]
     eigvals, eigvecs = np.linalg.eig(p.T)
     k = int(np.argmin(np.abs(eigvals - 1.0)))
     pi = np.real(eigvecs[:, k])
@@ -88,12 +91,7 @@ class TestRelativeValueIteration:
     def test_reference_state_invariance(self):
         mdp = random_mdp(99, max_states=8)
         _, zeta0, span0, _, _, _ = relative_value_iteration(mdp, tol=1e-11)
-        alt = FiniteAverageCostMdp(
-            costs=mdp.costs,
-            transitions=mdp.transitions,
-            available=mdp.available,
-            ref=mdp.n_states - 1,
-        )
+        alt = replace(mdp, ref=mdp.n_states - 1)
         _, zeta1, span1, _, _, _ = relative_value_iteration(alt, tol=1e-11)
         assert abs(zeta0 - zeta1) <= 2.0 * max(span0, span1) + 1e-9
 
@@ -112,9 +110,9 @@ class TestRelativeValueIteration:
 
 def reference_rvi(mdp, tol=1e-9, max_iters=100_000, patience=500):
     """The per-action sweep `relative_value_iteration` replaced, kept as the
-    reference its stacked sweep and its stop rules must reproduce bit for
-    bit."""
+    reference its row sweep and its stop rules must reproduce bit for bit."""
     n, n_actions = mdp.n_states, mdp.n_actions
+    mdp = per_action(mdp)
     v = np.zeros(n)
     q = np.empty((n, n_actions))
     best_span = np.inf
@@ -197,29 +195,21 @@ def assert_same_solve(mdp, **kwargs):
     return stop
 
 
-def with_repeated_rows(mdp):
-    """`mdp` with kernel rows that repeat and the same solve: every state
-    copied once as a new state with the same rows, costs and actions; a
-    zero-probability column added, which is -0.0 on the first copy; and
-    every unavailable row given the successors, probabilities and cost of
-    the first available row, which only its stacked cost of inf tells
-    apart."""
-    n = mdp.n_states
-    keep = np.concatenate([np.arange(n), np.arange(n)])
-    costs = mdp.costs[keep]
-    available = mdp.available[keep]
-    transitions = []
-    for idx, prob in mdp.transitions:
-        idx = np.column_stack([idx[keep], np.full(2 * n, mdp.ref)])
-        prob = np.column_stack([prob[keep], np.zeros(2 * n)])
-        prob[n, -1] = -0.0
-        transitions.append((idx, prob))
-    s, a = np.argwhere(available)[0]
-    for t, b in np.argwhere(~available):
-        transitions[b][0][t] = transitions[a][0][s]
-        transitions[b][1][t] = transitions[a][1][s]
-        costs[t, b] = costs[s, a]
-    return FiniteAverageCostMdp(costs=costs, transitions=transitions, available=available, ref=mdp.ref)
+def with_shared_rows(mdp):
+    """`mdp` with rows that several (state, action) pairs share, and the same
+    solve: every state copied once as a new state that takes the original's
+    rows, and every unavailable action pointed at one inf row."""
+    where = np.concatenate([mdp.where, mdp.where], axis=1)
+    live = np.flatnonzero(np.isfinite(mdp.cost))
+    renumber = np.full(len(mdp.cost), len(live))  # every inf row goes to the one after `live`
+    renumber[live] = np.arange(len(live))
+    return FiniteAverageCostMdp(
+        idx=np.vstack([mdp.idx[live], np.zeros_like(mdp.idx[:1])]),
+        prob=np.vstack([mdp.prob[live], np.zeros_like(mdp.prob[:1])]),
+        cost=np.append(mdp.cost[live], np.inf),
+        where=renumber[where],
+        ref=mdp.ref,
+    )
 
 
 def slow_swap_mdp():
@@ -227,15 +217,15 @@ def slow_swap_mdp():
     under action 0, next to an action 1 that is unavailable everywhere."""
     idx = np.array([[0, 1], [1, 0]])
     prob = np.array([[1.0 - 5e-4, 5e-4]] * 2)
-    return FiniteAverageCostMdp(
-        costs=np.array([[0.0, 0.0], [1.0, 0.0]]),
-        transitions=[(idx, prob), (idx, prob)],
-        available=np.array([[True, False], [True, False]]),
+    return stacked_mdp(
+        np.array([[0.0, 0.0], [1.0, 0.0]]),
+        [(idx, prob), (idx, prob)],
+        np.array([[True, False], [True, False]]),
     )
 
 
 class TestReferenceConformance:
-    """The stacked sweep reproduces the per-action sweep bit for bit."""
+    """The row sweep reproduces the per-action sweep bit for bit."""
 
     @pytest.mark.parametrize("n_actions", [2, 3])
     @pytest.mark.parametrize("seed", range(4))
@@ -269,9 +259,7 @@ class TestReferenceConformance:
         # tol = 1e-9 at sweep 20713.9, and RVI reaches it at sweep 20714.
         idx = np.array([[0, 1], [1, 0]])
         prob = np.array([[1.0 - 5e-4, 5e-4]] * 2)
-        mdp = FiniteAverageCostMdp(
-            costs=np.array([[0.0], [1.0]]), transitions=[(idx, prob)], available=np.ones((2, 1), bool)
-        )
+        mdp = stacked_mdp(np.array([[0.0], [1.0]]), [(idx, prob)], np.ones((2, 1), bool))
         assert assert_same_solve(mdp, max_iters=20_708) == "slow"
         assert relative_value_iteration(mdp, max_iters=20_708)[3] == 1000
         assert assert_same_solve(mdp, max_iters=20_718) == "tol"
@@ -288,12 +276,12 @@ class TestReferenceConformance:
         ids=["tol-2", "tol-3", "plateau", "budget"],
     )
     def test_repeated_rows(self, seed, n_actions, kwargs, stop):
-        mdp = with_repeated_rows(random_mdp(seed, max_states=30, n_actions=n_actions, unavailable=0.3))
-        assert len(mdp.stacked[0]) < mdp.n_states * mdp.n_actions
+        mdp = with_shared_rows(random_mdp(seed, max_states=30, n_actions=n_actions, unavailable=0.3))
+        assert len(mdp.cost) < mdp.n_states * mdp.n_actions
         assert assert_same_solve(mdp, **kwargs) == stop
 
     def test_repeated_rows_slow_stop(self):
-        mdp = with_repeated_rows(slow_swap_mdp())
+        mdp = with_shared_rows(slow_swap_mdp())
         assert assert_same_solve(mdp, max_iters=20_708) == "slow"
         assert relative_value_iteration(mdp, max_iters=20_708)[3] == 1000
 
@@ -315,32 +303,9 @@ class TestReferenceConformance:
 
 
 class TestStackedKernel:
-    """`_stacked` keeps each distinct kernel row once, and a solve builds it once."""
-
-    @staticmethod
-    def stacked_words(mdp):
-        """The (A * S, 2K + 1) exact bits of every stacked row: successors,
-        probabilities and the cost, inf where the action is unavailable."""
-        idx = np.concatenate([idx for idx, _ in mdp.transitions])
-        prob = np.concatenate([prob for _, prob in mdp.transitions])
-        costs = np.where(mdp.available, mdp.costs, np.inf).T.reshape(-1, 1)
-        return np.hstack([idx, prob.view(np.int64), costs.view(np.int64)])
-
-    def kept_words(self, mdp):
-        """The exact bits of the rows `_stacked` keeps, after checking that
-        row where[a, s] holds (s, a) bit for bit."""
-        idx, prob, costs, where = harqest.mdp_core._stacked(mdp)
-        assert where.shape == (mdp.n_actions, mdp.n_states)
-        kept = np.hstack([idx, prob.view(np.int64), costs.view(np.int64)[:, None]])
-        assert np.array_equal(kept[where.ravel()], self.stacked_words(mdp))
-        return kept
-
-    def distinct_rows(self, mdp):
-        """The number of rows `_stacked` keeps, after checking that no two
-        of them are bit-equal."""
-        kept = self.kept_words(mdp)
-        assert len({row.tobytes() for row in kept}) == len(kept)
-        return len(kept)
+    """The builder writes each distinct kernel row once: a fresh row per
+    (q, xi), a retransmission row per state that may retransmit and one inf
+    row for every state that may not."""
 
     @pytest.mark.parametrize(
         "scheme, snr_db, fading, caps, q_max, rows",
@@ -353,58 +318,26 @@ class TestStackedKernel:
         ids=["static-10dB", "fading-10dB", "fading-ir-6.5dB", "fading-8x8-q30-8.5dB"],
     )
     def test_reference_grids(self, scheme, snr_db, fading, caps, q_max, rows, ref_ladder, ref_channel):
-        # The fresh action's row and cost depend on (q, xi) alone, and every
-        # unavailable retransmission row is the same inf row.
         ch = ref_channel if fading else static_channel(2.0)
-        mdp = build_markov_mdp(HarqModel.from_db(scheme, snr_db, 100, 4.0), ch, ref_ladder, caps, q_max).core
-        assert (self.distinct_rows(mdp), mdp.n_states * mdp.n_actions) == rows
-
-    def test_signed_zero_and_availability_split_rows(self):
-        base = random_mdp(203, max_states=30, n_actions=3, unavailable=0.3)
-        mdp = with_repeated_rows(base)
-        n = base.n_states
-        where = mdp.stacked[3]
-        # the first copy's available rows differ from its state's only by a
-        # -0.0; the other copies share their state's rows
-        available = mdp.available[0]
-        assert available.any() and (where[available, n] != where[available, 0]).all()
-        assert (where[:, n + 1:] == where[:, 1:n]).all()
-        # an unavailable row is kept apart from the available row it copies
-        s, a = np.argwhere(mdp.available)[0]
-        t, b = np.argwhere(~mdp.available)[0]
-        assert where[b, t] != where[a, s]
-        self.distinct_rows(mdp)
-
-    def test_groups_survive_hash_collisions(self, monkeypatch):
-        # With a multiplier of 0 the hash is the last probability column
-        # alone, which is zero on almost every row: rows that share it group
-        # only when bit-equal, and the solve is still that of the reference.
-        monkeypatch.setattr(harqest.mdp_core, "_HASH_MULTIPLIER", np.int64(0))
-        mdp = with_repeated_rows(random_mdp(203, max_states=30, n_actions=3, unavailable=0.3))
-        self.kept_words(mdp)
-        assert assert_same_solve(mdp, tol=1e-11) == "tol"
-
-    def test_slow_stop_solve_builds_once(self, ref_ladder, ref_channel, monkeypatch):
-        # RVI's slow stop hands over to policy iteration, whose Q table and
-        # exact evaluations read the same stacked kernel.
-        built = []
-        stacked = harqest.mdp_core._stacked
-
-        def counting(mdp):
-            built.append(None)
-            return stacked(mdp)
-
-        monkeypatch.setattr(harqest.mdp_core, "_stacked", counting)
-        mdp = build_markov_mdp(HarqModel.from_db("ir", 6.5, 100, 4.0), ref_channel, ref_ladder, (4, 4), 10)
-        policy = solve_rvi_markov(mdp)
-        assert policy.converged
-        assert len(built) == 1
+        harq = HarqModel.from_db(scheme, snr_db, 100, 4.0)
+        mdp = build_markov_mdp(harq, ch, ref_ladder, caps, q_max).core
+        assert (len(mdp.cost), mdp.n_states * mdp.n_actions) == rows
+        # no two rows are bit-equal
+        words = np.hstack([mdp.idx, mdp.prob.view(np.int64), mdp.cost.view(np.int64)[:, None]])
+        assert len({row.tobytes() for row in words}) == len(words)
+        # rows[where] is the per-state kernel, bit for bit
+        expected = reference_assemble(LinkErrors(harq, ch.gains).attempt, ch, ref_ladder, caps, q_max).core
+        assert expected.where.tobytes() == np.arange(rows[1]).reshape(2, -1).tobytes()
+        for name in ("idx", "prob", "cost"):
+            got = getattr(mdp, name)[mdp.where]
+            assert got.tobytes() == getattr(expected, name)[expected.where].tobytes(), name
 
 
 def reference_iterates(mdp, sweeps):
     """The bytes of v and the span after each of the first `sweeps` sweeps
     of `reference_rvi`, as two lists."""
     n, n_actions = mdp.n_states, mdp.n_actions
+    mdp = per_action(mdp)
     v = np.zeros(n)
     q = np.empty((n, n_actions))
     iterates, spans = [], []
@@ -548,31 +481,35 @@ class TestPolicyAverageCost:
         costs = np.array([[5.0, 5.0], [1.0, 1.0]])
         idx = np.array([[1, 1], [1, 1]])
         prob = np.array([[1.0, 0.0], [1.0, 0.0]])
-        mdp = FiniteAverageCostMdp(
-            costs=costs, transitions=[(idx, prob), (idx, prob)], available=np.ones((2, 2), bool)
-        )
+        mdp = stacked_mdp(costs, [(idx, prob), (idx, prob)], np.ones((2, 2), bool))
         assert policy_average_cost(mdp, [0, 0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_two_closed_classes(self):
         # from state 0 the chain is absorbed in state 1 or in state 2
         idx = np.array([[1, 2], [1, 1], [2, 2]])
         prob = np.array([[0.5, 0.5], [1.0, 0.0], [1.0, 0.0]])
-        mdp = FiniteAverageCostMdp(
-            costs=np.ones((3, 1)), transitions=[(idx, prob)], available=np.ones((3, 1), bool)
-        )
+        mdp = stacked_mdp(np.ones((3, 1)), [(idx, prob)], np.ones((3, 1), bool))
         with pytest.raises(ModelError):
             policy_average_cost(mdp, [0, 0, 0])
 
     def test_rejects_unavailable_action(self):
         mdp = random_mdp(3)
-        available = mdp.available.copy()
+        kernel = per_action(mdp)
+        available = kernel.available.copy()
         available[0, 1] = False
-        restricted = FiniteAverageCostMdp(
-            costs=mdp.costs, transitions=mdp.transitions, available=available, ref=0
-        )
+        restricted = stacked_mdp(kernel.costs, kernel.transitions, available, ref=0)
         actions = np.ones(mdp.n_states, dtype=int)
         with pytest.raises(ValueError):
             policy_average_cost(restricted, actions)
+
+    @pytest.mark.parametrize("bad", [-1, 2])
+    def test_rejects_out_of_range_action(self, bad):
+        # -1 used to evaluate the last action, and 2 to raise an IndexError
+        mdp = random_mdp(3)
+        actions = np.zeros(mdp.n_states, dtype=int)
+        actions[1] = bad
+        with pytest.raises(ValueError, match="must lie in 0..1"):
+            policy_average_cost(mdp, actions)
 
 
 class TestPolicyIteration:
@@ -608,14 +545,22 @@ class TestPolicyIteration:
         idx = np.array([[1, 0], [0, 1], [2, 2]])
         prob = np.array([[0.5, 0.5], [0.5, 0.5], [1.0, 0.0]])
         to_zero = np.array([[0, 0], [0, 0], [0, 0]])
-        mdp = FiniteAverageCostMdp(
-            costs=np.ones((3, 2)),
-            transitions=[(idx, prob), (to_zero, np.array([[1.0, 0.0]] * 3))],
-            available=np.ones((3, 2), bool),
+        mdp = stacked_mdp(
+            np.ones((3, 2)),
+            [(idx, prob), (to_zero, np.array([[1.0, 0.0]] * 3))],
+            np.ones((3, 2), bool),
         )
         assert policy_average_cost(mdp, [0, 0, 0]) == 1.0
         with pytest.raises(ModelError):
             policy_iteration(mdp, [0, 0, 0])
+
+    @pytest.mark.parametrize("bad", [-1, 2])
+    def test_rejects_out_of_range_action(self, bad):
+        mdp = random_mdp(3)
+        start = np.zeros(mdp.n_states, dtype=np.int8)
+        start[-1] = bad
+        with pytest.raises(ValueError, match="must lie in 0..1"):
+            policy_iteration(mdp, start)
 
 
 class TestHandOver:
@@ -645,13 +590,9 @@ class TestKernelValidation:
         assert kernel_row_error(random_mdp(2)) <= 1e-12
 
     def test_rejects_deficient_row(self):
-        mdp = random_mdp(2)
-        idx, prob = mdp.transitions[0]
+        kernel = per_action(random_mdp(2))
+        idx, prob = kernel.transitions[0]
         broken = prob.copy()
         broken[0] *= 0.5
-        bad = FiniteAverageCostMdp(
-            costs=mdp.costs,
-            transitions=[(idx, broken), mdp.transitions[1]],
-            available=mdp.available,
-        )
+        bad = stacked_mdp(kernel.costs, [(idx, broken), kernel.transitions[1]], kernel.available)
         assert kernel_row_error(bad) == pytest.approx(0.5, abs=1e-12)

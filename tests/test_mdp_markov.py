@@ -7,6 +7,7 @@ from reference import (
     high_snr_zeta_static,
     kernel_row,
     kernel_row_error,
+    per_action,
     threshold_table_cost,
 )
 
@@ -135,12 +136,8 @@ class TestKernel:
             cc_model, static_channel(2.0), ref_ladder, (5,), 8, "mse"
         )
         assert static_mdp.states == markov_mdp.states
-        np.testing.assert_array_equal(static_mdp.core.available, markov_mdp.core.available)
-        np.testing.assert_array_equal(static_mdp.core.costs, markov_mdp.core.costs)
-        for (sidx, sprob), (midx, mprob) in zip(
-            static_mdp.core.transitions, markov_mdp.core.transitions
-        ):
-            assert sidx.tobytes() == midx.tobytes() and sprob.tobytes() == mprob.tobytes()
+        for name in ("idx", "prob", "cost", "where"):
+            assert getattr(static_mdp.core, name).tobytes() == getattr(markov_mdp.core, name).tobytes()
         static_policy = solve_rvi(static_mdp)
         markov_policy = solve_rvi_markov(markov_mdp)
         assert static_policy.states == tuple((r, q) for ((r,), q, _) in markov_mdp.states)
@@ -323,13 +320,14 @@ class TestHighSnrChain:
         )
         # the table on the unlumped kernel, as a column-stochastic matrix
         retx = np.array([sum(o) == 1 and q > thetas[xi] for o, q, xi in mdp.states])[:, None]
-        (fresh_idx, fresh_p), (retx_idx, retx_p) = mdp.core.transitions
+        kernel = per_action(mdp.core)
+        (fresh_idx, fresh_p), (retx_idx, retx_p) = kernel.transitions
         n = len(mdp.states)
         chain = np.zeros((n, n))
         at = (np.where(retx, retx_idx, fresh_idx), np.arange(n)[:, None])
         np.add.at(chain, at, np.where(retx, retx_p, fresh_p))
         oracle = balance_stationary(chain)
-        assert zeta == pytest.approx(float(mdp.core.costs[:, 0] @ oracle), rel=1e-12)
+        assert zeta == pytest.approx(float(kernel.costs[:, 0] @ oracle), rel=1e-12)
 
     def test_invalid_inputs(self, ref_channel, ref_ladder):
         with pytest.raises(ModelError):

@@ -6,6 +6,7 @@ labels that the benchmark reads off `solve_rvi` are checked at the end.
 """
 
 import itertools
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,13 +17,13 @@ from reference import (
     kernel_row,
     kernel_row_error,
     myopic_policy,
+    per_action,
 )
 
 import harqest
 import harqest.cli
 from harqest import (
     ConfigError,
-    FiniteAverageCostMdp,
     HarqModel,
     LinkErrors,
     Policy,
@@ -50,9 +51,20 @@ def at(mdp, r, q):
     return mdp.index[((r,), q, 0)]
 
 
+def flat_error(omega, xi):
+    """Every attempt fails with 0.3: retransmitting buys nothing."""
+    return 0.3
+
+
 @pytest.fixture(scope="module")
 def ref_mdp(cc_model, ref_ladder):
     return build_static_mdp(cc_model, 2.0, ref_ladder, 20, 20)
+
+
+@pytest.fixture(scope="module")
+def ref_errors(cc_model):
+    """The attempt errors of `ref_mdp`'s link."""
+    return LinkErrors(cc_model, (2.0,)).attempt
 
 
 @pytest.fixture(scope="module")
@@ -98,15 +110,15 @@ class TestStabilityCheck:
 
 
 class TestKernel:
-    def test_readoff_new_transmission_from_1_1(self, ref_mdp):
+    def test_readoff_new_transmission_from_1_1(self, ref_mdp, ref_errors):
         idx, prob = kernel_row(ref_mdp.core, at(ref_mdp, 1, 1), 0)
-        g1 = ref_mdp.errors[((0,), 0)]
+        g1 = ref_errors((0,), 0)
         assert list(idx) == [at(ref_mdp, 1, 1), at(ref_mdp, 1, 2)]
         assert prob[0] == pytest.approx(1.0 - g1) and prob[1] == pytest.approx(g1)
 
-    def test_readoff_retransmission_from_2_5(self, ref_mdp):
+    def test_readoff_retransmission_from_2_5(self, ref_mdp, ref_errors):
         idx, prob = kernel_row(ref_mdp.core, at(ref_mdp, 2, 5), 1)
-        g3 = ref_mdp.errors[((2,), 0)]
+        g3 = ref_errors((2,), 0)
         assert list(idx) == [at(ref_mdp, 3, 3), at(ref_mdp, 3, 6)]
         assert prob[0] == pytest.approx(1.0 - g3) and prob[1] == pytest.approx(g3)
 
@@ -160,12 +172,7 @@ class TestSolveRvi:
         assert ref_policy.actions[at(ref_mdp, 1, 20)] == 1
 
     def test_gain_invariant_to_reference_state(self, ref_mdp, ref_policy):
-        alt_core = FiniteAverageCostMdp(
-            costs=ref_mdp.core.costs,
-            transitions=ref_mdp.core.transitions,
-            available=ref_mdp.core.available,
-            ref=at(ref_mdp, 3, 5),
-        )
+        alt_core = replace(ref_mdp.core, ref=at(ref_mdp, 3, 5))
         _, zeta_alt, span_alt, _, _, _ = relative_value_iteration(alt_core)
         assert abs(zeta_alt - ref_policy.zeta) <= 2.0 * max(span_alt, ref_policy.span)
 
@@ -173,7 +180,7 @@ class TestSolveRvi:
         # moderate truncation keeps the value range well-conditioned
         mdp = build_static_mdp(cc_model, 2.0, ref_ladder, 8, 8)
         policy = solve_rvi_markov(mdp)
-        myopic = myopic_policy(mdp)
+        myopic = myopic_policy(mdp, LinkErrors(cc_model, (2.0,)).attempt)
         delay = solve_rvi_markov(build_static_mdp(cc_model, 2.0, ref_ladder, 8, 8, "delay"))
         psi = np.array([0 if r == q or r == 8 else 1 for ((r,), q, _) in mdp.states])
         no_retx = np.zeros(len(mdp.states), dtype=int)
@@ -252,29 +259,29 @@ class TestVerifySwitching:
 class TestMyopicPolicy:
     def test_no_reliability_edge_means_fresh(self, ref_ladder):
         # every attempt fails with 0.3, so retransmitting buys nothing
-        mdp = assemble_markov_mdp(lambda omega, xi: 0.3, static_channel(1.0), ref_ladder, (4,), 6)
-        assert myopic_policy(mdp).actions.sum() == 0
+        mdp = assemble_markov_mdp(flat_error, static_channel(1.0), ref_ladder, (4,), 6)
+        assert myopic_policy(mdp, flat_error).actions.sum() == 0
 
-    def test_ladder_top_retransmits(self, ref_mdp):
-        assert myopic_policy(ref_mdp).actions[at(ref_mdp, 1, 20)] == 1
+    def test_ladder_top_retransmits(self, ref_mdp, ref_errors):
+        assert myopic_policy(ref_mdp, ref_errors).actions[at(ref_mdp, 1, 20)] == 1
 
-    def test_matches_expected_cost_comparison(self, ref_mdp):
+    def test_matches_expected_cost_comparison(self, ref_mdp, ref_errors):
         # direct expected-next-cost comparison as the oracle at every state
         ladder = ref_mdp.ladder.extended(ref_mdp.q_max + 1)
-        policy = myopic_policy(ref_mdp)
-        g1 = ref_mdp.errors[((0,), 0)]
+        policy = myopic_policy(ref_mdp, ref_errors)
+        g1 = ref_errors((0,), 0)
         for s, ((r,), q, _) in enumerate(ref_mdp.states):
             if r >= ref_mdp.omega_caps[0]:
                 assert policy.actions[s] == 0
                 continue
-            g_next = ref_mdp.errors[((r,), 0)]
+            g_next = ref_errors((r,), 0)
             cost_fresh = g1 * ladder.trace(q + 1) + (1 - g1) * ladder.trace(1)
             cost_retx = g_next * ladder.trace(q + 1) + (1 - g_next) * ladder.trace(r + 1)
             expected = 0 if cost_retx - cost_fresh >= 0 else 1
             assert policy.actions[s] == expected
 
-    def test_is_switching_type(self, ref_mdp):
-        assert verify_switching_markov(myopic_policy(ref_mdp)).passed
+    def test_is_switching_type(self, ref_mdp, ref_errors):
+        assert verify_switching_markov(myopic_policy(ref_mdp, ref_errors)).passed
 
 
 class TestHighSnrClosedForm:
@@ -301,8 +308,9 @@ class TestHighSnrClosedForm:
 class TestDelayMode:
     def test_delay_cost_is_age(self, cc_model, ref_ladder):
         mdp = build_static_mdp(cc_model, 2.0, ref_ladder, 6, 6, "delay")
+        costs = per_action(mdp.core).costs
         for s, (_, q, _) in enumerate(mdp.states):
-            assert mdp.core.costs[s, 0] == q
+            assert costs[s, 0] == q
 
     def test_policy_count_comparison(self, cc_model, ref_ladder, ref_policy):
         delay = solve_rvi_markov(build_static_mdp(cc_model, 2.0, ref_ladder, 20, 20, "delay"))

@@ -156,9 +156,17 @@ def test_link_kernel_equals_the_expanded_reference(ref_ladder, gains, cap_choice
         return expanded_error_prob(harq, ch.gains, omega, xi)
 
     expected = reference_assemble(attempt_error, ch, ref_ladder, caps, sum(caps))
-    assert repr(list(mdp.errors.items())) == repr(list(expected.errors.items()))
-    for (idx, prob), (idx_ref, prob_ref) in zip(mdp.core.transitions, expected.core.transitions):
-        assert idx.tobytes() == idx_ref.tobytes() and prob.tobytes() == prob_ref.tobytes()
+    for name in ("idx", "prob"):
+        got = getattr(mdp.core, name)[mdp.core.where]
+        assert got.tobytes() == getattr(expected.core, name)[expected.core.where].tobytes()
+    link = LinkErrors(harq, ch.gains)
+    pairs = [
+        (omega, xi)
+        for omega in product(*[range(c + 1) for c in caps])
+        for xi in range(b)
+        if omega[xi] < caps[xi]
+    ]
+    assert repr([link.attempt(*pair) for pair in pairs]) == repr([attempt_error(*pair) for pair in pairs])
 
 
 @st.composite
@@ -186,17 +194,27 @@ def kernel_grids(draw):
 @given(grid=kernel_grids())
 def test_kernel_equals_per_state_loop(ref_ladder, grid):
     attempt_error, ch, caps, q_max, cost_mode = grid
-    mdp = assemble_markov_mdp(attempt_error, ch, ref_ladder, caps, q_max, cost_mode)
-    expected = reference_assemble(attempt_error, ch, ref_ladder, caps, q_max, cost_mode)
-    for (idx, prob), (idx_ref, prob_ref) in zip(mdp.core.transitions, expected.core.transitions):
-        assert idx.dtype == idx_ref.dtype and idx.tobytes() == idx_ref.tobytes()
-        assert prob.dtype == prob_ref.dtype and prob.tobytes() == prob_ref.tobytes()
+    calls, expected_calls = [], []
+
+    def recorded(into):
+        def error(omega, xi):
+            into.append((omega, xi))
+            return attempt_error(omega, xi)
+
+        return error
+
+    mdp = assemble_markov_mdp(recorded(calls), ch, ref_ladder, caps, q_max, cost_mode)
+    expected = reference_assemble(recorded(expected_calls), ch, ref_ladder, caps, q_max, cost_mode)
+    for name in ("idx", "prob", "cost"):
+        got, want = getattr(mdp.core, name), getattr(expected.core, name)
+        assert got.dtype == want.dtype
+        assert got[mdp.core.where].tobytes() == want[expected.core.where].tobytes(), name
     assert mdp.core.available.tobytes() == expected.core.available.tobytes()
-    assert mdp.core.costs.tobytes() == expected.core.costs.tobytes()
     assert mdp.states == expected.states
     assert mdp.index == expected.index
     assert mdp.core.ref == expected.core.ref
-    assert list(mdp.errors.items()) == list(expected.errors.items())
+    # the builder asks for each (omega, xi) error once, in the reference's order
+    assert calls == expected_calls
 
 
 @st.composite

@@ -429,7 +429,8 @@ class TestTablePolicies:
             run(cc_model, ref_channel, ref_ladder, PolicySpec(kind="table", table=table), cfg)
 
     def test_myopic_table_agrees_with_on_the_fly(self, cc_model, ref_static_channel, ref_ladder):
-        table = myopic_policy(build_static_mdp(cc_model, 2.0, ref_ladder, 20, 20, "mse"))
+        mdp = build_static_mdp(cc_model, 2.0, ref_ladder, 20, 20, "mse")
+        table = myopic_policy(mdp, LinkErrors(cc_model, (2.0,)).attempt)
         cfg = SimConfig(slots=5_000, replicates=1, seed=11)
         via_table = run(
             cc_model, ref_static_channel, ref_ladder,
