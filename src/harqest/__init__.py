@@ -19,12 +19,12 @@ from .lti_estimation import (
 )
 from .mdp_core import (
     FiniteAverageCostMdp,
-    Policy,
     policy_average_cost,
     policy_iteration,
     relative_value_iteration,
 )
 from .mdp_markov import (
+    Policy,
     StabilityReport,
     build_markov_mdp,
     check_stability_markov,

@@ -165,7 +165,7 @@ def cmd_solve(args) -> int:
     name = f"policy_{'static' if cfg.is_static else 'markov'}_{cost_mode}.txt"
     path = os.path.join(out_dir, name)
     save_policy(policy, path)
-    print(f"states = {len(policy.states)}")
+    print(f"states = {policy.grid.n}")
     print(f"zeta = {policy.zeta!r} (span {policy.span!r}, iterations {policy.iterations}, "
           f"converged {policy.converged})")
     print(f"switching structure: {'pass' if switching.passed else 'FAIL'}"

@@ -177,6 +177,10 @@ def load_config(path) -> Config:
         caps = (r_max,)
     elif solver_sec.has("omega_caps"):
         caps = tuple(solver_sec.vector("omega_caps", int).tolist())
+        if len(caps) != channel.size or min(caps) < 1:
+            raise ConfigError(
+                f"[solver] omega_caps: need a cap of at least 1 per channel state, got {caps}"
+            )
     solver = SolverSettings(
         omega_caps=caps,
         q_max=solver_sec.number("q_max", 20, cast=int),

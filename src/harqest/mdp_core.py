@@ -14,7 +14,7 @@ on the fading (8, 8), q_max 30 grid.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .numerics import first_passage_cost
 
 __all__ = [
     "FiniteAverageCostMdp",
-    "Policy",
     "relative_value_iteration",
     "policy_iteration",
     "policy_average_cost",
@@ -54,23 +53,6 @@ class FiniteAverageCostMdp:
     def available(self) -> np.ndarray:
         """available[s, a]: whether action a may be taken at state s."""
         return np.isfinite(self.cost[self.where]).T
-
-
-@dataclass(frozen=True, eq=False)
-class Policy:
-    """Deterministic state -> action table plus the solve that produced it."""
-
-    actions: np.ndarray
-    states: tuple
-    zeta: float
-    span: float
-    iterations: int
-    converged: bool
-    cost_mode: str = "mse"
-    params: dict = field(default_factory=dict)
-
-    def index(self) -> dict:
-        return dict(zip(self.states, range(len(self.states))))
 
 
 def relative_value_iteration(
@@ -217,7 +199,7 @@ def policy_iteration(mdp: FiniteAverageCostMdp, actions):
             raise ModelError("policy iteration needs every state to reach the recurrent class")
         return zeta, h
 
-    actions = np.asarray(actions, dtype=np.int8)
+    actions = _checked(mdp, actions).astype(np.int8)
     zeta, h = evaluate(actions)
     steps = 0
     while True:
@@ -273,12 +255,21 @@ def _successor_graph(mdp: FiniteAverageCostMdp) -> np.ndarray:
     )
 
 
-def _evaluate(mdp: FiniteAverageCostMdp, actions, graph):
-    """(zeta, h) of the chain a policy induces, by `first_passage_cost`."""
-    actions = np.asarray(actions, dtype=int)
+def _checked(mdp: FiniteAverageCostMdp, actions) -> np.ndarray:
+    """`actions` as integers, checked to hold one action in 0..n_actions - 1 per state."""
+    given = np.asarray(actions)
+    with np.errstate(invalid="ignore"):
+        actions = given.astype(np.int64)
+    if given.shape != (mdp.n_states,) or (actions != given).any():
+        raise ValueError(f"need one integer action per state, {mdp.n_states} in all")
     if ((actions < 0) | (actions >= mdp.n_actions)).any():
         raise ValueError(f"policy actions must lie in 0..{mdp.n_actions - 1}")
-    rows = mdp.where[actions, np.arange(mdp.n_states)]
+    return actions
+
+
+def _evaluate(mdp: FiniteAverageCostMdp, actions, graph):
+    """(zeta, h) of the chain a policy induces, by `first_passage_cost`."""
+    rows = mdp.where[_checked(mdp, actions), np.arange(mdp.n_states)]
     if not np.isfinite(mdp.cost[rows]).all():
         raise ValueError("policy selects an unavailable action")
     return first_passage_cost(mdp.idx[rows], mdp.prob[rows], mdp.cost[rows], mdp.ref, graph)

@@ -4,12 +4,15 @@ perfect-retransmission threshold search costed on its kernel.
 States are (omega, q, xi): omega counts the pending round's attempts per gain
 state, q is the age of the freshest delivered estimate, and xi is the current
 gain index. Action 0 transmits a fresh estimate, action 1 retransmits the
-pending one. A constant-gain link is the one-state chain, so every static
-solve runs here too and its policy keeps the ((r,), q, 0) labels.
+pending one. Kernels, policies and policy files read their states from a
+`Grid`. A constant-gain link is the one-state chain, so every static solve
+runs here too and its policy keeps the ((r,), q, 0) labels.
 """
 
+import math
 from dataclasses import dataclass
-from itertools import product
+from functools import cached_property
+from itertools import islice, product
 
 import numpy as np
 
@@ -17,14 +20,15 @@ from .channel import MarkovChannel
 from .errors import ConfigError, ModelError
 from .harq_model import HarqModel, LinkErrors
 from .lti_estimation import CostLadder
-from .mdp_core import FiniteAverageCostMdp, Policy, policy_iteration, relative_value_iteration
+from .mdp_core import FiniteAverageCostMdp, policy_iteration, relative_value_iteration
 from .numerics import _reachable, gth_stationary, spectral_radius
 
 __all__ = [
     "StabilityReport",
     "check_stability_markov",
+    "Grid",
     "MarkovMdp",
-    "truncated_grid",
+    "Policy",
     "assemble_markov_mdp",
     "build_markov_mdp",
     "solve_rvi_markov",
@@ -58,18 +62,105 @@ def check_stability_markov(pi, lambdas, rho_sq_a: float) -> StabilityReport:
     return StabilityReport(product=product_value, stable=product_value < 1.0)
 
 
+def _counts(caps):
+    """Every count vector up to caps, in lexicographic order, made one at a time."""
+    if not caps:
+        yield ()
+        return
+    for head in range(caps[0] + 1):
+        for tail in _counts(caps[1:]):
+            yield (head, *tail)
+
+
+class Grid:
+    """The truncated (omega, q, xi) state space over len(caps) gain states,
+    in solver order.
+
+    Omega k is the k-th nonzero count vector up to caps in lexicographic
+    order, omegas[k]. Its block of states holds q from sums[k] to q_max and
+    every xi, xi fastest, from state base[k] on; bump[k, i] is the omega with
+    one more attempt under gain i, or -1 at the cap. State s has omega
+    block[s], age q[s] and gain xi[s], and `number` maps a label back to s.
+    Caps below 1 and q_max below sum(caps) are config errors.
+    """
+
+    def __init__(self, caps, q_max: int):
+        self.n = Grid.count(caps, q_max)
+        self.caps, self.q_max, self.b = tuple(int(c) for c in caps), q_max, len(caps)
+        self.omegas = np.array(list(islice(_counts(self.caps), 1, None)))
+        radix = np.array(self.caps) + 1
+        # A count vector's mixed-radix value is its place among all of them,
+        # the zero vector first.
+        self._place = np.append(np.cumprod(radix[:0:-1])[::-1], 1)
+        self.sums = self.omegas.sum(axis=1)
+        sizes = (q_max + 1 - self.sums) * self.b
+        self.base = np.cumsum(sizes) - sizes
+        k = np.arange(len(self.omegas))
+        self.bump = np.where(self.omegas < self.caps, k[:, None] + self._place, -1)
+        self.block = np.repeat(k, sizes)
+        self.q, self.xi = np.divmod(np.arange(self.n) - self.base[self.block], self.b)
+        self.q += self.sums[self.block]
+
+    @staticmethod
+    def count(caps, q_max: int) -> int:
+        """The number of states, B ((q_max + 1)(N - 1) - N sum(caps) / 2) with
+        N = prod(caps + 1), checked and counted without building the grid."""
+        if min(caps) < 1:
+            raise ConfigError("every omega cap must be at least 1")
+        if q_max < sum(caps):
+            raise ConfigError(f"q_max must be at least sum(omega_caps) = {sum(caps)}")
+        n = math.prod(c + 1 for c in caps)
+        return len(caps) * ((q_max + 1) * (n - 1) - n * sum(caps) // 2)
+
+    @staticmethod
+    def labels(caps, q_max: int):
+        """The (omega, q, xi) labels in solver order, made one at a time, so a
+        prefix costs only its own length."""
+        for omega in islice(_counts(caps), 1, None):
+            for q in range(sum(omega), q_max + 1):
+                for xi in range(len(caps)):
+                    yield omega, q, xi
+
+    @cached_property
+    def states(self) -> tuple:
+        """Every state's label, in solver order; built on first use."""
+        return tuple(Grid.labels(self.caps, self.q_max))
+
+    def number(self, omega, q, xi):
+        """The number of state (omega, q, xi). Arrays broadcast, with each
+        omega's counts along the last axis."""
+        k = np.dot(omega, self._place) - 1
+        return self.base[k] + (q - self.sums[k]) * self.b + xi
+
+
 @dataclass(frozen=True, eq=False)
 class MarkovMdp:
-    """Truncated (omega, q, xi) grid with its kernel and costs."""
+    """The kernel and costs of a grid's states."""
 
     core: FiniteAverageCostMdp
-    states: tuple
-    index: dict
+    grid: Grid
     channel: MarkovChannel
-    omega_caps: tuple
-    q_max: int
     cost_mode: str
     ladder: CostLadder
+
+    @property
+    def states(self) -> tuple:
+        return self.grid.states
+
+
+@dataclass(frozen=True, eq=False)
+class Policy:
+    """One action per state of `grid`, in solver order, for a link of these
+    gains, plus the solve that produced it."""
+
+    actions: np.ndarray
+    grid: Grid
+    gains: tuple
+    zeta: float
+    span: float
+    iterations: int
+    converged: bool
+    cost_mode: str = "mse"
 
 
 def build_markov_mdp(
@@ -85,26 +176,6 @@ def build_markov_mdp(
     return assemble_markov_mdp(attempt_error, ch, ladder, omega_caps, q_max, cost_mode)
 
 
-def truncated_grid(omega_caps, q_max: int, b: int):
-    """The truncated state space over b gain states, in solver order.
-
-    Returns (omegas, states): every omega with 1 <= sum(omega) and
-    omega <= omega_caps, in lexicographic order, and every (omega, q, xi)
-    with sum(omega) <= q <= q_max and 0 <= xi < b, ordered by omega, then q,
-    then xi. Caps below 1 and q_max below sum(omega_caps) are config errors.
-    """
-    caps = tuple(int(c) for c in omega_caps)
-    if any(c < 1 for c in caps):
-        raise ConfigError("every omega cap must be at least 1")
-    if q_max < sum(caps):
-        raise ConfigError(f"q_max must be at least sum(omega_caps) = {sum(caps)}")
-    omegas = [omega for omega in product(*[range(c + 1) for c in caps]) if sum(omega) >= 1]
-    states = tuple(
-        (omega, q, xi) for omega in omegas for q in range(sum(omega), q_max + 1) for xi in range(b)
-    )
-    return omegas, states
-
-
 def assemble_markov_mdp(
     attempt_error,
     ch: MarkovChannel,
@@ -113,7 +184,7 @@ def assemble_markov_mdp(
     q_max: int,
     cost_mode: str = "mse",
 ) -> MarkovMdp:
-    """Enumerate the truncated state space and assemble the kernel.
+    """Assemble the kernel on the grid of omega_caps and q_max.
 
     attempt_error(omega, xi) is the error probability of an attempt under gain
     index xi after a round that buffered the attempts omega (all zeros for a
@@ -124,38 +195,20 @@ def assemble_markov_mdp(
     most sum(omega_caps), so q_max >= sum(omega_caps) keeps it on the grid.
     """
     b = ch.size
-    caps = tuple(int(c) for c in omega_caps)
-    if len(caps) != b:
-        raise ConfigError(f"omega_caps has {len(caps)} entries, channel has {b} states")
-    omegas, states = truncated_grid(caps, q_max, b)
+    if len(omega_caps) != b:
+        raise ConfigError(f"omega_caps has {len(omega_caps)} entries, channel has {b} states")
+    grid = Grid(omega_caps, q_max)
     if cost_mode not in ("mse", "delay"):
         raise ConfigError(f"cost_mode must be 'mse' or 'delay', got {cost_mode!r}")
     ladder = ladder.extended(q_max)
-    index = {s: i for i, s in enumerate(states)}
-    n = len(states)
-    units = [tuple(1 if j == i else 0 for j in range(b)) for i in range(b)]
-    fresh = (0,) * b
-    fresh_error = np.array([attempt_error(fresh, xi) for xi in range(b)])
-    # Per (omega, xi): the omega a retransmission leads to (-1 at the cap)
-    # and the error of that attempt.
-    number = {omega: k for k, omega in enumerate(omegas)}
-    bump = np.full((len(omegas), b), -1, dtype=np.int64)
-    bump_error = np.zeros((len(omegas), b))
-    for k, omega in enumerate(omegas):
-        for xi in range(b):
-            if omega[xi] < caps[xi]:
-                bump_error[k, xi] = attempt_error(omega, xi)
-                bump[k, xi] = number[tuple(o + u for o, u in zip(omega, units[xi]))]
-
-    # Block k holds omega k's states, q from sum(omega) up, xi fastest, so
-    # (omega, q, xi) sits at base[omega] + (q - sum(omega)) * b + xi.
-    sums = np.array([sum(omega) for omega in omegas], dtype=np.int64)
-    sizes = (q_max + 1 - sums) * b
-    base = np.cumsum(sizes) - sizes
-    block = np.repeat(np.arange(len(omegas)), sizes)
-    q, xi = np.divmod(np.arange(n) - base[block], b)
-    q += sums[block]
-    retx = np.flatnonzero(bump[block, xi] >= 0)
+    fresh_error = np.array([attempt_error((0,) * b, xi) for xi in range(b)])
+    # Per (omega, xi): the error of a retransmission, where the cap allows one.
+    omegas = list(map(tuple, grid.omegas.tolist()))
+    allowed = grid.bump >= 0
+    bump_error = np.zeros(allowed.shape)
+    bump_error[allowed] = [attempt_error(omegas[k], xi) for k, xi in np.argwhere(allowed).tolist()]
+    block, q, xi = grid.block, grid.q, grid.xi
+    retx = np.flatnonzero(allowed[block, xi])
     retx_block, retx_xi = block[retx], xi[retx]
 
     # The rows: a fresh transmission's per (q, xi), at (q - 1) * b + xi;
@@ -165,15 +218,16 @@ def assemble_markov_mdp(
     fresh_q += 1
     row_q = np.concatenate([fresh_q, q[retx]])
     row_xi = np.concatenate([fresh_xi, retx_xi])
-    # Per row: the omega it leads to, the success age and the attempt error.
-    target = np.concatenate([np.array([number[u] for u in units])[fresh_xi], bump[retx_block, retx_xi]])
-    q_success = np.concatenate([np.ones_like(fresh_q), sums[retx_block] + 1])
+    # Per row: the counts it leads to, the success age and the attempt error.
+    units = np.eye(b, dtype=np.int64)
+    target = np.concatenate([units[fresh_xi], grid.omegas[grid.bump[retx_block, retx_xi]]])
+    q_success = np.concatenate([np.ones_like(fresh_q), grid.sums[retx_block] + 1])
     g = np.concatenate([fresh_error[fresh_xi], bump_error[retx_block, retx_xi]])
     # Row r lists (success, failure) successors per next gain index.
-    start = base[target] - sums[target] * b
+    target, next_xi = target[:, None, :], np.arange(b)
     idx = np.zeros((len(row_q) + 1, 2 * b), dtype=np.int64)
-    idx[:-1, 0::2] = (start + q_success * b)[:, None] + np.arange(b)
-    idx[:-1, 1::2] = (start + np.minimum(row_q + 1, q_max) * b)[:, None] + np.arange(b)
+    idx[:-1, 0::2] = grid.number(target, q_success[:, None], next_xi)
+    idx[:-1, 1::2] = grid.number(target, np.minimum(row_q + 1, q_max)[:, None], next_xi)
     pi_from = ch.pi.T[row_xi]  # pi[xn, xi] in column xn
     prob = np.zeros(idx.shape)
     prob[:-1, 0::2] = pi_from * (1.0 - g)[:, None]
@@ -182,7 +236,7 @@ def assemble_markov_mdp(
         stage = np.array([ladder.trace(age) for age in range(1, q_max + 1)])[row_q - 1]
     else:
         stage = row_q.astype(float)
-    where = np.full((2, n), len(row_q), dtype=np.int64)
+    where = np.full((2, grid.n), len(row_q), dtype=np.int64)
     where[0] = (q - 1) * b + xi
     where[1, retx] = len(fresh_q) + np.arange(len(retx))
     core = FiniteAverageCostMdp(
@@ -190,18 +244,9 @@ def assemble_markov_mdp(
         prob=prob,
         cost=np.append(stage, np.inf),
         where=where,
-        ref=index[(units[0], 1, 0)],
+        ref=int(grid.number((1,) + (0,) * (b - 1), 1, 0)),
     )
-    return MarkovMdp(
-        core=core,
-        states=states,
-        index=index,
-        channel=ch,
-        omega_caps=caps,
-        q_max=q_max,
-        cost_mode=cost_mode,
-        ladder=ladder,
-    )
+    return MarkovMdp(core=core, grid=grid, channel=ch, cost_mode=cost_mode, ladder=ladder)
 
 
 def solve_rvi_markov(mdp: MarkovMdp, tol: float = 1e-9, max_iters: int = 100_000) -> Policy:
@@ -221,17 +266,13 @@ def solve_rvi_markov(mdp: MarkovMdp, tol: float = 1e-9, max_iters: int = 100_000
         iterations, converged = iterations + steps, True
     return Policy(
         actions=actions,
-        states=mdp.states,
+        grid=mdp.grid,
+        gains=mdp.channel.gains,
         zeta=zeta,
         span=span,
         iterations=iterations,
         converged=converged,
         cost_mode=mdp.cost_mode,
-        params={
-            "omega_caps": mdp.omega_caps,
-            "q_max": mdp.q_max,
-            "gains": mdp.channel.gains,
-        },
     )
 
 
@@ -247,23 +288,23 @@ def verify_switching_markov(policy: Policy) -> SwitchingReport:
     (i) action 0 at (omega, q, xi) forces action 0 at (omega + z * unit_i, q, xi);
     (ii) action 1 at (omega, q, xi) forces action 1 at (omega, q + z, xi).
     Immediate neighbors suffice: in-grid segments along each direction are
-    contiguous.
+    contiguous. Violations are listed by state, then direction.
     """
-    index = policy.index()
-    actions = np.asarray(policy.actions).tolist()
-    violations = []
-    for (omega, q, xi), a in zip(policy.states, actions):
-        if a == 0:
-            for i, o in enumerate(omega):
-                bumped = (*omega[:i], o + 1, *omega[i + 1:])
-                neighbor = index.get((bumped, q, xi))
-                if neighbor is not None and actions[neighbor] != 0:
-                    violations.append(((omega, q, xi), (bumped, q, xi)))
-        else:
-            neighbor = index.get((omega, q + 1, xi))
-            if neighbor is not None and actions[neighbor] != 1:
-                violations.append(((omega, q, xi), (omega, q + 1, xi)))
-    return SwitchingReport(passed=not violations, violations=tuple(violations))
+    grid, actions = policy.grid, np.asarray(policy.actions)
+    block, q, xi = grid.block, grid.q, grid.xi
+    # Per direction (an attempt more under gain i, then a slot more of age): the
+    # states it binds, their neighbors' omegas and ages, and the action forced there.
+    moves = [((actions == 0) & (up >= 0) & (q > grid.sums[block]), up, q, 0) for up in grid.bump[block].T]
+    moves.append(((actions == 1) & (q < grid.q_max), block, q + 1, 1))
+    found = []  # (state, direction, neighbor)
+    for direction, (binds, to, to_q, forced) in enumerate(moves):
+        s = np.flatnonzero(binds)
+        t = grid.number(grid.omegas[to[s]], to_q[s], xi[s])
+        bad = actions[t] != forced
+        found += [(u, direction, v) for u, v in zip(s[bad].tolist(), t[bad].tolist())]
+    states = grid.states if found else ()
+    violations = tuple((states[s], states[t]) for s, _, t in sorted(found))
+    return SwitchingReport(passed=not violations, violations=violations)
 
 
 @dataclass(frozen=True)
@@ -319,11 +360,16 @@ def _threshold_chains(ladder: CostLadder, ch: MarkovChannel, lambda_primes, thet
         return 0.0 if any(omega) else lam[xi]
 
     mdp = assemble_markov_mdp(attempt_error, ch, ladder, (2,) * b, max(2 * b, theta_max_search + 2))
-    classes = {}  # (sum(omega), q, xi) -> its number, in order of first state
-    cls = np.array([classes.setdefault((sum(o), q, x), len(classes)) for o, q, x in mdp.states])
-    m = len(classes)
+    grid = mdp.grid
+    # Classes are (r, q, xi) with r = sum(omega), numbered in order of their
+    # first state. Omegas come in lexicographic order, so every omega before
+    # the first one of length r is shorter: that order is (r, q, xi) order.
+    sizes = (grid.q_max + 1 - np.arange(1, sum(grid.caps) + 1)) * b
+    r = grid.sums[grid.block]
+    cls = (np.cumsum(sizes) - sizes)[r - 1] + (grid.q - r) * b + grid.xi
+    m = int(sizes.sum())
     reps = np.searchsorted(np.maximum.accumulate(cls), np.arange(m))  # each class's first state
-    r, q, xi = np.array(list(classes)).T
+    r, q, xi = r[reps], grid.q[reps], grid.xi[reps]
     ref = cls[mdp.core.ref]
     tables = list(product(range(1, theta_max_search + 1), repeat=b))
     retx = (r == 1) & (q > np.array(tables)[:, xi])  # [table, class]: retransmit there

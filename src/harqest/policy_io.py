@@ -14,8 +14,7 @@ from itertools import groupby
 import numpy as np
 
 from .errors import ConfigError
-from .mdp_core import Policy
-from .mdp_markov import truncated_grid
+from .mdp_markov import Grid, Policy
 
 __all__ = ["save_policy", "load_policy"]
 
@@ -40,14 +39,13 @@ def save_policy(policy: Policy, path):
         fh.write(f"span = {policy.span!r}\n")
         fh.write(f"iterations = {policy.iterations}\n")
         fh.write(f"converged = {str(policy.converged).lower()}\n")
-        caps = ",".join(str(c) for c in policy.params["omega_caps"])
-        gains = ",".join(repr(float(g)) for g in policy.params["gains"])
-        fh.write(f"omega_caps = {caps}\n")
-        fh.write(f"q_max = {policy.params['q_max']}\n")
-        fh.write(f"gains = {gains}\n")
+        grid = policy.grid
+        fh.write(f"omega_caps = {','.join(str(c) for c in grid.caps)}\n")
+        fh.write(f"q_max = {grid.q_max}\n")
+        fh.write(f"gains = {','.join(repr(float(g)) for g in policy.gains)}\n")
         fh.write("[actions]\n")
         # One block per omega: solver order keeps each omega's states together.
-        rows = zip(policy.states, np.asarray(policy.actions, dtype=np.int64).tolist())
+        rows = zip(grid.states, np.asarray(policy.actions, dtype=np.int64).tolist())
         for omega, block in groupby(rows, key=lambda row: row[0][0]):
             prefix = ",".join(str(c) for c in omega)
             fh.write("".join(f"{prefix}|{q}|{xi} = {action}\n" for (_, q, xi), action in block))
@@ -90,12 +88,9 @@ def load_policy(path) -> Policy:
     kind = header("kind")
     if kind != "markov":
         raise ConfigError(f"{path}: unknown policy kind {kind!r}")
-    params = {
-        "omega_caps": header("omega_caps", lambda text: tuple(int(c) for c in text.split(","))),
-        "q_max": header("q_max", int),
-        "gains": header("gains", lambda text: tuple(float(g) for g in text.split(","))),
-    }
-    caps, gains = params["omega_caps"], params["gains"]
+    caps = header("omega_caps", lambda text: tuple(int(c) for c in text.split(",")))
+    q_max = header("q_max", int)
+    gains = header("gains", lambda text: tuple(float(g) for g in text.split(",")))
     solve = {
         "zeta": header("zeta", float),
         "span": header("span", float),
@@ -107,15 +102,16 @@ def load_policy(path) -> Policy:
         raise ConfigError(f"{path}: cannot parse 'cost_mode' header {solve['cost_mode']!r}")
     if len(gains) != len(caps):
         raise ConfigError(f"{path}: {len(gains)} gains for {len(caps)} omega caps")
-    # The grid the headers declare, in the solver's state order.
     try:
-        states = truncated_grid(caps, params["q_max"], len(caps))[1]
+        n = Grid.count(caps, q_max)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    for expected, (lineno, key, _) in zip(map(_state_key, states), actions):
+    # The labels are made as the lines are read, so a file that ends early
+    # costs no more than its own lines, however large its headers' grid.
+    for expected, (lineno, key, _) in zip(map(_state_key, Grid.labels(caps, q_max)), actions):
         if key != expected:
             raise ConfigError(f"{path}:{lineno}: expected state {expected!r}, found {key!r}")
-    if len(actions) != len(states):
-        raise ConfigError(f"{path}: {len(actions)} action lines for the {len(states)} grid states")
+    if len(actions) != n:
+        raise ConfigError(f"{path}: {len(actions)} action lines for the {n} grid states")
     table = np.array([action for _, _, action in actions], dtype=np.int8)
-    return Policy(actions=table, states=states, params=params, **solve)
+    return Policy(actions=table, grid=Grid(caps, q_max), gains=gains, **solve)

@@ -19,7 +19,7 @@ from .channel import MarkovChannel
 from .errors import ConfigError, DepthError
 from .harq_model import HarqModel, LinkErrors
 from .lti_estimation import CostLadder
-from .mdp_core import Policy
+from .mdp_markov import Policy
 
 __all__ = [
     "PolicySpec",
@@ -177,17 +177,14 @@ class TransitionMachine:
         """The policy as act(counts, q, xi) -> action over plain ints."""
         if spec.kind in ("table", "delay_optimal_table"):
             ch, table = self.ch, spec.table
-            action = dict(zip(table.states, table.actions.tolist()))
-            caps = tuple(table.params["omega_caps"])
-            q_max = table.params["q_max"]
-            if len(caps) != ch.size:
-                raise ConfigError(f"table was solved for {len(caps)} gain states, channel has {ch.size}")
-            gains = tuple(table.params["gains"])
-            if gains != ch.gains:
-                raise ConfigError(f"table was solved for gains {gains}, channel has {ch.gains}")
+            grid, actions = table.grid, table.actions.tolist()
+            if grid.b != ch.size:
+                raise ConfigError(f"table was solved for {grid.b} gain states, channel has {ch.size}")
+            if table.gains != ch.gains:
+                raise ConfigError(f"table was solved for gains {table.gains}, channel has {ch.gains}")
 
             def act(counts, q, xi):
-                return action[(tuple(map(min, counts, caps)), q if q < q_max else q_max, xi)]
+                return actions[grid.number(tuple(map(min, counts, grid.caps)), min(q, grid.q_max), xi)]
 
             return act
         if spec.kind == "myopic":

@@ -22,7 +22,7 @@ from harqest import (
     policy_average_cost,
 )
 from harqest.errors import DepthError
-from harqest.mdp_markov import MarkovMdp, assemble_markov_mdp
+from harqest.mdp_markov import assemble_markov_mdp
 
 # Treat the retransmission as giving no reliability edge below this gap.
 _RELIABILITY_TIE = 1e-15
@@ -102,9 +102,9 @@ def myopic_policy(mdp, attempt_error) -> Policy:
     worse than retransmitting; with no reliability edge the comparison
     degenerates and fresh wins. Returned on the MDP's own ((r,), q, 0) states.
     """
-    (r_max,) = mdp.omega_caps
+    (r_max,) = mdp.grid.caps
     g = {r + 1: attempt_error((r,), 0) for r in range(r_max)}  # attempt -> error
-    ladder = mdp.ladder.extended(mdp.q_max + 1)
+    ladder = mdp.ladder.extended(mdp.grid.q_max + 1)
     c1 = ladder.trace(1)
     actions = np.zeros(len(mdp.states), dtype=np.int8)
     for s, ((r,), q, _) in enumerate(mdp.states):
@@ -117,13 +117,13 @@ def myopic_policy(mdp, attempt_error) -> Policy:
         actions[s] = 0 if ladder.trace(q + 1) <= threshold else 1
     return Policy(
         actions=actions,
-        states=mdp.states,
+        grid=mdp.grid,
+        gains=mdp.channel.gains,
         zeta=float("nan"),
         span=float("nan"),
         iterations=0,
         converged=True,
         cost_mode="mse",
-        params={"omega_caps": mdp.omega_caps, "q_max": mdp.q_max, "gains": mdp.channel.gains},
     )
 
 
@@ -241,9 +241,8 @@ def reference_run(harq, ch, ladder, spec, cfg, replicate=0):
     new_tx = tuple(block_error_prob(harq, (g,)) for g in ch.gains)
     if spec.kind in ("table", "delay_optimal_table"):
         table = spec.table
-        action = dict(zip(table.states, table.actions.tolist()))
-        caps = tuple(table.params["omega_caps"])
-        q_max = table.params["q_max"]
+        action = dict(zip(table.grid.states, table.actions.tolist()))
+        caps, q_max = table.grid.caps, table.grid.q_max
 
         def act(r, q, omega, xi):
             return action[(tuple(map(min, omega, caps)), min(q, q_max), xi)]
@@ -326,11 +325,18 @@ def assert_matches_reference(trace, expected):
 # ---------------------------------------------------------------- kernel
 
 
+@dataclass(frozen=True, eq=False)
+class ReferenceMdp:
+    core: FiniteAverageCostMdp
+    states: tuple
+
+
 def reference_assemble(attempt_error, ch, ladder, omega_caps, q_max, cost_mode="mse"):
-    """The per-state loop `assemble_markov_mdp` replaced: each state's rows
-    are looked up in the state index one successor at a time. Takes valid
-    arguments only; returns the same `MarkovMdp` fields, with every (state,
-    action) pair on a row of its own."""
+    """The per-state loop `assemble_markov_mdp` replaced, on state labels it
+    enumerates itself: each state's rows are looked up in its own state
+    index one successor at a time. Takes valid arguments only; returns the
+    kernel, with every (state, action) pair on a row of its own, and the
+    labels in the order of its states."""
     b = ch.size
     caps = tuple(int(c) for c in omega_caps)
     ladder = ladder.extended(q_max)
@@ -367,13 +373,4 @@ def reference_assemble(attempt_error, ch, ladder, omega_caps, q_max, cost_mode="
     else:
         stage = np.array([float(q) for (_, q, _) in states])
     core = stacked_mdp(np.stack([stage, stage], axis=1), kernel, available, index[(units[0], 1, 0)])
-    return MarkovMdp(
-        core=core,
-        states=states,
-        index=index,
-        channel=ch,
-        omega_caps=caps,
-        q_max=q_max,
-        cost_mode=cost_mode,
-        ladder=ladder,
-    )
+    return ReferenceMdp(core=core, states=states)

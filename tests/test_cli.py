@@ -220,6 +220,30 @@ class TestConfigErrors:
             capsys.readouterr().err
         )
 
+    @pytest.mark.parametrize("command", ("stability", "solve", "highsnr"))
+    @pytest.mark.parametrize(
+        "caps, message",
+        [
+            ("0 0", "got (0, 0)"),
+            ("3 -1", "got (3, -1)"),
+            ("4 4 4", "got (4, 4, 4)"),
+            ("4", "got (4,)"),
+        ],
+        ids=["zero-caps", "negative-cap", "three-caps", "one-cap"],
+    )
+    def test_bad_omega_caps(self, tmp_path, capsys, command, caps, message):
+        # stability used to die in a traceback on caps of 0, and to give a
+        # verdict for three caps on a two-state channel
+        out = tmp_path / "out"
+        path = tmp_path / "bad.cfg"
+        text = MARKOV_CFG.format(out=out)
+        path.write_text(text.replace("omega_caps = 3 3", f"omega_caps = {caps}"))
+        assert main([command, "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: [solver] omega_caps: need a cap of at least 1 per channel state, {message}\n"
+        )
+        assert not out.exists()
+
     def test_r_max_below_two_stops_highsnr(self, tmp_path, capsys):
         path = tmp_path / "short.cfg"
         path.write_text(STATIC_CFG.format(out=tmp_path).replace("r_max = 8", "r_max = 1"))
@@ -367,8 +391,8 @@ class TestCliSolveAndSimulate:
         assert main(["solve", "--config", str(path)]) == 0
         assert "switching structure: pass" in capsys.readouterr().out
         policy = load_policy(out / "policy_static_mse.txt")
-        assert policy.params == {"omega_caps": (8,), "q_max": 10, "gains": (2.0,)}
-        assert policy.states[0] == ((1,), 1, 0)
+        assert (policy.grid.caps, policy.grid.q_max, policy.gains) == ((8,), 10, (2.0,))
+        assert policy.grid.states[0] == ((1,), 1, 0)
 
     def test_solve_delay_mode(self, static_cfg):
         path, out = static_cfg
@@ -477,6 +501,27 @@ class TestCliSolveAndSimulate:
         assert main(["simulate", "--config", str(path), "--policy", str(policy_path)]) == 2
         err = capsys.readouterr().err
         assert f"config error: {policy_path}:12: expected state '1|1|0', found '1|2|0'\n" in err
+
+    @pytest.mark.parametrize(
+        "grid, states",
+        [
+            ("omega_caps = 8\nq_max = 1000000000000", 8 * 10**12 - 28),
+            ("omega_caps = 1000000\nq_max = 1000000", 500000500000),
+        ],
+        ids=["q_max-1e12", "cap-1e6"],
+    )
+    def test_simulate_refuses_a_table_declaring_a_huge_grid(self, static_cfg, capsys, grid, states):
+        path, out = static_cfg
+        assert main(["solve", "--config", str(path)]) == 0
+        policy_path = out / "policy_static_mse.txt"
+        head = policy_path.read_text().split("[actions]\n")[0]
+        assert "\nomega_caps = 8\nq_max = 10\n" in head
+        policy_path.write_text(head.replace("omega_caps = 8\nq_max = 10", grid) + "[actions]\n1|1|0 = 0\n")
+        capsys.readouterr()
+        assert main(["simulate", "--config", str(path), "--policy", str(policy_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {policy_path}: 1 action lines for the {states} grid states\n"
+        )
 
     def test_simulate_rejects_a_label_with_a_comma(self, static_cfg, capsys):
         # comparison.csv separates its fields by commas, so a label may not hold one.

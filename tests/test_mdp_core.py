@@ -511,6 +511,25 @@ class TestPolicyAverageCost:
         with pytest.raises(ValueError, match="must lie in 0..1"):
             policy_average_cost(mdp, actions)
 
+    @pytest.mark.parametrize("fill", [0.7, 1.5, np.nan])
+    def test_rejects_fractional_actions(self, fill):
+        # 0.7 used to be evaluated as action 0
+        mdp = random_mdp(3)
+        with pytest.raises(ValueError, match=f"need one integer action per state, {mdp.n_states} in all"):
+            policy_average_cost(mdp, [fill] * mdp.n_states)
+
+    @pytest.mark.parametrize("change", [-1, 1])
+    def test_rejects_actions_of_another_length(self, change):
+        # one action too few used to end in an IndexError
+        mdp = random_mdp(3)
+        with pytest.raises(ValueError, match=f"need one integer action per state, {mdp.n_states} in all"):
+            policy_average_cost(mdp, [0] * (mdp.n_states + change))
+
+    def test_integral_floats_are_actions(self):
+        mdp = random_mdp(3)
+        actions = np.zeros(mdp.n_states, dtype=int)
+        assert policy_average_cost(mdp, actions.astype(float)) == policy_average_cost(mdp, actions)
+
 
 class TestPolicyIteration:
     @pytest.mark.parametrize("seed", range(6))
@@ -561,6 +580,22 @@ class TestPolicyIteration:
         start[-1] = bad
         with pytest.raises(ValueError, match="must lie in 0..1"):
             policy_iteration(mdp, start)
+
+    def test_rejects_an_action_beyond_int8(self):
+        # 300 used to raise OverflowError from the int8 cast
+        mdp = random_mdp(3)
+        with pytest.raises(ValueError, match="must lie in 0..1"):
+            policy_iteration(mdp, [300] + [0] * (mdp.n_states - 1))
+
+    @pytest.mark.parametrize(
+        "actions",
+        [lambda n: [0.7] * n, lambda n: [0] * (n - 1)],
+        ids=["fractional", "too-short"],
+    )
+    def test_rejects_malformed_actions(self, actions):
+        mdp = random_mdp(3)
+        with pytest.raises(ValueError, match="need one integer action per state"):
+            policy_iteration(mdp, actions(mdp.n_states))
 
 
 class TestHandOver:

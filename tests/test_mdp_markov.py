@@ -113,9 +113,9 @@ class TestKernel:
     def test_readoff_retransmission_success(self, cc_model, ref_channel, ref_markov_mdp):
         # from ((1,0), q=3, xi=0), retransmit, success, next channel 1:
         # lands in ((2,0), 2, 1) with probability pi[1,0] * (1 - g~((1,0), gain0))
-        s = ref_markov_mdp.index[((1, 0), 3, 0)]
+        s = ref_markov_mdp.grid.number((1, 0), 3, 0)
         idx, prob = kernel_row(ref_markov_mdp.core, s, 1)
-        target = ref_markov_mdp.index[((2, 0), 2, 1)]
+        target = ref_markov_mdp.grid.number((2, 0), 2, 1)
         g = LinkErrors(cc_model, ref_channel.gains).attempt((1, 0), 0)
         expected = ref_channel.pi[1, 0] * (1.0 - g)
         hits = [p for j, p in zip(idx, prob) if j == target]
@@ -123,9 +123,9 @@ class TestKernel:
         assert hits[0] == pytest.approx(expected, rel=1e-12)
 
     def test_retransmission_blocked_at_cap(self, ref_markov_mdp):
-        s = ref_markov_mdp.index[((4, 0), 5, 0)]  # current gain already at its cap
+        s = ref_markov_mdp.grid.number((4, 0), 5, 0)  # current gain already at its cap
         assert not ref_markov_mdp.core.available[s, 1]
-        s2 = ref_markov_mdp.index[((4, 0), 5, 1)]  # other gain still has room
+        s2 = ref_markov_mdp.grid.number((4, 0), 5, 1)  # other gain still has room
         assert ref_markov_mdp.core.available[s2, 1]
 
     def test_single_state_channel_isomorphic_to_static(self, cc_model, ref_ladder):
@@ -186,30 +186,30 @@ class TestSolveRvi:
 
 class TestVerifySwitchingMarkov:
     def test_all_zero_passes(self, ref_markov_mdp):
-        policy = Policy(
-            actions=np.zeros(len(ref_markov_mdp.states), dtype=np.int8),
-            states=ref_markov_mdp.states,
-            zeta=0.0,
-            span=0.0,
-            iterations=0,
-            converged=True,
-        )
+        policy = table(ref_markov_mdp, np.zeros(len(ref_markov_mdp.states), dtype=np.int8))
         assert verify_switching_markov(policy).passed
 
     def test_constructed_violation(self, ref_markov_mdp):
         actions = np.zeros(len(ref_markov_mdp.states), dtype=np.int8)
-        actions[ref_markov_mdp.index[((2, 0), 5, 0)]] = 1  # ((1,0),5,0) stays fresh
-        policy = Policy(
-            actions=actions,
-            states=ref_markov_mdp.states,
-            zeta=0.0,
-            span=0.0,
-            iterations=0,
-            converged=True,
-        )
-        report = verify_switching_markov(policy)
+        actions[ref_markov_mdp.grid.number((2, 0), 5, 0)] = 1  # ((1,0),5,0) stays fresh
+        report = verify_switching_markov(table(ref_markov_mdp, actions))
         assert not report.passed
         assert (((1, 0), 5, 0), ((2, 0), 5, 0)) in report.violations
+
+    def test_constructed_violation_along_the_age(self, ref_markov_mdp):
+        actions = np.zeros(len(ref_markov_mdp.states), dtype=np.int8)
+        actions[ref_markov_mdp.grid.number((1, 0), 5, 0)] = 1  # ((1,0),6,0) stays fresh
+        report = verify_switching_markov(table(ref_markov_mdp, actions))
+        assert report.violations == ((((1, 0), 5, 0), ((1, 0), 6, 0)),)
+
+    def test_no_neighbor_past_the_caps_or_q_max(self, ref_markov_mdp):
+        # Fresh at ((4,3),7,0) binds no neighbor: gain 0 is at its cap, and
+        # (4,4) starts at age 8. Retransmitting at ((1,0),10,0) binds none
+        # either: 10 is q_max, and the next state is ((1,1),2,0).
+        grid = ref_markov_mdp.grid
+        actions = np.ones(len(ref_markov_mdp.states), dtype=np.int8)
+        actions[[grid.number((4, 3), 7, 0), grid.number((1, 1), 2, 0)]] = 0
+        assert verify_switching_markov(table(ref_markov_mdp, actions)).passed
 
     @pytest.mark.parametrize("seed", range(4))
     def test_reports_the_per_state_scan(self, seed, ref_markov_mdp):
@@ -218,18 +218,23 @@ class TestVerifySwitchingMarkov:
         rng = np.random.default_rng(seed)
         available = ref_markov_mdp.core.available[:, 1]
         actions = np.where(available, rng.integers(0, 2, len(available)), 0).astype(np.int8)
-        policy = Policy(actions=actions, states=ref_markov_mdp.states, zeta=0.0, span=0.0,
-                        iterations=0, converged=True)
+        policy = table(ref_markov_mdp, actions)
         violations = verify_switching_markov(policy).violations
         assert len(violations) > 20
         assert violations == per_state_violations(policy)
 
 
+def table(mdp, actions):
+    """A policy of these actions on the grid of `mdp`."""
+    return Policy(actions=actions, grid=mdp.grid, gains=mdp.channel.gains, zeta=0.0, span=0.0,
+                  iterations=0, converged=True)
+
+
 def per_state_violations(policy):
     """Switching violations found by visiting every state in grid order."""
-    index = policy.index()
+    index = {state: s for s, state in enumerate(policy.grid.states)}
     violations = []
-    for s, (omega, q, xi) in enumerate(policy.states):
+    for s, (omega, q, xi) in enumerate(policy.grid.states):
         if policy.actions[s] == 0:
             for i in range(len(omega)):
                 bumped = tuple(o + (1 if j == i else 0) for j, o in enumerate(omega))

@@ -48,7 +48,7 @@ STATIC_PI = np.ones((1, 1))
 
 
 def at(mdp, r, q):
-    return mdp.index[((r,), q, 0)]
+    return mdp.grid.number((r,), q, 0)
 
 
 def flat_error(omega, xi):
@@ -232,7 +232,8 @@ class TestVerifySwitching:
     def test_all_zero_passes(self, ref_mdp):
         policy = Policy(
             actions=np.zeros(len(ref_mdp.states), dtype=np.int8),
-            states=ref_mdp.states,
+            grid=ref_mdp.grid,
+            gains=(2.0,),
             zeta=0.0,
             span=0.0,
             iterations=0,
@@ -245,7 +246,8 @@ class TestVerifySwitching:
         actions[at(ref_mdp, 3, 5)] = 1  # (2,5) fresh but (3,5) retransmits
         policy = Policy(
             actions=actions,
-            states=ref_mdp.states,
+            grid=ref_mdp.grid,
+            gains=(2.0,),
             zeta=0.0,
             span=0.0,
             iterations=0,
@@ -267,11 +269,11 @@ class TestMyopicPolicy:
 
     def test_matches_expected_cost_comparison(self, ref_mdp, ref_errors):
         # direct expected-next-cost comparison as the oracle at every state
-        ladder = ref_mdp.ladder.extended(ref_mdp.q_max + 1)
+        ladder = ref_mdp.ladder.extended(ref_mdp.grid.q_max + 1)
         policy = myopic_policy(ref_mdp, ref_errors)
         g1 = ref_errors((0,), 0)
         for s, ((r,), q, _) in enumerate(ref_mdp.states):
-            if r >= ref_mdp.omega_caps[0]:
+            if r >= ref_mdp.grid.caps[0]:
                 assert policy.actions[s] == 0
                 continue
             g_next = ref_errors((r,), 0)
@@ -332,7 +334,7 @@ class TestBenchmarkImportSurface:
 
     def test_static_solve_returns_r_q_states(self, cc_model, ref_ladder, ref_mdp, ref_policy):
         policy = harqest.solve_rvi(harqest.build_static_mdp(cc_model, 2.0, ref_ladder, 20, 20))
-        assert policy.params == {"omega_caps": (20,), "q_max": 20, "gains": (2.0,)}
+        assert (policy.grid.caps, policy.grid.q_max, policy.gains) == ((20,), 20, (2.0,))
         assert policy.states == tuple((r, q) for ((r,), q, _) in ref_mdp.states)
         assert policy.actions.tobytes() == ref_policy.actions.tobytes()
         assert (policy.zeta, policy.span) == (ref_policy.zeta, ref_policy.span)

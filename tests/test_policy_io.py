@@ -1,4 +1,6 @@
 import re
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,6 +41,20 @@ FILES = {
         "converged = false\nomega_caps = 1\nq_max = 1\ngains = 2.0\n[actions]\n1|1|0 = 0\n"
     ),
 }
+# One-line files whose headers declare grids of 10**12 and about 2 * 10**18
+# states; the line is each grid's first state. With the state count of each.
+HUGE = {
+    "q_max-1e12": (
+        HEADER.replace("omega_caps = 1,1\nq_max = 2\ngains = 2.0,1.0", "omega_caps = 1\nq_max = "
+                       "1000000000000\ngains = 2.0") + "1|1|0 = 0\n",
+        10**12,
+    ),
+    "caps-1e6": (
+        HEADER.replace("omega_caps = 1,1\nq_max = 2", "omega_caps = 1000000,1000000\nq_max = 2000000")
+        + "0,1|1|0 = 0\n",
+        2000006000002000000,
+    ),
+}
 
 
 @pytest.fixture(scope="module")
@@ -57,22 +73,21 @@ class TestRoundTrip:
         path = tmp_path / "static.policy"
         save_policy(static_policy, path)
         loaded = load_policy(path)
-        assert loaded.states == static_policy.states
+        assert loaded.grid.states == static_policy.grid.states
         np.testing.assert_array_equal(loaded.actions, static_policy.actions)
         assert loaded.zeta == static_policy.zeta
         assert loaded.span == static_policy.span
         assert loaded.iterations == static_policy.iterations
         assert loaded.cost_mode == static_policy.cost_mode
-        assert loaded.params == {"omega_caps": (6,), "q_max": 8, "gains": (2.0,)}
+        assert (loaded.grid.caps, loaded.grid.q_max, loaded.gains) == ((6,), 8, (2.0,))
 
     def test_markov_lossless(self, markov_policy, tmp_path):
         path = tmp_path / "markov.policy"
         save_policy(markov_policy, path)
         loaded = load_policy(path)
-        assert loaded.states == markov_policy.states
+        assert loaded.grid.states == markov_policy.grid.states
         np.testing.assert_array_equal(loaded.actions, markov_policy.actions)
-        assert loaded.params["omega_caps"] == (2, 2)
-        assert loaded.params["gains"] == (2.0, 1.0)
+        assert (loaded.grid.caps, loaded.gains) == ((2, 2), (2.0, 1.0))
 
     def test_re_export_byte_identical(self, static_policy, markov_policy, tmp_path):
         for name, policy in (("s", static_policy), ("m", markov_policy)):
@@ -245,6 +260,25 @@ class TestLoadErrors:
         with pytest.raises(ConfigError) as info:
             load_policy(path)
         assert str(info.value) == f"{path}{message}"
+
+    @pytest.mark.parametrize("name", HUGE)
+    def test_huge_grid_is_refused_before_it_is_built(self, tmp_path, name):
+        # The headers' state count is compared with the action lines before
+        # any grid is built: these files used to take seconds and gigabytes.
+        text, states = HUGE[name]
+        path = tmp_path / "huge.policy"
+        path.write_text(text)
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(ConfigError) as info:
+                load_policy(path)
+            seconds, peak = time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == f"{path}: 1 action lines for the {states} grid states"
+        assert seconds < 0.5
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("kind", ["static", "markov"])
     def test_valid_files_load(self, tmp_path, kind):

@@ -43,7 +43,8 @@ from harqest import (
     save_policy,
     worst_retransmission_error_markov,
 )
-from harqest.mdp_markov import assemble_markov_mdp
+from harqest.mdp_markov import Grid, assemble_markov_mdp
+from harqest.simulator import TransitionMachine
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -57,21 +58,65 @@ solve_fields = st.fixed_dictionaries({
 
 
 @st.composite
+def grid_shapes(draw):
+    """(caps, q_max): caps of 1..4 on 1..3 gain states, q_max up to sum(caps) + 4."""
+    b = draw(st.integers(1, 3))
+    caps = tuple(draw(st.lists(st.integers(1, 4), min_size=b, max_size=b)))
+    return caps, draw(st.integers(sum(caps), sum(caps) + 4))
+
+
+@PROPERTY
+@given(grid_shapes())
+def test_grid_numbers_its_labels_in_solver_order(shape):
+    caps, q_max = shape
+    b = len(caps)
+    grid = Grid(caps, q_max)
+    omegas = [o for o in product(*[range(c + 1) for c in caps]) if sum(o) >= 1]
+    labels = tuple((o, q, xi) for o in omegas for q in range(sum(o), q_max + 1) for xi in range(b))
+    assert grid.states == labels
+    assert grid.n == len(labels) == Grid.count(caps, q_max)
+    assert [grid.number(*label) for label in labels] == list(range(len(labels)))
+    assert grid.number(grid.omegas[grid.block], grid.q, grid.xi).tolist() == list(range(len(labels)))
+    per_state = zip(grid.omegas[grid.block].tolist(), grid.q.tolist(), grid.xi.tolist())
+    assert [(tuple(omega), q, xi) for omega, q, xi in per_state] == list(labels)
+    for k, omega in enumerate(omegas):
+        for i in range(b):
+            bumped = omega[:i] + (omega[i] + 1,) + omega[i + 1:]
+            assert grid.bump[k, i] == (omegas.index(bumped) if omega[i] < caps[i] else -1)
+
+
+@PROPERTY
+@given(grid_shapes(), st.data())
+def test_table_read_is_the_label_lookup_at_clamped_counts_and_age(ref_ladder, shape, data):
+    caps, q_max = shape
+    b = len(caps)
+    grid = Grid(caps, q_max)
+    actions = data.draw(st.lists(st.integers(0, 1), min_size=grid.n, max_size=grid.n))
+    gains = (2.0, 1.0, 0.5)[:b]
+    table = Policy(actions=np.array(actions, dtype=np.int8), grid=grid, gains=gains, zeta=0.0,
+                   span=0.0, iterations=0, converged=True)
+    ch = MarkovChannel(gains=gains, pi=np.full((b, b), 1.0 / b))
+    harq = HarqModel.from_db("cc", 10.0, 100, 4.0)
+    act = TransitionMachine(harq, ch, ref_ladder, PolicySpec(kind="table", table=table))._act
+    lookup = dict(zip(grid.states, actions))
+    assert [act(*label) for label in grid.states] == actions
+    rounds = st.tuples(*[st.integers(0, c + 2) for c in caps]).filter(any)
+    for counts in data.draw(st.lists(rounds, min_size=1, max_size=20)):
+        q = data.draw(st.integers(sum(counts), max(sum(counts), q_max) + 3))
+        xi = data.draw(st.integers(0, b - 1))
+        assert act(counts, q, xi) == lookup[(tuple(map(min, counts, caps)), min(q, q_max), xi)]
+
+
+@st.composite
 def markov_policies(draw):
     b = draw(st.integers(1, 3))
     caps = tuple(draw(st.lists(st.integers(1, 3), min_size=b, max_size=b)))
     q_max = draw(st.integers(sum(caps), sum(caps) + 3))
     gains = tuple(draw(st.lists(st.floats(1e-3, 1e3), min_size=b, max_size=b)))
-    omegas = [o for o in product(*[range(c + 1) for c in caps]) if sum(o) >= 1]
-    states = tuple(
-        (o, q, xi) for o in omegas for q in range(sum(o), q_max + 1) for xi in range(b)
-    )
-    actions = draw(st.lists(st.integers(0, 1), min_size=len(states), max_size=len(states)))
+    grid = Grid(caps, q_max)
+    actions = draw(st.lists(st.integers(0, 1), min_size=grid.n, max_size=grid.n))
     return Policy(
-        actions=np.array(actions, dtype=np.int8),
-        states=states,
-        params={"omega_caps": caps, "q_max": q_max, "gains": gains},
-        **draw(solve_fields),
+        actions=np.array(actions, dtype=np.int8), grid=grid, gains=gains, **draw(solve_fields)
     )
 
 
@@ -84,19 +129,21 @@ def test_policy_file_round_trip_is_byte_identical(policy):
         loaded = load_policy(first)
         save_policy(loaded, second)
         assert first.read_bytes() == second.read_bytes()
-    assert loaded.states == policy.states
+    assert loaded.grid.states == policy.grid.states
     assert loaded.actions.tobytes() == policy.actions.tobytes()
     assert (loaded.zeta, loaded.span, loaded.iterations) == (
         policy.zeta, policy.span, policy.iterations
     )
     assert (loaded.converged, loaded.cost_mode) == (policy.converged, policy.cost_mode)
-    assert loaded.params == policy.params
+    assert (loaded.grid.caps, loaded.grid.q_max, loaded.gains) == (
+        policy.grid.caps, policy.grid.q_max, policy.gains
+    )
 
 
 @PROPERTY
 @given(markov_policies(), st.data())
 def test_policy_file_out_of_solver_order_is_refused_at_the_first_swapped_line(policy, data):
-    n = len(policy.states)
+    n = policy.grid.n
     assume(n >= 2)
     i = data.draw(st.integers(0, n - 2))
     j = data.draw(st.integers(i + 1, n - 1))
@@ -211,7 +258,7 @@ def test_kernel_equals_per_state_loop(ref_ladder, grid):
         assert got[mdp.core.where].tobytes() == want[expected.core.where].tobytes(), name
     assert mdp.core.available.tobytes() == expected.core.available.tobytes()
     assert mdp.states == expected.states
-    assert mdp.index == expected.index
+    assert [mdp.grid.number(*state) for state in expected.states] == list(range(len(expected.states)))
     assert mdp.core.ref == expected.core.ref
     # the builder asks for each (omega, xi) error once, in the reference's order
     assert calls == expected_calls
@@ -300,18 +347,15 @@ def test_high_snr_search_costs_each_table_exactly(ref_ladder, stay, lambdas, the
 def small_table(ch, actions) -> Policy:
     """A table over caps of 2 per gain and ages up to 2B + 2 on channel `ch`;
     actions(n) gives its n actions in state order."""
-    b = ch.size
-    caps, q_max = (2,) * b, 2 * b + 2
-    omegas = [o for o in product(*[range(c + 1) for c in caps]) if sum(o) >= 1]
-    states = tuple((o, q, xi) for o in omegas for q in range(sum(o), q_max + 1) for xi in range(b))
+    grid = Grid((2,) * ch.size, 2 * ch.size + 2)
     return Policy(
-        actions=np.array(actions(len(states)), dtype=np.int8),
-        states=states,
+        actions=np.array(actions(grid.n), dtype=np.int8),
+        grid=grid,
+        gains=ch.gains,
         zeta=0.0,
         span=0.0,
         iterations=0,
         converged=True,
-        params={"omega_caps": caps, "q_max": q_max, "gains": ch.gains},
     )
 
 
