@@ -63,6 +63,17 @@ def relative_value_iteration(
 ):
     """Span-seminorm relative value iteration for the long-run average cost.
 
+    Each sweep is damped: v becomes tau * T v + (1 - tau) * v with tau = 1/2,
+    which is plain RVI on the kernel tau * P + (1 - tau) * I with costs
+    tau * c (Schweitzer's aperiodicity transformation, J. Math. Anal. Appl.
+    34, 1971; Puterman, Markov Decision Processes, ch. 8.5). Every state now
+    keeps a self-loop, so the iterates converge where an optimal chain is
+    periodic: a delivery resets the age, and a link that fails every fresh
+    packet but delivers every retransmission makes plain RVI cycle forever.
+    The transformation keeps the optimal policies and scales the gain and
+    the span of the value differences by tau, so both are reported divided
+    by tau, which in float64 is exact; tol bounds that undamped span.
+
     Stops for one of three reasons, returned as `stop`:
     - "tol": the span of successive value differences dropped below tol;
     - "plateau": the span stopped improving for `patience` sweeps (the
@@ -74,7 +85,8 @@ def relative_value_iteration(
       windows end at multiples of `patience` sweeps, so this stop fires at
       the earliest after 2 * patience sweeps.
     The midpoint of the final difference bounds estimates the gain; the span
-    is its certified error bar. Raises ConvergenceError when max_iters
+    is its certified error bar. The greedy pass reads the undamped Q, whose
+    argmin is the damped one's. Raises ConvergenceError when max_iters
     sweeps pass without a stop. Once v repeats bit for bit, the sweeps that
     could only repeat earlier ones are counted without being run, which
     changes no output.
@@ -119,9 +131,11 @@ def relative_value_iteration(
     while iterations < max_iters:
         iterations += 1
         np.minimum.reduce(bellman(), axis=0, out=tv)
+        np.add(tv, v, out=tv)
+        tv *= 0.5  # the damped sweep (T v + v) / 2
         np.subtract(tv, v, out=diff)
         lo, hi = float(np.minimum.reduce(diff)), float(np.maximum.reduce(diff))
-        span = hi - lo
+        span = 2.0 * (hi - lo)
         np.subtract(tv, tv[mdp.ref], out=v)
         if span < tol:
             stop = "tol"
@@ -166,12 +180,11 @@ def relative_value_iteration(
     else:
         raise ConvergenceError(
             f"relative value iteration did not converge within {max_iters} sweeps "
-            f"(final span {hi - lo:.3e})"
+            f"(final span {2.0 * (hi - lo):.3e})"
         )
-    # Greedy actions off the final Q table; lower-numbered actions win ties.
+    # Greedy actions off the final undamped Q table; lower-numbered actions win ties.
     actions = _improve(bellman(), np.zeros(n, dtype=np.int8))
-    zeta = (lo + hi) / 2.0
-    return actions, float(zeta), float(hi - lo), iterations, stop == "tol", stop
+    return actions, lo + hi, 2.0 * (hi - lo), iterations, stop == "tol", stop
 
 
 def policy_iteration(mdp: FiniteAverageCostMdp, actions):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,20 @@ from harqest import (
     solve_steady_state,
     static_channel,
 )
+
+# A failing hypothesis example imports its patch writer, which imports libcst,
+# which imports mypy_extensions.TypedDict and so raises a DeprecationWarning.
+# Under `-W error` that warning ends the whole session with an INTERNALERROR,
+# and command-line -W filters take precedence over ini filterwarnings. So the
+# module is imported once here, with only that warning ignored.
+with warnings.catch_warnings():
+    warnings.filterwarnings(
+        "ignore", message=r"mypy_extensions\.TypedDict is deprecated", category=DeprecationWarning
+    )
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 # Reference configuration: 2x2 unstable process observed through a scalar
 # measurement, CC combining at 10 dB, 100-symbol packets at 4 bits/symbol,

@@ -1,9 +1,18 @@
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from harqest import check_stability_markov, load_policy
+from harqest import (
+    build_cost_ladder,
+    build_markov_mdp,
+    check_stability_markov,
+    load_policy,
+    policy_average_cost,
+    policy_iteration,
+    solve_steady_state,
+)
 from harqest.cli import main
 from harqest.config import load_config
 from harqest.errors import ConfigError
@@ -620,3 +629,47 @@ class TestCliHighSnrAndSweep:
         lines = (out / "sweep.csv").read_text().strip().splitlines()
         assert lines[0] == "snr_db,scheme,zeta,iterations,switching"
         assert len(lines) == 3
+
+
+def default_static_with(tmp_path, name, **values):
+    """configs/default_static.cfg with the given [harq], [channel] and [solver] values."""
+    text = (Path(__file__).resolve().parent.parent / "configs" / "default_static.cfg").read_text()
+    for key, value in values.items():
+        text, count = re.subn(rf"(?m)^{key} = .*$", f"{key} = {value}", text)
+        assert count == 1, key
+    path = tmp_path / name
+    path.write_text(text)
+    return path
+
+
+class TestPeriodicOptimalChain:
+    """A link whose fresh packets always fail and whose retransmissions
+    deliver makes the optimal chain periodic. Undamped RVI cycled there: it
+    returned the never-delivering all-fresh table (exact cost 480.07 on the
+    6-state grid), or ran out of its 100000 sweeps on the 21-state grid."""
+
+    def solve(self, tmp_path, **values):
+        path = default_static_with(tmp_path, "periodic.cfg", scheme="ir", **values)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
+        cfg = load_config(path)
+        ladder = build_cost_ladder(cfg.system, solve_steady_state(cfg.system), cfg.solver.q_max + 2)
+        mdp = build_markov_mdp(cfg.harq, cfg.channel, ladder, cfg.solver.omega_caps, cfg.solver.q_max)
+        return load_policy(out / "policy_static_mse.txt"), mdp
+
+    def test_weak_gain_table_retransmits(self, tmp_path):
+        policy, mdp = self.solve(tmp_path, gain=0.5, r_max=3, q_max=3)
+        assert mdp.grid.n == 6
+        assert policy.converged and policy.iterations < 100
+        # states (1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3): retransmit at ages 2 and 3
+        assert policy.actions.tolist() == [0, 1, 1, 0, 0, 0]
+        exact = policy_average_cost(mdp.core, policy.actions)
+        assert exact == pytest.approx(281.74066626, rel=1e-9)
+        assert abs(policy.zeta - exact) <= policy.span
+        assert policy_iteration(mdp.core, policy.actions)[1] >= exact * (1.0 - 1e-9)
+
+    def test_strong_gain_solve_converges(self, tmp_path):
+        policy, mdp = self.solve(tmp_path, gain=1, snr_db=6.5, r_max=3, q_max=8)
+        assert mdp.grid.n == 21
+        assert policy.converged and policy.iterations < 100
+        assert abs(policy.zeta - policy_average_cost(mdp.core, policy.actions)) <= policy.span

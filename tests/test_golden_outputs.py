@@ -8,6 +8,9 @@ configs' policy files and `stability.txt` have moved since, on purpose: the
 policy files are written in the one-state Markov layout (keys `r|q|0`,
 headers `omega_caps` and `gains`, the actions and solve headers unchanged
 key for key), and the `Lambda0` line carries the budget-boundary flag.
+Since relative value iteration is damped, every policy file's `zeta`,
+`span` and `iterations` headers and the `zeta` and `iterations` columns of
+`sweep.csv` have moved as well; no action in any policy file has.
 Before hashing, `np.float64(x)` is rewritten to `x` (older releases wrote
 numpy reprs into the CSVs) and the output directory to `<out>`.
 
@@ -48,15 +51,15 @@ GOLDEN = {
             "comparison.csv":
                 "c8fa9f03c025805be6145c104dfd1d6887848c26b2a058f956eba6924f7018ed",
             "policy_markov_delay.txt":
-                "c48c1d7ac6f34b94026f74efb9b16289d24c1158d1d678b965f1828aa2604126",
+                "fe80810ed92cba73d1cd08d2d6507f4e252e322d54143fa93f16114dd8c46e83",
             "policy_markov_mse.txt":
-                "79909d4673eece20e668617843121843da9d173c822635900a9289351ad5b033",
+                "3606744e198e7828d842fb00a721a73fac9e6bc5146ab88a26d476db787d807d",
             "stability.txt":
                 "f2ba47ee6754d2d90723c3d89021a073e3660a8c1c709c6f197acc56c39cd3a4",
             "stability_region.csv":
                 "08087fb97fb1398d1e5ab671bcc6abfe1c2d35467672352646f0dac066c0fcef",
             "sweep.csv":
-                "f74ef9e0976ef3e4c43c4fc3bf9f170962f7998fcc5a8f75a75c0d499254deb3",
+                "510398f59c6883b5e30652c94c75ca2437b8548d05f6ff5c7bf500a4ee10decf",
             "trace_psi_rep0.csv":
                 "62b915b9cc5255be3fea3f8e36a2c23e784474093c66cc88406ffa75591fae8a",
             "trajectory_psi.csv":
@@ -75,13 +78,13 @@ GOLDEN = {
             "comparison.csv":
                 "e130dee3eef55601aee585f68c53ab7164dd25e3afe169dae182fe18d307f923",
             "policy_static_delay.txt":
-                "ea3ad84e90cb9d908d1018cb8117f061ae096137669cdadbf1a8a49222c0af4e",
+                "8e5dc678c298da93c8980e71e3a83362a85dac652f018b8a88a0d0d194992d6a",
             "policy_static_mse.txt":
-                "cf8eabc65eb38eedada0aba47da033f46e16682a0c1206946e50d5e15e2e5ddf",
+                "251fee7e3517099b293ec4d51436b00d1ef38af77253ce6123ea9584fbd19a4d",
             "stability.txt":
                 "1472a3f4c5653a2fbec97449e2d1bef0a5ae408386684be6d419bdc971485e44",
             "sweep.csv":
-                "747ed9a37cb37a23e880996bb4de6583bec991fbd39b07c6e61bbf5bc59c6121",
+                "dfae21c3d00ff7d4f7e01e21092f11202d310db8a8180691a36b2a3829258ed7",
             "trace_psi_rep0.csv":
                 "3080b00a2fa54f7e7ede0f8b96cc9ca7d45f96f66aa94903242d2e9deccd12f3",
             "trajectory_psi.csv":
@@ -98,15 +101,15 @@ GOLDEN = {
             "comparison.csv":
                 "5701d0bee1644105dee7ff09809ffd7400969cdcea2a5716a50a474e7284ed0a",
             "policy_markov_delay.txt":
-                "47e636e2dd171ff1835e0fbf09be8fbe1a28c52b3d2773154237003e74605f59",
+                "1f50d58a8d22a2ae6d9fb7e7a23b1fbf17a450562000e8010785d9aa35b48e4f",
             "policy_markov_mse.txt":
-                "b677448f599248a3925ed2d755afd0040f51125ab737781c9054bd623f86be94",
+                "a04fbb1249c71553f6b309a34039b134f4a2685108be1736c6cb048f9f89292a",
             "stability.txt":
                 "5a6a39847f9218f8dd672c813a363fa82c154387ed886ea77cca2f5d93bcd50d",
             "stability_region.csv":
                 "08087fb97fb1398d1e5ab671bcc6abfe1c2d35467672352646f0dac066c0fcef",
             "sweep.csv":
-                "f74ef9e0976ef3e4c43c4fc3bf9f170962f7998fcc5a8f75a75c0d499254deb3",
+                "510398f59c6883b5e30652c94c75ca2437b8548d05f6ff5c7bf500a4ee10decf",
             "trace_psi_rep0.csv":
                 "585b96fa2c0123a530b10efe2900aeb6296ca17e77b96c2afa6cc762e0a58424",
             "trajectory_psi.csv":
@@ -126,13 +129,13 @@ GOLDEN = {
             "comparison.csv":
                 "d40a3b64a7f662934559d28fb076dc6d5430b30fdf34733720ec0e38893335ce",
             "policy_static_delay.txt":
-                "b657d3e9f99fb27ab6cfdeb5e9814f032f178918fa832e1aa165e0e1eeb8a3b2",
+                "9c84603d20b8996963e6b5e0d407ed904198cb8449142b645e871111695ed6d6",
             "policy_static_mse.txt":
-                "6356c01893e469459b624624a7f400e1c0c22fa5a019f1938e3edb0888738055",
+                "b001d3c10ec4b99baa63cfa31ab3dfe789e58b6e8769ed980ab830d5fa04a2d8",
             "stability.txt":
                 "588e973115e208dd6d2fe8c15bfa861c9f1c07c722bf3033d68b81e52c5cb006",
             "sweep.csv":
-                "747ed9a37cb37a23e880996bb4de6583bec991fbd39b07c6e61bbf5bc59c6121",
+                "dfae21c3d00ff7d4f7e01e21092f11202d310db8a8180691a36b2a3829258ed7",
             "trace_psi_rep0.csv":
                 "d8a275682f222ebe090ecb1a0f87e6173141a422d62ed27857355a03f215282b",
             "trajectory_psi.csv":
@@ -149,15 +152,15 @@ GOLDEN = {
             "comparison.csv":
                 "8a867c2952e12189c60763bb5e0c52485353ceffe1c529dedb5595b7e0ce4b28",
             "policy_markov_delay.txt":
-                "ec06605d5169194b7937b6a5098dd373e5a20f03654c3e1aaa0373f2faf3c878",
+                "60025c1ed22215dc08e5b5a220e0d0f97352db963ebdae12f1e6671937fa36ae",
             "policy_markov_mse.txt":
-                "9bf673b50a1f341ecffa22e3fb4efb373a287ba3cbbcdaf86a8d9bf2250fcd2e",
+                "b52c718fdf9543a587b2d4478bae1e2f7a132e3257ca9fd59949841ab0fcd42e",
             "stability.txt":
                 "c3493923785bb11d997322f659b9f25554757d051f5f8246cf75151d40068d62",
             "stability_region.csv":
                 "73fadf3a246760e3b6b394e0ca0a771329f73fbdc0c6ef1e2f73bb62ebf3ebe5",
             "sweep.csv":
-                "a33b2e05dbf6e43c8aa0d19f2263f4258e05b4c591e5ba91aeb2d297ff2ef91d",
+                "986c773283766f4c42bc9df3cba300d292b1fa127ec9196cc803e068f4216998",
             "trace_psi_rep0.csv":
                 "da763a1d00656944b8459bff600a25dc0ec33c8cdfb8228b776dd9bca6fef088",
             "trajectory_psi.csv":

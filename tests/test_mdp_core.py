@@ -12,6 +12,7 @@ from harqest import (
     FiniteAverageCostMdp,
     HarqModel,
     LinkErrors,
+    MarkovChannel,
     ModelError,
     build_markov_mdp,
     build_static_mdp,
@@ -109,8 +110,9 @@ class TestRelativeValueIteration:
 
 
 def reference_rvi(mdp, tol=1e-9, max_iters=100_000, patience=500):
-    """The per-action sweep `relative_value_iteration` replaced, kept as the
-    reference its row sweep and its stop rules must reproduce bit for bit."""
+    """The per-action sweep `relative_value_iteration` replaced, damped the
+    same way, kept as the reference its row sweep and its stop rules must
+    reproduce bit for bit."""
     n, n_actions = mdp.n_states, mdp.n_actions
     mdp = per_action(mdp)
     v = np.zeros(n)
@@ -127,10 +129,10 @@ def reference_rvi(mdp, tol=1e-9, max_iters=100_000, patience=500):
             idx, prob = mdp.transitions[a]
             q[:, a] = mdp.costs[:, a] + np.einsum("sk,sk->s", prob, v[idx])
         q[~mdp.available] = np.inf
-        tv = q.min(axis=1)
+        tv = (q.min(axis=1) + v) * 0.5
         diff = tv - v
         lo, hi = float(diff.min()), float(diff.max())
-        span = hi - lo
+        span = 2.0 * (hi - lo)
         v = tv - tv[mdp.ref]
         if span < tol:
             stop = "tol"
@@ -156,7 +158,7 @@ def reference_rvi(mdp, tol=1e-9, max_iters=100_000, patience=500):
     else:
         raise ConvergenceError(
             f"relative value iteration did not converge within {max_iters} sweeps "
-            f"(final span {hi - lo:.3e})"
+            f"(final span {2.0 * (hi - lo):.3e})"
         )
     for a in range(n_actions):
         idx, prob = mdp.transitions[a]
@@ -172,8 +174,7 @@ def reference_rvi(mdp, tol=1e-9, max_iters=100_000, patience=500):
         better = q[:, a] < best - tie
         actions[better] = a
         best = np.where(better, q[:, a], best)
-    zeta = (lo + hi) / 2.0
-    return actions, float(zeta), float(hi - lo), iterations, stop == "tol", stop
+    return actions, lo + hi, 2.0 * (hi - lo), iterations, stop == "tol", stop
 
 
 def assert_same_solve(mdp, **kwargs):
@@ -216,12 +217,17 @@ def slow_swap_mdp():
     """The two-state swap of `test_slow_stop_only_when_tol_lies_beyond_the_budget`
     under action 0, next to an action 1 that is unavailable everywhere."""
     idx = np.array([[0, 1], [1, 0]])
-    prob = np.array([[1.0 - 5e-4, 5e-4]] * 2)
+    prob = np.array([[1.0 - 1e-3, 1e-3]] * 2)
     return stacked_mdp(
         np.array([[0.0, 0.0], [1.0, 0.0]]),
         [(idx, prob), (idx, prob)],
         np.array([[True, False], [True, False]]),
     )
+
+
+def sticky_channel():
+    """The gains {2, 1}, switching once in 10^4 slots."""
+    return MarkovChannel(gains=(2.0, 1.0), pi=np.array([[1.0 - 1e-4, 1e-4], [1e-4, 1.0 - 1e-4]]))
 
 
 class TestReferenceConformance:
@@ -254,11 +260,12 @@ class TestReferenceConformance:
             assert_same_solve(mdp.core, tol=1e-9, max_iters=100_000)
 
     def test_slow_stop_only_when_tol_lies_beyond_the_budget(self):
-        # Two states swapping with probability 5e-4: the span shrinks by the
-        # factor 0.999 each sweep, so the rate over sweeps 501-1000 projects
-        # tol = 1e-9 at sweep 20713.9, and RVI reaches it at sweep 20714.
+        # Two states swapping with probability 1e-3, 5e-4 in the damped
+        # kernel: the span shrinks by the factor 0.999 each sweep, so the rate
+        # over sweeps 501-1000 projects tol = 1e-9 at sweep 20713.9, and RVI
+        # reaches it at sweep 20714.
         idx = np.array([[0, 1], [1, 0]])
-        prob = np.array([[1.0 - 5e-4, 5e-4]] * 2)
+        prob = np.array([[1.0 - 1e-3, 1e-3]] * 2)
         mdp = stacked_mdp(np.array([[0.0], [1.0]]), [(idx, prob)], np.ones((2, 1), bool))
         assert assert_same_solve(mdp, max_iters=20_708) == "slow"
         assert relative_value_iteration(mdp, max_iters=20_708)[3] == 1000
@@ -286,20 +293,20 @@ class TestReferenceConformance:
         assert relative_value_iteration(mdp, max_iters=20_708)[3] == 1000
 
     def test_ir_static_plateau(self, ref_ladder):
-        # IR at 6.5 dB on the constant-gain (20, 20) grid: long runs of
-        # improving sweeps, each broken inside a window, end on the plateau
-        # stop after about 54000 sweeps, never on the slow stop.
+        # IR at 6.5 dB on the constant-gain (20, 20) grid: the iterates
+        # repeat and RVI stops on the plateau after 563 sweeps. Undamped,
+        # long runs of improving sweeps, each broken inside a window, ended
+        # on the plateau after about 54000 sweeps, never on the slow stop.
         mdp = build_static_mdp(HarqModel.from_db("ir", 6.5, 100, 4.0), 2.0, ref_ladder, 20, 20)
         assert assert_same_solve(mdp.core) == "plateau"
 
-    def test_ir_fading_slow_stop(self, ref_ladder, ref_channel):
-        # IR at 6.5 dB on the {2, 1} chain: the span shrinks by about 4e-6 of
-        # itself per sweep, too fast for the plateau stop and far too slow to
-        # reach tol, so the slow stop fires after the second window.
-        harq = HarqModel.from_db("ir", 6.5, 100, 4.0)
-        mdp = build_markov_mdp(harq, ref_channel, ref_ladder, (4, 4), 10)
-        assert assert_same_solve(mdp.core, max_iters=2000) == "slow"
-        assert relative_value_iteration(mdp.core, max_iters=2000)[3] == 1000
+    def test_sticky_fading_slow_stop(self, ref_ladder):
+        # IR at 6.5 dB on a {2, 1} chain that switches once in 10^4 slots:
+        # the span shrinks too steadily for the plateau stop and far too
+        # slowly to reach tol, so the slow stop fires after the second window.
+        mdp = build_markov_mdp(HarqModel.from_db("ir", 6.5, 100, 4.0), sticky_channel(), ref_ladder, (4, 4), 10)
+        assert assert_same_solve(mdp.core) == "slow"
+        assert relative_value_iteration(mdp.core)[3] == 1000
 
 
 class TestStackedKernel:
@@ -346,9 +353,9 @@ def reference_iterates(mdp, sweeps):
             idx, prob = mdp.transitions[a]
             q[:, a] = mdp.costs[:, a] + np.einsum("sk,sk->s", prob, v[idx])
         q[~mdp.available] = np.inf
-        tv = q.min(axis=1)
+        tv = (q.min(axis=1) + v) * 0.5
         diff = tv - v
-        spans.append(float(diff.max()) - float(diff.min()))
+        spans.append(2.0 * (float(diff.max()) - float(diff.min())))
         v = tv - tv[mdp.ref]
         iterates.append(v.tobytes())
     return iterates, spans
@@ -406,10 +413,10 @@ class TestCycleJump:
         # name: (scheme, snr_db, fading, caps, q_max, period of the final v)
         "static-10dB": ("cc", 10.0, False, (20,), 20, 1),
         "static-15dB": ("cc", 15.0, False, (20,), 20, 1),
-        "fading-ir-8.5dB": ("ir", 8.5, True, (4, 4), 10, 2),
-        "fading-10dB": ("cc", 10.0, True, (4, 4), 10, 4),
+        "fading-ir-8.5dB": ("ir", 8.5, True, (4, 4), 10, 4),
+        "fading-10dB": ("cc", 10.0, True, (4, 4), 10, 1),
         "fading-8x8-q30-8.5dB": ("cc", 8.5, True, (8, 8), 30, 8),
-        "fading-8.5dB": ("cc", 8.5, True, (4, 4), 10, 12),
+        "fading-8.5dB": ("cc", 8.5, True, (4, 4), 10, 4),
     }
 
     def build(self, name, ref_ladder, ref_channel):
@@ -441,7 +448,7 @@ class TestCycleJump:
     def test_budget_ends_inside_a_jump(self, ref_ladder, ref_channel, sweeps_run):
         # Period 4: of four consecutive budgets one ends on a whole number of
         # periods, and the other three run 1, 2 and 3 sweeps past the jump.
-        mdp = self.build("fading-10dB", ref_ladder, ref_channel)
+        mdp = self.build("fading-ir-8.5dB", ref_ladder, ref_channel)
         counts = []
         for max_iters in range(400, 404):
             assert assert_same_solve(mdp, max_iters=max_iters) == "budget"
@@ -452,7 +459,7 @@ class TestCycleJump:
     def test_jump_lands_on_the_plateau_stop(self, ref_ladder, ref_channel, sweeps_run):
         # As above: one of four consecutive patience values makes the jump
         # end exactly where the plain loop stops.
-        mdp = self.build("fading-10dB", ref_ladder, ref_channel)
+        mdp = self.build("fading-ir-8.5dB", ref_ladder, ref_channel)
         counts = []
         for patience in range(500, 504):
             assert assert_same_solve(mdp, patience=patience) == "plateau"
@@ -461,9 +468,11 @@ class TestCycleJump:
         assert max(counts) < 500
 
     def test_static_solve_runs_few_sweeps(self, cc_model, ref_ladder, sweeps_run):
+        # Damped sweeps contract by at most 1/2 each, so this fast-mixing
+        # grid runs 58 sweeps before its iterates repeat (10 undamped).
         policy = solve_rvi(build_static_mdp(cc_model, 2.0, ref_ladder, 20, 20))
-        assert (policy.iterations, policy.converged) == (505, False)
-        assert sweeps_run() < 50
+        assert (policy.iterations, policy.converged) == (555, False)
+        assert sweeps_run() < 60
 
 
 class TestPolicyAverageCost:
@@ -599,25 +608,38 @@ class TestPolicyIteration:
 
 
 class TestHandOver:
-    """RVI solves that cannot reach tol finish with policy iteration."""
+    """RVI solves that stop slow finish with policy iteration; the grids that
+    needed it before RVI was damped now end in RVI."""
 
     def test_ir_fading_mdp(self, ref_ladder, ref_channel):
-        # IR at 6.5 dB on the {2, 1} chain, caps (4, 4), q_max 10: RVI ran
-        # out of its 100000 sweeps here
+        # IR at 6.5 dB on the {2, 1} chain, caps (4, 4), q_max 10: undamped
+        # RVI ran out of its 100000 sweeps here, then stopped slow. Damped,
+        # its iterates repeat and it stops on the plateau.
         mdp = build_markov_mdp(HarqModel.from_db("ir", 6.5, 100, 4.0), ref_channel, ref_ladder, (4, 4), 10)
         policy = solve_rvi_markov(mdp)
-        assert policy.converged
-        assert policy.zeta == policy_average_cost(mdp.core, policy.actions)
+        assert (policy.iterations, policy.converged) == (565, False)
+        assert abs(policy.zeta - policy_average_cost(mdp.core, policy.actions)) <= policy.span < 1e-7
         assert policy.zeta == pytest.approx(281.7399925, rel=1e-9)
-        assert 0.0 <= policy.span < 1e-6
-        assert 1000 <= policy.iterations < 1100
         assert verify_switching_markov(policy).passed
 
     def test_ir_static_delay_cell(self, ref_ladder):
         mdp = build_static_mdp(HarqModel.from_db("ir", 6.5, 100, 4.0), 2.0, ref_ladder, 20, 20, "delay")
         policy = solve_rvi_markov(mdp)
-        assert policy.converged
+        assert (policy.iterations, policy.converged) == (44, True)
+        assert abs(policy.zeta - policy_average_cost(mdp.core, policy.actions)) <= policy.span < 1e-9
+        assert verify_switching_markov(policy).passed
+
+    def test_sticky_fading_slow_stop(self, ref_ladder):
+        # The slow stop of `TestReferenceConformance`: policy iteration takes
+        # RVI's table, finds nothing to improve and reports its exact cost.
+        mdp = build_markov_mdp(HarqModel.from_db("ir", 6.5, 100, 4.0), sticky_channel(), ref_ladder, (4, 4), 10)
+        assert relative_value_iteration(mdp.core)[5] == "slow"
+        policy = solve_rvi_markov(mdp)
+        assert (policy.iterations, policy.converged) == (1000, True)
         assert policy.zeta == policy_average_cost(mdp.core, policy.actions)
+        assert policy.zeta == pytest.approx(281.7401355, rel=1e-9)
+        assert 0.0 <= policy.span < 1e-6
+        assert verify_switching_markov(policy).passed
 
 
 class TestKernelValidation:

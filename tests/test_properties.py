@@ -1,8 +1,8 @@
 """Invariants of policy files, of the kernel and its assembly, of the
 first-passage evaluation, of the worst-error scan, of the high-SNR reduced
-chain, of common random numbers in the simulator and of the simulator
-against its reference loop, checked on generated tables, grids, chains and
-links.
+chain, of common random numbers in the simulator, of the simulator against
+its reference loop and of the solver's optimality, checked on generated
+tables, grids, chains and links.
 
 Examples are derived from a fixed seed, so every run checks the same cases.
 """
@@ -39,8 +39,11 @@ from harqest import (
     gth_stationary,
     high_snr_markov,
     load_policy,
+    policy_average_cost,
+    policy_iteration,
     run,
     save_policy,
+    solve_rvi_markov,
     worst_retransmission_error_markov,
 )
 from harqest.mdp_markov import Grid, assemble_markov_mdp
@@ -420,3 +423,35 @@ def test_run_equals_the_reference_loop(ref_ladder, snr_db, scheme, seed, stay, k
     harq = HarqModel.from_db(scheme, snr_db, 100, 4.0)
     expected = reference_run(harq, ch, ref_ladder, spec, cfg)
     assert_matches_reference(run(harq, ch, ref_ladder, spec, cfg), expected)
+
+
+@st.composite
+def solver_instances(draw):
+    """A valid link and grid of at most 150 states: a constant gain or a
+    two-state chain (sticky or fast), caps 1-4 (2-4 on a constant gain, as a
+    config needs), weak to strong gains, 3-16 dB, either scheme and cost mode."""
+    b = draw(st.integers(1, 2))
+    gains = tuple(draw(st.lists(st.sampled_from([0.3, 0.5, 1.0, 2.0, 3.0]), min_size=b, max_size=b)))
+    if b == 1:
+        pi = np.array([[1.0]])
+    else:
+        stay = draw(st.lists(st.sampled_from([0.05, 0.5, 0.8, 0.95, 0.99]), min_size=2, max_size=2))
+        pi = np.array([[stay[0], 1.0 - stay[1]], [1.0 - stay[0], stay[1]]])
+    caps = tuple(draw(st.lists(st.integers(2 if b == 1 else 1, 4), min_size=b, max_size=b)))
+    q_max = sum(caps) + draw(st.integers(0, 7))
+    assume(Grid.count(caps, q_max) <= 150)
+    harq = HarqModel.from_db(draw(st.sampled_from(["cc", "ir"])), draw(st.floats(3.0, 16.0)), 100, 4.0)
+    return harq, MarkovChannel(gains=gains, pi=pi), caps, q_max, draw(st.sampled_from(["mse", "delay"]))
+
+
+@PROPERTY
+@given(instance=solver_instances())
+def test_solve_returns_a_table_policy_iteration_cannot_improve(ref_ladder, instance):
+    # A table that is greedy on its own exact relative values is optimal
+    # (Puterman, Markov Decision Processes, ch. 8.6).
+    harq, ch, caps, q_max, cost_mode = instance
+    mdp = build_markov_mdp(harq, ch, ref_ladder, caps, q_max, cost_mode)
+    policy = solve_rvi_markov(mdp)  # raises no ConvergenceError
+    exact = policy_average_cost(mdp.core, policy.actions)
+    improved = policy_iteration(mdp.core, policy.actions)[1]
+    assert improved >= exact * (1.0 - 1e-9)
