@@ -22,13 +22,16 @@ from .mdp_core import (
     policy_average_cost,
     policy_iteration,
     relative_value_iteration,
+    relative_value_iteration_cells,
 )
 from .mdp_markov import (
     Policy,
     StabilityReport,
+    assemble_markov_cells,
     build_markov_mdp,
     check_stability_markov,
     high_snr_markov,
+    solve_rvi_cells,
     solve_rvi_markov,
     verify_switching_markov,
 )

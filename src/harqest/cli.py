@@ -9,18 +9,21 @@ import argparse
 import os
 import sys
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 
 from .channel import MarkovChannel
 from .config import Config, load_config
-from .errors import ConfigError, ConvergenceError, HarqestError
+from .errors import ConfigError, ConvergenceError, HarqestError, ModelError
 from .harq_model import HarqModel, LinkErrors, block_error_prob, worst_retransmission_error_markov
 from .lti_estimation import build_cost_ladder, solve_steady_state
 from .mdp_markov import (
+    assemble_markov_cells,
     build_markov_mdp,
     check_stability_markov,
     high_snr_markov,
+    solve_rvi_cells,
     solve_rvi_markov,
     verify_switching_markov,
 )
@@ -210,9 +213,9 @@ def cmd_simulate(args) -> int:
     for label, trajectory in table.trajectories.items():
         path = os.path.join(out_dir, f"trajectory_{label}.csv")
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("k,mean_running_avg\n")
-            for k, value in enumerate(trajectory.tolist(), start=1):
-                fh.write(f"{k},{value!r}\n")
+            fh.write("".join(["k,mean_running_avg\n"] + [
+                f"{k},{value!r}\n" for k, value in enumerate(trajectory.tolist(), start=1)
+            ]))
     print(f"comparison written to {table_path}")
     return EXIT_DIVERGENCE if any(row.n_diverged for row in table.rows) else EXIT_OK
 
@@ -246,17 +249,32 @@ def cmd_highsnr(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    """Solve every (SNR, scheme) cell on the config's grid in one lockstep
+    RVI, then check each cell's table in cell order."""
     cfg, out_dir = _prepare(args)
     ladder = _ladder(cfg)
+    cells = list(product(args.snr_db, args.schemes))
+    links, late = [], None
+    for snr_db, scheme in cells:
+        try:
+            model = HarqModel.from_db(scheme, snr_db, cfg.harq.blocklength, cfg.harq.rate)
+        except ModelError as exc:
+            if not links:
+                raise
+            late = exc  # raised in its turn, after the cells before it
+            break
+        links.append(LinkErrors(model, cfg.channel.gains).attempt)
+    mdps = assemble_markov_cells(links, cfg.channel, ladder, cfg.solver.omega_caps, cfg.solver.q_max, "mse")
     rows = []
     all_pass = True
-    for snr_db in args.snr_db:
-        for scheme in args.schemes:
-            model = HarqModel.from_db(scheme, snr_db, cfg.harq.blocklength, cfg.harq.rate)
-            policy, switching = _solve(cfg, model, ladder, "mse")
-            verdict = "pass" if switching.passed else f"FAIL({len(switching.violations)})"
-            rows.append((snr_db, scheme, policy.zeta, policy.iterations, verdict))
-            all_pass = all_pass and switching.passed
+    policies = solve_rvi_cells(mdps, tol=cfg.solver.tol, max_iters=cfg.solver.max_iters)
+    for (snr_db, scheme), policy in zip(cells, policies):
+        switching = verify_switching_markov(policy)
+        verdict = "pass" if switching.passed else f"FAIL({len(switching.violations)})"
+        rows.append((snr_db, scheme, policy.zeta, policy.iterations, verdict))
+        all_pass = all_pass and switching.passed
+    if late is not None:
+        raise late
     with open(os.path.join(out_dir, "sweep.csv"), "w", encoding="utf-8") as fh:
         fh.write("snr_db,scheme,zeta,iterations,switching\n")
         for snr_db, scheme, zeta, iterations, verdict in rows:

@@ -1,5 +1,6 @@
 """Generic finite average-cost MDP machinery: relative value iteration,
-Howard policy iteration and exact policy evaluation.
+run in lockstep over cells that differ only in their probabilities, Howard
+policy iteration and exact policy evaluation.
 
 The transition kernel is stored as its distinct rows: fixed-width (successor
 index, probability) arrays and a cost per row, with where[a, s] naming the
@@ -24,6 +25,7 @@ from .numerics import first_passage_cost
 __all__ = [
     "FiniteAverageCostMdp",
     "relative_value_iteration",
+    "relative_value_iteration_cells",
     "policy_iteration",
     "policy_average_cost",
 ]
@@ -61,7 +63,105 @@ def relative_value_iteration(
     max_iters: int = 100_000,
     patience: int = 500,
 ):
-    """Span-seminorm relative value iteration for the long-run average cost.
+    """Relative value iteration on one MDP: the one-cell case of
+    `relative_value_iteration_cells`, whose stop rules it follows. Raises
+    ConvergenceError when max_iters sweeps pass without a stop.
+
+    Returns (actions, zeta, span, iterations, converged, stop).
+    """
+    (outcome,) = relative_value_iteration_cells([mdp], tol, max_iters, patience)
+    if isinstance(outcome, ConvergenceError):
+        raise outcome
+    return outcome
+
+
+class _Cell:
+    """A cell in the lockstep loop: its number, its row of v, and `send`,
+    which hands its stop rules the bounds of each sweep."""
+
+    __slots__ = ("number", "v", "send")
+
+    def __init__(self, number, tol, max_iters, patience):
+        self.number = number
+        self.v = None
+        self.send = _stop_rules(self, tol, max_iters, patience).send
+
+
+def _stop_rules(cell, tol, max_iters, patience):
+    """One cell's stop rules, as a generator. It is sent the (lo, hi) of
+    each sweep, after the sweep has updated cell.v, and returns (stop,
+    iterations) when the cell stops; stop is None when max_iters sweeps
+    passed without one."""
+    best_span = math.inf
+    stall = 0
+    missed = 0  # the last sweep that did not improve the span
+    window_span = None  # the span at the last multiple of patience sweeps
+    iterations = 0
+    # First-repeat cycle detection on the exact bits of v: every sweep since
+    # the last improving one files hash(v) -> sweep number, so the table
+    # never holds more than `patience` entries. A hash filed p sweeps ago
+    # makes v a candidate, confirmed when v equals it bit for bit p sweeps
+    # later (bytes still tell -0.0 from 0.0).
+    filed = {}
+    held = None  # the bytes of a candidate v
+    confirm_at = 0
+    while iterations < max_iters:
+        lo, hi = yield
+        iterations += 1
+        span = 2.0 * (hi - lo)
+        if span < tol:
+            return "tol", iterations
+        if span < best_span * (1.0 - 1e-6):
+            best_span = span
+            stall = 0
+            filed.clear()
+            held, confirm_at = None, 0
+        else:
+            missed = iterations
+            stall += 1
+            if iterations == confirm_at:
+                if cell.v.tobytes() == held:
+                    # v repeats with period p, so every later sweep repeats
+                    # one already made and none improves the span. Skipping
+                    # whole periods leaves v, lo and hi as they are now.
+                    jump = min(patience - stall, max_iters - iterations) // period * period
+                    iterations += jump
+                    stall += jump
+                    missed = iterations
+                held = None
+            elif held is None:
+                key = hash(cell.v.tobytes())
+                first = filed.get(key)
+                if first is not None:
+                    period = iterations - first
+                    held, confirm_at = cell.v.tobytes(), iterations + period
+                filed[key] = iterations
+            if stall >= patience:
+                return "plateau", iterations
+        if iterations % patience == 0:
+            if window_span is not None and iterations - missed >= patience and (
+                tol <= 0.0
+                or iterations + patience * math.log(tol / span) / math.log(span / window_span)
+                > max_iters
+            ):
+                return "slow", iterations
+            window_span = span
+    return None, iterations
+
+
+def relative_value_iteration_cells(cells, tol: float = 1e-9, max_iters: int = 100_000,
+                                   patience: int = 500) -> list:
+    """Span-seminorm relative value iteration for the long-run average cost
+    of each cell, run in lockstep.
+
+    The cells are MDPs that share idx, cost, where and ref and differ only
+    in prob, as the cells of one link's sweep do. Each sweep of the loop
+    makes one gather, one einsum, one gather back to the (actions, states)
+    table and one minimum over the concatenated rows of every cell still
+    running. Each row reduces only its own products, so every cell's
+    iterates are those of its own solve, bit for bit. Each cell keeps its
+    own counters, stop, cycle jump and budget, takes its greedy pass when
+    it stops, and then leaves the stack.
 
     Each sweep is damped: v becomes tau * T v + (1 - tau) * v with tau = 1/2,
     which is plain RVI on the kernel tau * P + (1 - tau) * I with costs
@@ -74,7 +174,7 @@ def relative_value_iteration(
     the span of the value differences by tau, so both are reported divided
     by tau, which in float64 is exact; tol bounds that undamped span.
 
-    Stops for one of three reasons, returned as `stop`:
+    A cell stops for one of three reasons, returned as `stop`:
     - "tol": the span of successive value differences dropped below tol;
     - "plateau": the span stopped improving for `patience` sweeps (the
       float64 noise floor for value functions spanning many orders of
@@ -86,105 +186,106 @@ def relative_value_iteration(
       the earliest after 2 * patience sweeps.
     The midpoint of the final difference bounds estimates the gain; the span
     is its certified error bar. The greedy pass reads the undamped Q, whose
-    argmin is the damped one's. Raises ConvergenceError when max_iters
-    sweeps pass without a stop. Once v repeats bit for bit, the sweeps that
-    could only repeat earlier ones are counted without being run, which
-    changes no output.
+    argmin is the damped one's. Once a cell's v repeats bit for bit, the
+    sweeps that could only repeat earlier ones are counted without being
+    run, which changes no output.
 
-    Returns (actions, zeta, span, iterations, converged, stop).
+    Returns one outcome per cell, in order: (actions, zeta, span,
+    iterations, converged, stop), or the ConvergenceError of a cell whose
+    max_iters sweeps passed without a stop.
     """
-    n = mdp.n_states
-    if not mdp.available.any(axis=1).all():
+    cells = list(cells)
+    outcomes = [None] * len(cells)
+    first = cells[0]
+    if not first.available.any(axis=1).all():
         raise ValueError("every state needs at least one available action")
-    idx, prob, cost, where = mdp.idx, mdp.prob, mdp.cost, mdp.where
-    v = np.zeros(n)
-    q = np.empty(len(cost))
-    tv = np.empty(n)
-    diff = np.empty(n)
+    idx, cost, where, ref = first.idx, first.cost, first.where, first.ref
+    if any(
+        cell.ref != ref or not all(map(np.array_equal, (cell.idx, cell.cost, cell.where), (idx, cost, where)))
+        for cell in cells[1:]
+    ):
+        raise ValueError("cells must share idx, cost, where and ref")
+    n, rows = first.n_states, len(cost)
+    einsum, add, subtract, multiply = np.einsum, np.add, np.subtract, np.multiply
+    min_reduce, max_reduce = np.minimum.reduce, np.maximum.reduce
 
-    def bellman():
-        """The Q table, by action: Q of each row, expanded."""
-        # Keep this einsum: from width 3 on its row sum differs from a
-        # left-to-right sum of products, so a column-wise sum would move the
-        # iterates in the last bit. Each output row reduces its own K
-        # products in an order set by K alone, so bit-equal rows give
-        # bit-equal Q and one copy of each row is enough.
-        np.einsum("sk,sk->s", prob, v[idx], out=q)
-        np.add(q, cost, out=q)
-        return q[where]
+    def leave(cell, stop, iterations, lo, hi):
+        """Record the outcome of a cell that stopped, or ran out of sweeps
+        (stop None), after a last sweep whose differences lay in [lo, hi]."""
+        if stop is None:
+            outcomes[cell.number] = ConvergenceError(
+                f"relative value iteration did not converge within {max_iters} sweeps "
+                f"(final span {2.0 * (hi - lo):.3e})"
+            )
+            return
+        # Greedy actions off the final undamped Q table; lower-numbered actions win ties.
+        q = einsum("sk,sk->s", cells[cell.number].prob, cell.v[idx])
+        q += cost
+        actions = _improve(q[where], np.zeros(n, dtype=np.int8))
+        outcomes[cell.number] = (actions, lo + hi, 2.0 * (hi - lo), iterations, stop == "tol", stop)
 
-    best_span = np.inf
-    stall = 0
-    missed = 0  # the last sweep that did not improve the span
-    window_span = None  # the span at the last multiple of patience sweeps
-    stop = None
-    lo = hi = 0.0
-    iterations = 0
-    # First-repeat cycle detection on the exact bits of v: every sweep since
-    # the last improving one files hash(v) -> sweep number, so the table
-    # never holds more than `patience` entries. A hash filed p sweeps ago
-    # makes v a candidate, confirmed when v equals it bit for bit p sweeps
-    # later (bytes still tell -0.0 from 0.0).
-    filed = {}
-    held = None  # the bytes of a candidate v
-    confirm_at = 0
-    while iterations < max_iters:
-        iterations += 1
-        np.minimum.reduce(bellman(), axis=0, out=tv)
-        np.add(tv, v, out=tv)
-        tv *= 0.5  # the damped sweep (T v + v) / 2
-        np.subtract(tv, v, out=diff)
-        lo, hi = float(np.minimum.reduce(diff)), float(np.maximum.reduce(diff))
-        span = 2.0 * (hi - lo)
-        np.subtract(tv, tv[mdp.ref], out=v)
-        if span < tol:
-            stop = "tol"
-            break
-        if span < best_span * (1.0 - 1e-6):
-            best_span = span
-            stall = 0
-            filed.clear()
-            held, confirm_at = None, 0
+    live = []
+    for number in range(len(cells)):
+        cell = _Cell(number, tol, max_iters, patience)
+        try:
+            cell.send(None)
+        except StopIteration as end:  # a budget below one sweep
+            leave(cell, *end.value, 0.0, 0.0)
         else:
-            missed = iterations
-            stall += 1
-            if iterations == confirm_at:
-                if v.tobytes() == held:
-                    # v repeats with period p, so every later sweep repeats
-                    # one already made and none improves the span. Skipping
-                    # whole periods leaves v, lo and hi as they are now.
-                    jump = min(patience - stall, max_iters - iterations) // period * period
-                    iterations += jump
-                    stall += jump
-                    missed = iterations
-                held = None
-            elif held is None:
-                key = hash(v.tobytes())
-                first = filed.get(key)
-                if first is not None:
-                    period = iterations - first
-                    held, confirm_at = v.tobytes(), iterations + period
-                filed[key] = iterations
-            if stall >= patience:
-                stop = "plateau"
-                break
-        if iterations % patience == 0:
-            if window_span is not None and iterations - missed >= patience and (
-                tol <= 0.0
-                or iterations + patience * math.log(tol / span) / math.log(span / window_span)
-                > max_iters
-            ):
-                stop = "slow"
-                break
-            window_span = span
-    else:
-        raise ConvergenceError(
-            f"relative value iteration did not converge within {max_iters} sweeps "
-            f"(final span {2.0 * (hi - lo):.3e})"
-        )
-    # Greedy actions off the final undamped Q table; lower-numbered actions win ties.
-    actions = _improve(bellman(), np.zeros(n, dtype=np.int8))
-    return actions, lo + hi, 2.0 * (hi - lo), iterations, stop == "tol", stop
+            live.append(cell)
+    v = np.zeros((len(live), n))
+    while live:
+        # The stack of the cells still running, in cell order: row r of the
+        # c-th is row c * rows + r, and its state s is state c * n + s.
+        m = len(live)
+        # One cell is its own stack, and its bounds and re-centring take the
+        # flat forms: a one-cell solve runs no slower than before cells.
+        if m == 1:
+            stack_idx, stack_prob, stack_cost, stack_where = idx, cells[live[0].number].prob, cost, where
+        else:
+            stack_idx = (idx + (np.arange(m) * n)[:, None, None]).reshape(m * rows, -1)
+            stack_prob = np.concatenate([cells[cell.number].prob for cell in live])
+            stack_cost = np.tile(cost, m)
+            stack_where = (where[:, None, :] + (np.arange(m) * rows)[:, None]).reshape(len(where), m * n)
+        for cell, row in zip(live, v):
+            cell.v = row
+        flat = v.reshape(-1)
+        q = np.empty(m * rows)
+        tv = np.empty((m, n))
+        diff = np.empty((m, n))
+        flat_tv, flat_diff = tv.reshape(-1), diff.reshape(-1)
+        ref_tv = tv[:, ref, None]
+        gone = False
+        while not gone:
+            # Keep this einsum: from width 3 on its row sum differs from a
+            # left-to-right sum of products, so a column-wise sum would move
+            # the iterates in the last bit. Each output row reduces its own K
+            # products in an order set by K alone, so bit-equal rows give
+            # bit-equal Q, one copy of each row is enough, and the rows of
+            # many cells may be swept as one table.
+            einsum("sk,sk->s", stack_prob, flat[stack_idx], out=q)
+            add(q, stack_cost, out=q)
+            min_reduce(q[stack_where], axis=0, out=flat_tv)
+            add(flat_tv, flat, out=flat_tv)
+            multiply(flat_tv, 0.5, out=flat_tv)  # the damped sweep (T v + v) / 2
+            subtract(flat_tv, flat, out=flat_diff)
+            if m == 1:
+                bounds = ((float(min_reduce(flat_diff)), float(max_reduce(flat_diff))),)
+                subtract(flat_tv, flat_tv[ref], out=flat)
+            else:
+                bounds = zip(min_reduce(diff, axis=1).tolist(), max_reduce(diff, axis=1).tolist())
+                subtract(tv, ref_tv, out=v)
+            for cell, lo_hi in zip(live, bounds):
+                try:
+                    cell.send(lo_hi)
+                except StopIteration as end:
+                    leave(cell, *end.value, *lo_hi)
+                    gone = True
+        keep = [place for place, cell in enumerate(live) if outcomes[cell.number] is None]
+        if keep:
+            v = v[keep]
+        live = [live[place] for place in keep]
+    return outcomes
 
 
 def policy_iteration(mdp: FiniteAverageCostMdp, actions):

@@ -17,10 +17,10 @@ from itertools import islice, product
 import numpy as np
 
 from .channel import MarkovChannel
-from .errors import ConfigError, ModelError
+from .errors import ConfigError, ConvergenceError, ModelError
 from .harq_model import HarqModel, LinkErrors
 from .lti_estimation import CostLadder
-from .mdp_core import FiniteAverageCostMdp, policy_iteration, relative_value_iteration
+from .mdp_core import FiniteAverageCostMdp, policy_iteration, relative_value_iteration_cells
 from .numerics import _reachable, gth_stationary, spectral_radius
 
 __all__ = [
@@ -30,8 +30,10 @@ __all__ = [
     "MarkovMdp",
     "Policy",
     "assemble_markov_mdp",
+    "assemble_markov_cells",
     "build_markov_mdp",
     "solve_rvi_markov",
+    "solve_rvi_cells",
     "SwitchingReport",
     "verify_switching_markov",
     "high_snr_markov",
@@ -184,15 +186,37 @@ def assemble_markov_mdp(
     q_max: int,
     cost_mode: str = "mse",
 ) -> MarkovMdp:
-    """Assemble the kernel on the grid of omega_caps and q_max.
+    """The kernel of one link on the grid of omega_caps and q_max: the
+    one-cell case of `assemble_markov_cells`."""
+    (mdp,) = assemble_markov_cells([attempt_error], ch, ladder, omega_caps, q_max, cost_mode)
+    return mdp
 
-    attempt_error(omega, xi) is the error probability of an attempt under gain
-    index xi after a round that buffered the attempts omega (all zeros for a
-    fresh transmission); it is called once per pair. Truncation: omega is
-    capped per gain state, q is clamped at q_max on failure, and a
-    retransmission is unavailable when it would push the current gain's count
-    past its cap. A retransmission success lands at age sum(omega) + 1, at
-    most sum(omega_caps), so q_max >= sum(omega_caps) keeps it on the grid.
+
+def assemble_markov_cells(
+    attempt_errors,
+    ch: MarkovChannel,
+    ladder: CostLadder,
+    omega_caps,
+    q_max: int,
+    cost_mode: str = "mse",
+) -> list:
+    """Assemble one kernel per link model, the cells, on the grid of
+    omega_caps and q_max.
+
+    attempt_error(omega, xi), one per cell, is the error probability of an
+    attempt under gain index xi after a round that buffered the attempts
+    omega (all zeros for a fresh transmission); each is called once per
+    pair, cell by cell. Truncation: omega is capped per gain state, q is
+    clamped at q_max on failure, and a retransmission is unavailable when it
+    would push the current gain's count past its cap. A retransmission
+    success lands at age sum(omega) + 1, at most sum(omega_caps), so q_max
+    >= sum(omega_caps) keeps it on the grid.
+
+    Which rows exist, where they lead, what they cost and which row each
+    (action, state) takes depend on the grid, the channel and the cost mode
+    alone, so the cells share one grid and one idx, cost, where and ref,
+    written once; each cell has its own prob. That is the stack
+    `relative_value_iteration_cells` sweeps in lockstep.
     """
     b = ch.size
     if len(omega_caps) != b:
@@ -201,13 +225,8 @@ def assemble_markov_mdp(
     if cost_mode not in ("mse", "delay"):
         raise ConfigError(f"cost_mode must be 'mse' or 'delay', got {cost_mode!r}")
     ladder = ladder.extended(q_max)
-    fresh_error = np.array([attempt_error((0,) * b, xi) for xi in range(b)])
-    # Per (omega, xi): the error of a retransmission, where the cap allows one.
-    omegas = list(map(tuple, grid.omegas.tolist()))
-    allowed = grid.bump >= 0
-    bump_error = np.zeros(allowed.shape)
-    bump_error[allowed] = [attempt_error(omegas[k], xi) for k, xi in np.argwhere(allowed).tolist()]
     block, q, xi = grid.block, grid.q, grid.xi
+    allowed = grid.bump >= 0  # per (omega, xi): whether a retransmission may follow
     retx = np.flatnonzero(allowed[block, xi])
     retx_block, retx_xi = block[retx], xi[retx]
 
@@ -218,62 +237,83 @@ def assemble_markov_mdp(
     fresh_q += 1
     row_q = np.concatenate([fresh_q, q[retx]])
     row_xi = np.concatenate([fresh_xi, retx_xi])
-    # Per row: the counts it leads to, the success age and the attempt error.
+    # Per row: the counts it leads to and the success age.
     units = np.eye(b, dtype=np.int64)
     target = np.concatenate([units[fresh_xi], grid.omegas[grid.bump[retx_block, retx_xi]]])
     q_success = np.concatenate([np.ones_like(fresh_q), grid.sums[retx_block] + 1])
-    g = np.concatenate([fresh_error[fresh_xi], bump_error[retx_block, retx_xi]])
     # Row r lists (success, failure) successors per next gain index.
     target, next_xi = target[:, None, :], np.arange(b)
     idx = np.zeros((len(row_q) + 1, 2 * b), dtype=np.int64)
     idx[:-1, 0::2] = grid.number(target, q_success[:, None], next_xi)
     idx[:-1, 1::2] = grid.number(target, np.minimum(row_q + 1, q_max)[:, None], next_xi)
-    pi_from = ch.pi.T[row_xi]  # pi[xn, xi] in column xn
-    prob = np.zeros(idx.shape)
-    prob[:-1, 0::2] = pi_from * (1.0 - g)[:, None]
-    prob[:-1, 1::2] = pi_from * g[:, None]
     if cost_mode == "mse":
         stage = np.array([ladder.trace(age) for age in range(1, q_max + 1)])[row_q - 1]
     else:
         stage = row_q.astype(float)
+    cost = np.append(stage, np.inf)
     where = np.full((2, grid.n), len(row_q), dtype=np.int64)
     where[0] = (q - 1) * b + xi
     where[1, retx] = len(fresh_q) + np.arange(len(retx))
-    core = FiniteAverageCostMdp(
-        idx=idx,
-        prob=prob,
-        cost=np.append(stage, np.inf),
-        where=where,
-        ref=int(grid.number((1,) + (0,) * (b - 1), 1, 0)),
-    )
-    return MarkovMdp(core=core, grid=grid, channel=ch, cost_mode=cost_mode, ladder=ladder)
+    ref = int(grid.number((1,) + (0,) * (b - 1), 1, 0))
+
+    pi_from = ch.pi.T[row_xi]  # pi[xn, xi] in column xn
+    omegas = list(map(tuple, grid.omegas.tolist()))
+    bumps = np.argwhere(allowed).tolist()
+    cells = []
+    for attempt_error in attempt_errors:
+        fresh_error = np.array([attempt_error((0,) * b, i) for i in range(b)])
+        # Per (omega, xi): the error of a retransmission, where the cap allows one.
+        bump_error = np.zeros(allowed.shape)
+        bump_error[allowed] = [attempt_error(omegas[k], i) for k, i in bumps]
+        # Per row: the attempt error.
+        g = np.concatenate([fresh_error[fresh_xi], bump_error[retx_block, retx_xi]])
+        prob = np.zeros(idx.shape)
+        prob[:-1, 0::2] = pi_from * (1.0 - g)[:, None]
+        prob[:-1, 1::2] = pi_from * g[:, None]
+        core = FiniteAverageCostMdp(idx=idx, prob=prob, cost=cost, where=where, ref=ref)
+        cells.append(MarkovMdp(core=core, grid=grid, channel=ch, cost_mode=cost_mode, ladder=ladder))
+    return cells
 
 
 def solve_rvi_markov(mdp: MarkovMdp, tol: float = 1e-9, max_iters: int = 100_000) -> Policy:
-    """Relative value iteration with reference state (unit omega at gain 0, q=1, xi=0).
+    """Relative value iteration with reference state (unit omega at gain 0,
+    q=1, xi=0): the one-cell case of `solve_rvi_cells`. Raises
+    ConvergenceError when RVI runs out of max_iters sweeps."""
+    (policy,) = solve_rvi_cells([mdp], tol, max_iters)
+    return policy
 
-    When RVI stops because its rate cannot reach tol within max_iters, Howard
-    policy iteration finishes from its greedy policy: the reported zeta is
-    then the exact cost of the returned actions, the span is that of the
-    final relative values, and the iterations count sweeps plus policy
-    steps.
+
+def solve_rvi_cells(mdps, tol: float = 1e-9, max_iters: int = 100_000):
+    """Solve the cells of `assemble_markov_cells` by relative value
+    iteration in lockstep, then yield each cell's Policy in cell order.
+
+    When a cell's RVI stops because its rate cannot reach tol within
+    max_iters, Howard policy iteration finishes from its greedy policy: the
+    reported zeta is then the exact cost of the returned actions, the span
+    is that of the final relative values, and the iterations count sweeps
+    plus policy steps. That hand-over, and the ConvergenceError of a cell
+    that ran out of sweeps, come at the cell's turn, after every cell before
+    it has been yielded.
     """
-    actions, zeta, span, iterations, converged, stop = relative_value_iteration(
-        mdp.core, tol=tol, max_iters=max_iters
-    )
-    if stop == "slow":
-        actions, zeta, span, steps = policy_iteration(mdp.core, actions)
-        iterations, converged = iterations + steps, True
-    return Policy(
-        actions=actions,
-        grid=mdp.grid,
-        gains=mdp.channel.gains,
-        zeta=zeta,
-        span=span,
-        iterations=iterations,
-        converged=converged,
-        cost_mode=mdp.cost_mode,
-    )
+    mdps = list(mdps)
+    outcomes = relative_value_iteration_cells([mdp.core for mdp in mdps], tol=tol, max_iters=max_iters)
+    for mdp, outcome in zip(mdps, outcomes):
+        if isinstance(outcome, ConvergenceError):
+            raise outcome
+        actions, zeta, span, iterations, converged, stop = outcome
+        if stop == "slow":
+            actions, zeta, span, steps = policy_iteration(mdp.core, actions)
+            iterations, converged = iterations + steps, True
+        yield Policy(
+            actions=actions,
+            grid=mdp.grid,
+            gains=mdp.channel.gains,
+            zeta=zeta,
+            span=span,
+            iterations=iterations,
+            converged=converged,
+            cost_mode=mdp.cost_mode,
+        )
 
 
 @dataclass(frozen=True)

@@ -6,20 +6,24 @@ closed form on the static link, the exact cost of a perfect-retransmission
 threshold table on the MDP's own kernel, an attempt's error from its round
 expanded into a flat gain tuple, the channel step, the count-tuple
 attempt-history update and the per-slot simulation loop they drive, and the
-per-state kernel loop of the MDP builder, and the per-action form of a
-kernel. Nothing in the package imports this module.
+per-state kernel loop of the MDP builder, the per-action form of a
+kernel, and the per-action relative value iteration the row sweep replaced.
+Nothing in the package imports this module.
 """
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
 from harqest import (
+    ConvergenceError,
     FiniteAverageCostMdp,
     Policy,
     block_error_prob,
     policy_average_cost,
+    relative_value_iteration_cells,
 )
 from harqest.errors import DepthError
 from harqest.mdp_markov import assemble_markov_mdp
@@ -88,6 +92,100 @@ def per_action(mdp: FiniteAverageCostMdp) -> PerAction:
         available=mdp.available,
         ref=mdp.ref,
     )
+
+
+# ---------------------------------------------------------------- relative value iteration
+
+
+def reference_rvi(mdp, tol=1e-9, max_iters=100_000, patience=500):
+    """The per-action sweep `relative_value_iteration` replaced, damped the
+    same way, kept as the reference its row sweep and its stop rules must
+    reproduce bit for bit, on one MDP or on each cell of a lockstep solve."""
+    n, n_actions = mdp.n_states, mdp.n_actions
+    mdp = per_action(mdp)
+    v = np.zeros(n)
+    q = np.empty((n, n_actions))
+    best_span = np.inf
+    stall = 0
+    spans = []
+    lo = hi = 0.0
+    iterations = 0
+    stop = None
+    while iterations < max_iters:
+        iterations += 1
+        for a in range(n_actions):
+            idx, prob = mdp.transitions[a]
+            q[:, a] = mdp.costs[:, a] + np.einsum("sk,sk->s", prob, v[idx])
+        q[~mdp.available] = np.inf
+        tv = (q.min(axis=1) + v) * 0.5
+        diff = tv - v
+        lo, hi = float(diff.min()), float(diff.max())
+        span = 2.0 * (hi - lo)
+        v = tv - tv[mdp.ref]
+        if span < tol:
+            stop = "tol"
+            break
+        improved = span < best_span * (1.0 - 1e-6)
+        spans.append((span, improved))
+        if improved:
+            best_span = span
+            stall = 0
+        else:
+            stall += 1
+            if stall >= patience:
+                stop = "plateau"
+                break
+        # Slow: the last `patience` sweeps all improved, and at their
+        # geometric rate tol lies beyond max_iters sweeps.
+        window = spans[-patience:]
+        if iterations % patience == 0 and iterations >= 2 * patience and all(ok for _, ok in window):
+            rate = span / spans[-patience - 1][0]
+            if tol <= 0.0 or iterations + patience * math.log(tol / span) / math.log(rate) > max_iters:
+                stop = "slow"
+                break
+    else:
+        raise ConvergenceError(
+            f"relative value iteration did not converge within {max_iters} sweeps "
+            f"(final span {2.0 * (hi - lo):.3e})"
+        )
+    for a in range(n_actions):
+        idx, prob = mdp.transitions[a]
+        q[:, a] = mdp.costs[:, a] + np.einsum("sk,sk->s", prob, v[idx])
+    q[~mdp.available] = np.inf
+    actions = np.zeros(n, dtype=np.int8)
+    best = q[:, 0].copy()
+    for a in range(1, n_actions):
+        finite = np.isfinite(q[:, a])
+        magnitude = np.maximum(np.where(np.isfinite(best), np.abs(best), 0.0),
+                               np.where(finite, np.abs(q[:, a]), 0.0))
+        tie = 1e-12 + 1e-9 * magnitude
+        better = q[:, a] < best - tie
+        actions[better] = a
+        best = np.where(better, q[:, a], best)
+    return actions, lo + hi, 2.0 * (hi - lo), iterations, stop == "tol", stop
+
+
+def assert_cells_match_reference(cells, **kwargs):
+    """Each cell's outcome of `relative_value_iteration_cells` equals
+    `reference_rvi` on that cell alone: actions, the bits of zeta and span,
+    iterations, converged and stop, or the same ConvergenceError text.
+    Returns the stops, with "budget" for an error."""
+    stops = []
+    for cell, outcome in zip(cells, relative_value_iteration_cells(cells, **kwargs), strict=True):
+        try:
+            expected = reference_rvi(cell, **kwargs)
+        except ConvergenceError as exc:
+            assert isinstance(outcome, ConvergenceError)
+            assert str(outcome) == str(exc)
+            stops.append("budget")
+            continue
+        actions, zeta, span, iterations, converged, stop = outcome
+        assert actions.dtype == expected[0].dtype
+        assert actions.tobytes() == expected[0].tobytes()
+        assert (zeta.hex(), span.hex()) == (expected[1].hex(), expected[2].hex())
+        assert (iterations, converged, stop) == expected[3:]
+        stops.append(stop)
+    return stops
 
 
 # ---------------------------------------------------------------- static link

@@ -1,10 +1,18 @@
 import itertools
-import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
-from reference import kernel_row, kernel_row_error, per_action, reference_assemble, stacked_mdp
+from reference import (
+    assert_cells_match_reference,
+    kernel_row,
+    kernel_row_error,
+    per_action,
+    reference_assemble,
+    reference_rvi,
+    stacked_mdp,
+)
 
 import harqest.mdp_core
 from harqest import (
@@ -14,16 +22,23 @@ from harqest import (
     LinkErrors,
     MarkovChannel,
     ModelError,
+    assemble_markov_cells,
+    build_cost_ladder,
     build_markov_mdp,
     build_static_mdp,
     policy_average_cost,
     policy_iteration,
     relative_value_iteration,
+    relative_value_iteration_cells,
     solve_rvi,
+    solve_rvi_cells,
     solve_rvi_markov,
+    solve_steady_state,
     static_channel,
     verify_switching_markov,
 )
+from harqest.cli import main
+from harqest.config import load_config
 
 
 def random_mdp(seed, max_states=12, n_actions=2, unavailable=0.0):
@@ -107,74 +122,6 @@ class TestRelativeValueIteration:
         mdp = random_mdp(1)
         with pytest.raises(ConvergenceError):
             relative_value_iteration(mdp, tol=1e-15, max_iters=2, patience=10_000)
-
-
-def reference_rvi(mdp, tol=1e-9, max_iters=100_000, patience=500):
-    """The per-action sweep `relative_value_iteration` replaced, damped the
-    same way, kept as the reference its row sweep and its stop rules must
-    reproduce bit for bit."""
-    n, n_actions = mdp.n_states, mdp.n_actions
-    mdp = per_action(mdp)
-    v = np.zeros(n)
-    q = np.empty((n, n_actions))
-    best_span = np.inf
-    stall = 0
-    spans = []
-    lo = hi = 0.0
-    iterations = 0
-    stop = None
-    while iterations < max_iters:
-        iterations += 1
-        for a in range(n_actions):
-            idx, prob = mdp.transitions[a]
-            q[:, a] = mdp.costs[:, a] + np.einsum("sk,sk->s", prob, v[idx])
-        q[~mdp.available] = np.inf
-        tv = (q.min(axis=1) + v) * 0.5
-        diff = tv - v
-        lo, hi = float(diff.min()), float(diff.max())
-        span = 2.0 * (hi - lo)
-        v = tv - tv[mdp.ref]
-        if span < tol:
-            stop = "tol"
-            break
-        improved = span < best_span * (1.0 - 1e-6)
-        spans.append((span, improved))
-        if improved:
-            best_span = span
-            stall = 0
-        else:
-            stall += 1
-            if stall >= patience:
-                stop = "plateau"
-                break
-        # Slow: the last `patience` sweeps all improved, and at their
-        # geometric rate tol lies beyond max_iters sweeps.
-        window = spans[-patience:]
-        if iterations % patience == 0 and iterations >= 2 * patience and all(ok for _, ok in window):
-            rate = span / spans[-patience - 1][0]
-            if tol <= 0.0 or iterations + patience * math.log(tol / span) / math.log(rate) > max_iters:
-                stop = "slow"
-                break
-    else:
-        raise ConvergenceError(
-            f"relative value iteration did not converge within {max_iters} sweeps "
-            f"(final span {2.0 * (hi - lo):.3e})"
-        )
-    for a in range(n_actions):
-        idx, prob = mdp.transitions[a]
-        q[:, a] = mdp.costs[:, a] + np.einsum("sk,sk->s", prob, v[idx])
-    q[~mdp.available] = np.inf
-    actions = np.zeros(n, dtype=np.int8)
-    best = q[:, 0].copy()
-    for a in range(1, n_actions):
-        finite = np.isfinite(q[:, a])
-        magnitude = np.maximum(np.where(np.isfinite(best), np.abs(best), 0.0),
-                               np.where(finite, np.abs(q[:, a]), 0.0))
-        tie = 1e-12 + 1e-9 * magnitude
-        better = q[:, a] < best - tie
-        actions[better] = a
-        best = np.where(better, q[:, a], best)
-    return actions, lo + hi, 2.0 * (hi - lo), iterations, stop == "tol", stop
 
 
 def assert_same_solve(mdp, **kwargs):
@@ -473,6 +420,101 @@ class TestCycleJump:
         policy = solve_rvi(build_static_mdp(cc_model, 2.0, ref_ladder, 20, 20))
         assert (policy.iterations, policy.converged) == (555, False)
         assert sweeps_run() < 60
+
+
+class TestLockstepCells:
+    """Cells that share a kernel structure solve in one lockstep loop, and
+    each cell's outcome is that of its own solve."""
+
+    @staticmethod
+    def cells(ch, caps, q_max, links, ref_ladder):
+        models = [HarqModel.from_db(scheme, snr_db, 100, 4.0) for scheme, snr_db in links]
+        errors = [LinkErrors(model, ch.gains).attempt for model in models]
+        return assemble_markov_cells(errors, ch, ref_ladder, caps, q_max)
+
+    def test_cells_share_one_structure(self, ref_ladder, ref_channel):
+        cells = self.cells(ref_channel, (4, 4), 10, [("cc", 10.0), ("ir", 6.5)], ref_ladder)
+        first, second = (cell.core for cell in cells)
+        for name in ("idx", "cost", "where"):
+            assert getattr(first, name) is getattr(second, name), name
+        assert first.prob is not second.prob and first.ref == second.ref
+        assert cells[0].grid is cells[1].grid
+        # each cell is the kernel its link builds alone, bit for bit
+        for cell, (scheme, snr_db) in zip(cells, [("cc", 10.0), ("ir", 6.5)]):
+            alone = build_markov_mdp(HarqModel.from_db(scheme, snr_db, 100, 4.0), ref_channel, ref_ladder, (4, 4), 10)
+            for name in ("idx", "prob", "cost", "where"):
+                assert getattr(cell.core, name).tobytes() == getattr(alone.core, name).tobytes(), name
+
+    def test_refuses_cells_of_different_structures(self, ref_ladder, ref_channel):
+        fading = self.cells(ref_channel, (4, 4), 10, [("cc", 10.0)], ref_ladder)[0].core
+        static = self.cells(static_channel(2.0), (20,), 20, [("cc", 10.0)], ref_ladder)[0].core
+        with pytest.raises(ValueError, match="cells must share idx, cost, where and ref"):
+            relative_value_iteration_cells([fading, static])
+        with pytest.raises(ValueError, match="cells must share idx, cost, where and ref"):
+            relative_value_iteration_cells([fading, replace(fading, ref=0)])
+
+    def test_slow_stop_cell_among_fast_cells(self, ref_ladder):
+        # On the sticky chain IR 6.5 dB stops slow at sweep 1000 and CC and
+        # IR 15 dB stop on a plateau; only the slow cell is handed over to
+        # policy iteration, and every cell's policy is that of its own solve.
+        links = [("cc", 15.0), ("ir", 6.5), ("ir", 15.0)]
+        cells = self.cells(sticky_channel(), (4, 4), 10, links, ref_ladder)
+        assert assert_cells_match_reference([cell.core for cell in cells]) == ["plateau", "slow", "plateau"]
+        policies = list(solve_rvi_cells(cells))
+        for cell, policy in zip(cells, policies, strict=True):
+            alone = solve_rvi_markov(cell)
+            assert policy.actions.tobytes() == alone.actions.tobytes()
+            assert (policy.zeta, policy.span, policy.iterations, policy.converged) == (
+                alone.zeta, alone.span, alone.iterations, alone.converged)
+        assert [(p.iterations, p.converged) for p in policies] == [(555, False), (1000, True), (555, False)]
+        assert policies[1].zeta == policy_average_cost(cells[1].core, policies[1].actions)
+
+    def test_tol_stops_among_plateau_stops(self, ref_ladder):
+        # Gain 1, r_max 3, q_max 8: CC at 5 and 6.5 dB stops on a plateau,
+        # the other cells on tol after 55 to 67 sweeps.
+        links = [("cc", 5.0), ("ir", 5.0), ("cc", 6.5), ("ir", 6.5), ("cc", 15.0)]
+        cells = [cell.core for cell in self.cells(static_channel(1.0), (3,), 8, links, ref_ladder)]
+        assert assert_cells_match_reference(cells) == ["plateau", "tol", "plateau", "tol", "tol"]
+
+    def test_budget_failure_raises_the_first_failing_cell(self, ref_ladder):
+        # With 57 sweeps, CC 15 dB stops on tol after 55; CC 5 dB is the
+        # first cell in order that runs out, and its error is the one raised,
+        # after the cells before it are yielded.
+        links = [("cc", 15.0), ("cc", 5.0), ("ir", 6.5), ("cc", 6.5)]
+        cells = self.cells(static_channel(1.0), (3,), 8, links, ref_ladder)
+        stops = assert_cells_match_reference([cell.core for cell in cells], max_iters=57)
+        assert stops == ["tol", "budget", "budget", "budget"]
+        with pytest.raises(ConvergenceError) as alone:
+            relative_value_iteration(cells[1].core, max_iters=57)
+        yielded = []
+        with pytest.raises(ConvergenceError) as stacked:
+            for policy in solve_rvi_cells(cells, max_iters=57):
+                yielded.append(policy)
+        assert str(stacked.value) == str(alone.value)
+        assert len(yielded) == 1 and yielded[0].iterations == 55
+
+    def test_no_sweep_within_a_zero_budget(self, ref_ladder):
+        cells = [cell.core for cell in self.cells(static_channel(1.0), (3,), 8, [("cc", 5.0)] * 2, ref_ladder)]
+        assert assert_cells_match_reference(cells, max_iters=0) == ["budget", "budget"]
+
+    def test_sweep_runs_its_longest_cell_not_the_sum(self, tmp_path, sweeps_run):
+        # The static default's 8 cells: the loop makes one einsum per stacked
+        # sweep and one per greedy pass, where solving cell by cell makes
+        # one per sweep of every cell.
+        config = Path(__file__).resolve().parent.parent / "configs" / "default_static.cfg"
+        snr_db = ["5", "8.5", "10", "15"]
+        assert main(["sweep", "--config", str(config), "--out", str(tmp_path), "--snr-db", *snr_db]) == 0
+        stacked = sweeps_run() + 1
+        cfg = load_config(config)
+        ladder = build_cost_ladder(cfg.system, solve_steady_state(cfg.system), cfg.solver.q_max + 2)
+        alone = []
+        for value in snr_db:
+            for scheme in ("cc", "ir"):
+                harq = HarqModel.from_db(scheme, float(value), 100, 4.0)
+                relative_value_iteration(build_markov_mdp(harq, cfg.channel, ladder, (20,), 20).core)
+                alone.append(sweeps_run())
+        assert (max(alone), sum(alone)) == (76, 513)
+        assert stacked <= max(alone) + len(alone)
 
 
 class TestPolicyAverageCost:

@@ -1,7 +1,8 @@
 """Invariants of policy files, of the kernel and its assembly, of the
 first-passage evaluation, of the worst-error scan, of the high-SNR reduced
 chain, of common random numbers in the simulator, of the simulator against
-its reference loop and of the solver's optimality, checked on generated
+its reference loop, of the solver's optimality and of the lockstep solve of
+many cells against each cell's own reference solve, checked on generated
 tables, grids, chains and links.
 
 Examples are derived from a fixed seed, so every run checks the same cases.
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from reference import (
+    assert_cells_match_reference,
     assert_matches_reference,
     expanded_error_prob,
     high_snr_zeta_static,
@@ -34,6 +36,7 @@ from harqest import (
     Policy,
     PolicySpec,
     SimConfig,
+    assemble_markov_cells,
     build_markov_mdp,
     first_passage_cost,
     gth_stationary,
@@ -455,3 +458,24 @@ def test_solve_returns_a_table_policy_iteration_cannot_improve(ref_ladder, insta
     exact = policy_average_cost(mdp.core, policy.actions)
     improved = policy_iteration(mdp.core, policy.actions)[1]
     assert improved >= exact * (1.0 - 1e-9)
+
+
+@st.composite
+def solver_cells(draw):
+    """A grid and channel of `solver_instances` with 2-8 link models on it,
+    each at 3-16 dB with either scheme, the first one that instance's."""
+    harq, ch, caps, q_max, cost_mode = draw(solver_instances())
+    more = draw(st.lists(st.tuples(st.sampled_from(["cc", "ir"]), st.floats(3.0, 16.0)), min_size=1, max_size=7))
+    harqs = [harq] + [HarqModel.from_db(scheme, snr_db, 100, 4.0) for scheme, snr_db in more]
+    return harqs, ch, caps, q_max, cost_mode
+
+
+@PROPERTY
+@given(stack=solver_cells())
+def test_lockstep_cells_equal_their_own_reference_solves(ref_ladder, stack):
+    # Every cell of the lockstep loop ends as the per-action reference ends
+    # on that cell alone, bit for bit.
+    harqs, ch, caps, q_max, cost_mode = stack
+    errors = [LinkErrors(harq, ch.gains).attempt for harq in harqs]
+    cells = assemble_markov_cells(errors, ch, ref_ladder, caps, q_max, cost_mode)
+    assert len(assert_cells_match_reference([cell.core for cell in cells])) == len(harqs)
