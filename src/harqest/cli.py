@@ -210,12 +210,18 @@ def cmd_simulate(args) -> int:
     for row in table.rows:
         detail = f"{row.mean!r} +- {row.stderr!r}" if not row.n_diverged else "diverged"
         print(f"  {row.label}: {detail} ({sim.replicates} replicates)")
+    # Entries that shared every replicate carry equal trajectories: format each once.
+    carriers = {}
     for label, trajectory in table.trajectories.items():
-        path = os.path.join(out_dir, f"trajectory_{label}.csv")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("".join(["k,mean_running_avg\n"] + [
-                f"{k},{value!r}\n" for k, value in enumerate(trajectory.tolist(), start=1)
-            ]))
+        carriers.setdefault(trajectory.tobytes(), []).append(label)
+    for labels in carriers.values():
+        trajectory = table.trajectories[labels[0]].tolist()
+        text = "".join(["k,mean_running_avg\n"] + [
+            f"{k},{value!r}\n" for k, value in enumerate(trajectory, start=1)
+        ])
+        for label in labels:
+            with open(os.path.join(out_dir, f"trajectory_{label}.csv"), "w", encoding="utf-8") as fh:
+                fh.write(text)
     print(f"comparison written to {table_path}")
     return EXIT_DIVERGENCE if any(row.n_diverged for row in table.rows) else EXIT_OK
 

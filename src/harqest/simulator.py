@@ -401,6 +401,28 @@ class ComparisonTable:
                 )
 
 
+def _twin_average(machine: TransitionMachine, machines, twins: dict, averages: list):
+    """The running average of the first twin in `twins` whose replicate is
+    bounded and on whose states `machine` agrees, or None. States numbered
+    since a twin's last check are passed through `machine`; divergence
+    depends on the state alone, so their order changes nothing. A twin that
+    itself took a run has numbered every state of the run's owner. A twin
+    that disagrees is removed from `twins`."""
+    for j, checked in list(twins.items()):
+        if averages[j] is None:
+            continue
+        twin = machines[j]
+        for s in range(checked, len(twin.a)):
+            t = machine.state(twin.counts[s], twin.q[s], twin.xi[s])
+            if t == _DIVERGED or machine.a[t] != twin.a[s]:
+                del twins[j]
+                break
+        else:
+            twins[j] = len(twin.a)
+            return averages[j]
+    return None
+
+
 def evaluate_policies(
     entries, harq: HarqModel, ch: MarkovChannel, ladder: CostLadder, cfg: SimConfig
 ) -> ComparisonTable:
@@ -408,10 +430,17 @@ def evaluate_policies(
 
     Common random numbers: replicate i of every entry uses the stream seeded
     by (cfg.seed, i), so policies that act identically produce identical
-    traces. The stream is drawn once per replicate and every entry runs on
-    it, each on its own machine. A bounded run keeps its final average and
-    adds its running average to its entry's one sum; only replicate 0 of the
-    first entry keeps its trace. A diverged replicate makes the mean infinite.
+    traces. The stream is drawn once per replicate, and each entry runs on
+    it on its own machine unless it has a twin: an earlier entry on the
+    same link model object whose replicate is bounded, and on every state
+    whose machine has numbered the entry takes the same action and does not
+    diverge. That run is then the entry's own, bit for bit, and the entry
+    takes its running average instead of running. A failed check rules the
+    twin out for good; the first entry always runs. Per replicate only each
+    entry's running average is held. A bounded replicate keeps its final
+    average and adds its running average to its entry's one sum; only
+    replicate 0 of the first entry keeps its trace. A diverged replicate
+    makes the mean infinite.
     """
     labels = [entry.label for entry in entries]
     if len(set(labels)) != len(labels):
@@ -422,21 +451,29 @@ def evaluate_policies(
     machines = [
         TransitionMachine(model, ch, ladder, entry.spec) for entry, model in zip(entries, models)
     ]
+    # Per entry: twin candidate -> how many of its machine's states are checked.
+    twins = [{j: 0 for j in range(i) if models[j] is model} for i, model in enumerate(models)]
     finals = [[] for _ in entries]
     # The bounded replicates' running averages, added in replicate order.
     totals = [np.zeros(cfg.slots) for _ in entries]
     first_trace = None
     for rep in range(cfg.replicates):
         stream = _draw_stream(ch, machines[0].edges, cfg, rep)
+        averages = []  # per entry, its bounded running average, else None
         for i, (entry, model, machine) in enumerate(zip(entries, models, machines)):
-            trace = run(
-                model, ch, ladder, entry.spec, cfg, replicate=rep, machine=machine, stream=stream
-            )
-            if first_trace is None:
-                first_trace = trace
-            if not trace.diverged:
-                finals[i].append(trace.final_average)
-                totals[i] += trace.running_avg
+            avg = _twin_average(machine, machines, twins[i], averages)
+            if avg is None:
+                trace = run(
+                    model, ch, ladder, entry.spec, cfg, replicate=rep, machine=machine, stream=stream
+                )
+                if first_trace is None:
+                    first_trace = trace
+                if not trace.diverged:
+                    avg = trace.running_avg
+            averages.append(avg)
+            if avg is not None:
+                finals[i].append(float(avg[-1]))
+                totals[i] += avg
     rows = []
     trajectories = {}
     for entry, mine, total in zip(entries, finals, totals):

@@ -1,15 +1,16 @@
 """Invariants of policy files, of the kernel and its assembly, of the
 first-passage evaluation, of the worst-error scan, of the high-SNR reduced
 chain, of common random numbers in the simulator, of the simulator against
-its reference loop, of the solver's optimality and of the lockstep solve of
-many cells against each cell's own reference solve, checked on generated
-tables, grids, chains and links.
+its reference loop, of a comparison against each of its entries evaluated
+alone, of the solver's optimality and of the lockstep solve of many cells
+against each cell's own reference solve, checked on generated tables, grids,
+chains and links.
 
 Examples are derived from a fixed seed, so every run checks the same cases.
 """
 
 import tempfile
-from dataclasses import fields
+from dataclasses import fields, replace
 from itertools import product
 from pathlib import Path
 
@@ -28,16 +29,19 @@ from reference import (
     threshold_table_cost,
 )
 
+import harqest.simulator
 from harqest import (
     ConfigError,
     HarqModel,
     LinkErrors,
     MarkovChannel,
     Policy,
+    PolicyEntry,
     PolicySpec,
     SimConfig,
     assemble_markov_cells,
     build_markov_mdp,
+    evaluate_policies,
     first_passage_cost,
     gth_stationary,
     high_snr_markov,
@@ -426,6 +430,142 @@ def test_run_equals_the_reference_loop(ref_ladder, snr_db, scheme, seed, stay, k
     harq = HarqModel.from_db(scheme, snr_db, 100, 4.0)
     expected = reference_run(harq, ch, ref_ladder, spec, cfg)
     assert_matches_reference(run(harq, ch, ref_ladder, spec, cfg), expected)
+
+
+def two_state(stay):
+    """A constant gain of 2 (one `stay` value) or the {2, 1} chain."""
+    if len(stay) == 1:
+        return MarkovChannel(gains=(2.0,), pi=np.array([[1.0]]))
+    pi = np.array([[stay[0], 1.0 - stay[1]], [1.0 - stay[0], stay[1]]])
+    return MarkovChannel(gains=(2.0, 1.0), pi=pi)
+
+
+def assert_evaluates_as_alone(entries, harq, ch, ladder, cfg):
+    """evaluate_policies on `entries` gives every entry the row and the
+    trajectory it gets alone, and the first entry's replicate-0 trace."""
+    together = evaluate_policies(entries, harq, ch, ladder, cfg)
+    for entry, row in zip(entries, together.rows):
+        alone = evaluate_policies([entry], harq, ch, ladder, cfg)
+        (want,) = alone.rows
+        assert row.label == want.label
+        assert row.finals == want.finals, entry.label
+        assert (repr(row.mean), repr(row.stderr), row.n_diverged) == (
+            repr(want.mean), repr(want.stderr), want.n_diverged
+        ), entry.label
+        assert (entry.label in together.trajectories) == (entry.label in alone.trajectories)
+        if entry.label in alone.trajectories:
+            mine, theirs = together.trajectories[entry.label], alone.trajectories[entry.label]
+            assert mine.tobytes() == theirs.tobytes(), entry.label
+        if entry is entries[0]:
+            for field in fields(together.first_trace):
+                mine = getattr(together.first_trace, field.name)
+                theirs = getattr(alone.first_trace, field.name)
+                if isinstance(mine, np.ndarray):
+                    assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes(), field.name
+                else:
+                    assert mine == theirs, field.name
+    return together
+
+
+@st.composite
+def comparisons(draw):
+    """A comparison on a constant gain or a two-state chain, -90 dB (every
+    replicate past 355 slots diverges) or 2-15 dB: 1-5 entries of any kind, a
+    random table among them, each on the shared link model or on one of the
+    other scheme, then maybe reversed and maybe with an entry repeated."""
+    ch = two_state(draw(st.lists(st.floats(0.05, 0.95), min_size=1, max_size=2)))
+    snr_db = draw(st.just(-90.0) | st.floats(2.0, 15.0))
+    scheme = draw(st.sampled_from(["cc", "ir"]))
+    harq = HarqModel.from_db(scheme, snr_db, 100, 4.0)
+    other = HarqModel.from_db("ir" if scheme == "cc" else "cc", snr_db, 100, 4.0)
+    kinds = draw(st.lists(
+        st.sampled_from(["table", "fresh_table", "myopic", "no_retransmission", "always_retransmit_psi"]),
+        min_size=1, max_size=5,
+    ))
+    entries = []
+    for i, kind in enumerate(kinds):
+        if kind == "table":
+
+            def actions(n):
+                return draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+
+            spec = PolicySpec(kind="table", table=small_table(ch, actions))
+        elif kind == "fresh_table":
+            spec = PolicySpec(kind="table", table=small_table(ch, lambda n: [0] * n))
+        else:
+            spec = PolicySpec(kind=kind)
+        entries.append(PolicyEntry(f"{i}-{kind}", spec, draw(st.sampled_from([None, other]))))
+    if draw(st.booleans()):
+        entries.reverse()
+    if draw(st.booleans()):
+        again = draw(st.sampled_from(entries))
+        entries.insert(draw(st.integers(0, len(entries))), replace(again, label=f"{again.label}-again"))
+    cfg = SimConfig(
+        slots=draw(st.integers(1, 200) | st.integers(340, 400)),  # a dead link overflows at 356
+        replicates=draw(st.integers(1, 4)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        initial_channel=draw(st.none() | st.integers(0, ch.size - 1)),
+    )
+    return entries, harq, ch, cfg
+
+
+@PROPERTY
+@given(case=comparisons())
+def test_comparison_gives_each_entry_what_it_gets_alone(ref_ladder, case):
+    # Entries that act alike share one run; the rows, trajectories and first
+    # trace must not show it.
+    entries, harq, ch, cfg = case
+    assert_evaluates_as_alone(entries, harq, ch, ref_ladder, cfg)
+
+
+@pytest.mark.parametrize("stay", ([1.0], [0.8, 0.8]))
+def test_comparison_edge_cases_give_each_entry_what_it_gets_alone(ref_ladder, stay, monkeypatch):
+    ch = two_state(stay)
+    calls = []
+    original = harqest.simulator.run
+
+    def counting_run(*args, **kwargs):
+        calls.append(args[3])
+        return original(*args, **kwargs)
+
+    def compare(entries, harq, cfg):
+        """The checked comparison and the specs its own run calls ran."""
+        calls.clear()
+        table = assert_evaluates_as_alone(entries, harq, ch, ref_ladder, cfg)
+        return table, calls[: len(calls) - len(entries) * cfg.replicates]
+
+    monkeypatch.setattr(harqest.simulator, "run", counting_run)
+    fresh = PolicyEntry("fresh", PolicySpec(kind="table", table=small_table(ch, lambda n: [0] * n)))
+    myopic = PolicyEntry("myopic", PolicySpec(kind="myopic"))
+    # A dead link: the age grows every slot. At the last slot before the
+    # cost overflows the ladder, the all-fresh table is still bounded while
+    # myopic's lookahead, one age further, overflows: myopic must not take
+    # the table's run.
+    dead = HarqModel.from_db("cc", -90.0, 100, 4.0)
+    fresh_stop = run(dead, ch, ref_ladder, fresh.spec, SimConfig(slots=1_000)).diverged_slot
+    cfg = SimConfig(slots=fresh_stop - 1, replicates=2, seed=3)
+    table, ran = compare([fresh, myopic], dead, cfg)
+    assert table.row("fresh").n_diverged == 0 and table.row("myopic").n_diverged == 2
+    assert len(ran) == 4
+    # A slot shorter, both are bounded and act alike: myopic takes the table's run.
+    _, ran = compare([fresh, myopic], dead, replace(cfg, slots=fresh_stop - 2))
+    assert ran == [fresh.spec, fresh.spec]
+    # Diverged replicates are never shared.
+    table, ran = compare([fresh, myopic], dead, replace(cfg, slots=fresh_stop + 5))
+    assert table.row("fresh").n_diverged == 2 and len(ran) == 4
+    # One spec on two link models of one channel: the second runs too.
+    cc = HarqModel.from_db("cc", 6.0, 100, 4.0)
+    ir = HarqModel.from_db("ir", 6.0, 100, 4.0)
+    psi = PolicySpec(kind="always_retransmit_psi")
+    cfg = SimConfig(slots=300, replicates=3, seed=11)
+    table, ran = compare([PolicyEntry("cc", psi), PolicyEntry("ir", psi, ir)], cc, cfg)
+    assert len(ran) == 6 and table.row("cc").finals != table.row("ir").finals
+    # Forward and reversed, with the first entry repeated: the repeat takes its run.
+    entries = [PolicyEntry("psi", psi), myopic, PolicyEntry("no-retx", PolicySpec(kind="no_retransmission"))]
+    for order in (entries, entries[::-1]):
+        order = [*order, replace(order[0], label="again")]
+        _, ran = compare(order, cc, cfg)
+        assert sum(spec is order[0].spec for spec in ran) == cfg.replicates
 
 
 @st.composite

@@ -167,12 +167,15 @@ class TestReferenceConformance:
 class TestSharedMachine:
     """evaluate_policies runs every replicate of an entry on one transition
     machine, so a replicate starts from the states, successors and ladder
-    growth of the replicates before it. Each must still equal the reference
-    loop, which shares nothing."""
+    growth of the replicates before it, and an entry that acts like an
+    earlier one on every state that one numbered takes its run instead of
+    running. Each run, and each entry's finals and trajectory, shared or
+    run, must still equal the reference loop, which shares nothing."""
 
     @staticmethod
     def evaluate(model, ch, tables, table_snr_db, link, cfg, ladder, monkeypatch):
-        """label -> traces of every replicate, each checked against reference_run."""
+        """(label -> traces of the replicates that ran, each checked against
+        reference_run; the number of replicates taken from a twin)."""
         runs = []
         original = harqest.simulator.run
 
@@ -186,15 +189,38 @@ class TestSharedMachine:
             PolicyEntry(label=kind, spec=_spec(kind, tables, table_snr_db, link))
             for kind in _ALL_KINDS
         ]
-        evaluate_policies(entries, model, ch, ladder, cfg)
-        assert len(runs) == len(entries) * cfg.replicates
-        assert len({(id(spec), id(machine)) for spec, _, machine, _ in runs}) == len(entries)
+        table = evaluate_policies(entries, model, ch, ladder, cfg)
+        assert len({(id(spec), id(machine)) for spec, _, machine, _ in runs}) == len(
+            {id(spec) for spec, _, _, _ in runs}
+        )
+        expected = {
+            (entry.spec.kind, rep): reference_run(model, ch, ladder, entry.spec, cfg, replicate=rep)
+            for entry in entries
+            for rep in range(cfg.replicates)
+        }
         traces = {}
         for spec, rep, _, trace in runs:
-            expected = reference_run(model, ch, ladder, spec, cfg, replicate=rep)
-            assert_matches_reference(trace, expected)
+            assert_matches_reference(trace, expected[spec.kind, rep])
             traces.setdefault(spec.kind, []).append(trace)
-        return traces
+        for entry in entries:
+            row = table.row(entry.label)
+            bounded = [
+                expected[entry.spec.kind, rep]["running_avg"]
+                for rep in range(cfg.replicates)
+                if not expected[entry.spec.kind, rep]["diverged"]
+            ]
+            assert row.finals == tuple(float(avg[-1]) for avg in bounded)
+            assert row.n_diverged == cfg.replicates - len(bounded)
+            if row.n_diverged:
+                assert entry.label not in table.trajectories
+            else:
+                total = np.zeros(cfg.slots)
+                for avg in bounded:
+                    total += avg
+                assert table.trajectories[entry.label].tobytes() == (total / cfg.replicates).tobytes()
+        assert len({(id(spec), rep) for spec, rep, _, _ in runs}) == len(runs)
+        assert [rep for spec, rep, _, _ in runs if spec is entries[0].spec] == list(range(cfg.replicates))
+        return traces, len(entries) * cfg.replicates - len(runs)
 
     @pytest.mark.parametrize("link", ("static", "fading"))
     @pytest.mark.parametrize("snr_db", (5.0, 8.5))
@@ -204,19 +230,24 @@ class TestSharedMachine:
         model = HarqModel.from_db("cc", snr_db, 100, 4.0)
         ch = STATIC if link == "static" else FADING
         cfg = SimConfig(slots=1_500, replicates=3, seed=31)
-        self.evaluate(model, ch, conformance_tables, snr_db, link, cfg, ref_ladder, monkeypatch)
+        _, shared = self.evaluate(
+            model, ch, conformance_tables, snr_db, link, cfg, ref_ladder, monkeypatch
+        )
+        assert shared > 0
 
     @pytest.mark.parametrize("link", ("static", "fading"))
     def test_dead_link(self, link, conformance_tables, ref_ladder, monkeypatch):
         # the age grows every slot until the ladder overflows; myopic's
         # lookahead needs one entry more than the cost, so it stops a slot
-        # earlier than the policies that need only the cost
+        # earlier than the policies that need only the cost; a diverged run
+        # is never shared
         model = HarqModel(scheme="cc", snr=1e-9, blocklength=100, rate=4.0)
         ch = STATIC if link == "static" else FADING
         cfg = SimConfig(slots=2_000, replicates=3, seed=2)
-        traces = self.evaluate(
+        traces, shared = self.evaluate(
             model, ch, conformance_tables, 5.0, link, cfg, ref_ladder, monkeypatch
         )
+        assert shared == 0
         assert all(t.diverged for kind in _ALL_KINDS for t in traces[kind])
         for myopic, fresh in zip(traces["myopic"], traces["no_retransmission"]):
             assert myopic.diverged_slot == fresh.diverged_slot - 1
@@ -229,9 +260,10 @@ class TestSharedMachine:
         # run on a ladder an earlier one grew past their own stop
         model = HarqModel.from_db("cc", snr_db, 100, 4.0)
         cfg = SimConfig(slots=3_000, replicates=4, seed=7)
-        traces = self.evaluate(
+        traces, _ = self.evaluate(
             model, FADING, conformance_tables, 5.0, "fading", cfg, ref_ladder, monkeypatch
         )
+        assert len(traces["no_retransmission"]) == cfg.replicates
         assert all(t.diverged for t in traces["no_retransmission"])
 
 
