@@ -114,19 +114,15 @@ class Grid:
         n = math.prod(c + 1 for c in caps)
         return len(caps) * ((q_max + 1) * (n - 1) - n * sum(caps) // 2)
 
-    @staticmethod
-    def labels(caps, q_max: int):
-        """The (omega, q, xi) labels in solver order, made one at a time, so a
-        prefix costs only its own length."""
-        for omega in islice(_counts(caps), 1, None):
-            for q in range(sum(omega), q_max + 1):
-                for xi in range(len(caps)):
-                    yield omega, q, xi
-
     @cached_property
     def states(self) -> tuple:
-        """Every state's label, in solver order; built on first use."""
-        return tuple(Grid.labels(self.caps, self.q_max))
+        """Every state's (omega, q, xi) label, in solver order; built on first use."""
+        return tuple(
+            (omega, q, xi)
+            for omega in islice(_counts(self.caps), 1, None)
+            for q in range(sum(omega), self.q_max + 1)
+            for xi in range(self.b)
+        )
 
     def number(self, omega, q, xi):
         """The number of state (omega, q, xi). Arrays broadcast, with each

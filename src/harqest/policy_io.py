@@ -9,12 +9,12 @@ headers declare in the solver's order, one line per state under the key
 `save_policy` writes for it; a file is refused at its first other line.
 """
 
-from itertools import groupby
+from itertools import islice
 
 import numpy as np
 
 from .errors import ConfigError
-from .mdp_markov import Grid, Policy
+from .mdp_markov import Grid, Policy, _counts
 
 __all__ = ["save_policy", "load_policy"]
 
@@ -25,9 +25,21 @@ def _flag(text: str) -> bool:
     return text == "true"
 
 
-def _state_key(state) -> str:
-    omega, q, xi = state
-    return f"{','.join(str(c) for c in omega)}|{q}|{xi}"
+def _keys(caps, q_max: int):
+    """The action-line key of every grid state in solver order, made one at
+    a time, so a prefix costs only its own length. The first omega, one
+    attempt under the last gain, spans every age, so its keys' "|q|xi" tails
+    serve every later omega from its own first age on."""
+    b = len(caps)
+    omegas = islice(_counts(caps), 1, None)
+    first = ",".join(map(str, next(omegas)))
+    tails = []
+    for q in range(1, q_max + 1):
+        for xi in range(b):
+            tails.append(f"|{q}|{xi}")
+            yield first + tails[-1]
+    for omega in omegas:
+        yield from map(",".join(map(str, omega)).__add__, tails[(sum(omega) - 1) * b :])
 
 
 def save_policy(policy: Policy, path):
@@ -44,11 +56,8 @@ def save_policy(policy: Policy, path):
         fh.write(f"q_max = {grid.q_max}\n")
         fh.write(f"gains = {','.join(repr(float(g)) for g in policy.gains)}\n")
         fh.write("[actions]\n")
-        # One block per omega: solver order keeps each omega's states together.
-        rows = zip(grid.states, np.asarray(policy.actions, dtype=np.int64).tolist())
-        for omega, block in groupby(rows, key=lambda row: row[0][0]):
-            prefix = ",".join(str(c) for c in omega)
-            fh.write("".join(f"{prefix}|{q}|{xi} = {action}\n" for (_, q, xi), action in block))
+        actions = np.asarray(policy.actions, dtype=np.int64).tolist()
+        fh.write("".join(f"{key} = {action}\n" for key, action in zip(_keys(grid.caps, grid.q_max), actions)))
 
 
 def load_policy(path) -> Policy:
@@ -67,9 +76,10 @@ def load_policy(path) -> Policy:
         if line == "[actions]":
             in_actions = True
             continue
-        if "=" not in line:
+        key, sep, value = line.partition("=")
+        if not sep:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
+        key, value = key.strip(), value.strip()
         if in_actions:
             if value not in ("0", "1"):
                 raise ConfigError(f"{path}:{lineno}: action must be 0 or 1, got {value!r}")
@@ -108,7 +118,7 @@ def load_policy(path) -> Policy:
         raise ConfigError(f"{path}: {exc}") from exc
     # The labels are made as the lines are read, so a file that ends early
     # costs no more than its own lines, however large its headers' grid.
-    for expected, (lineno, key, _) in zip(map(_state_key, Grid.labels(caps, q_max)), actions):
+    for expected, (lineno, key, _) in zip(_keys(caps, q_max), actions):
         if key != expected:
             raise ConfigError(f"{path}:{lineno}: expected state {expected!r}, found {key!r}")
     if len(actions) != n:

@@ -12,6 +12,7 @@ see identical random streams (common random numbers).
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -84,21 +85,57 @@ _CSV_CHUNK = 1024  # trace rows formatted per write
 
 @dataclass(frozen=True, eq=False)
 class SimulationTrace:
-    """Per-slot record of one replicate plus the running average (partial
-    means of Tr(P_k)). A diverged trace is truncated at the slot whose cost
-    overflowed the ladder."""
+    """One replicate as the states it visited, plus the running average
+    (partial means of Tr(P_k)). A diverged trace is truncated at the slot
+    whose cost overflowed the ladder.
 
-    k: np.ndarray
-    a: np.ndarray
-    gamma: np.ndarray
-    r: np.ndarray
-    q: np.ndarray
-    xi: np.ndarray
-    trace_mse: np.ndarray
+    `states` numbers each recorded slot's state on the machine that ran it,
+    `outcomes` holds the replicate's outcome uniforms and `arrays` is that
+    machine's `arrays()` when the run ended. The per-slot columns k, a,
+    gamma, r, q, xi, trace_mse and omega are gathered from them on first
+    read, so a replicate whose columns nobody reads never builds them.
+    """
+
+    states: np.ndarray
+    outcomes: np.ndarray
+    arrays: tuple
     running_avg: np.ndarray
-    omega: np.ndarray  # per-slot attempt counter, kept for conformance checks
     diverged: bool = False
     diverged_slot: int = None
+
+    @cached_property
+    def k(self) -> np.ndarray:
+        return np.arange(1, len(self.states) + 1, dtype=np.int64)
+
+    @cached_property
+    def a(self) -> np.ndarray:
+        return self.arrays[0][self.states]
+
+    @cached_property
+    def gamma(self) -> np.ndarray:
+        p_of = self.arrays[3]
+        return (self.outcomes[: len(self.states)] >= p_of[self.states]).astype(np.int8)
+
+    @cached_property
+    def r(self) -> np.ndarray:
+        return sum(self.omega.T)  # adds the B count columns; faster than numpy's row sum here
+
+    @cached_property
+    def q(self) -> np.ndarray:
+        return self.arrays[1][self.states]
+
+    @cached_property
+    def xi(self) -> np.ndarray:
+        return self.arrays[2][self.states]
+
+    @cached_property
+    def trace_mse(self) -> np.ndarray:
+        return self.arrays[5][self.q - 1]
+
+    @cached_property
+    def omega(self) -> np.ndarray:
+        """Per-slot attempt counts, one row per slot, kept for conformance checks."""
+        return self.arrays[4].take(self.states, axis=0)
 
     @property
     def final_average(self) -> float:
@@ -106,22 +143,33 @@ class SimulationTrace:
 
     def to_csv(self, path):
         """One row per slot, each value written as its repr, _CSV_CHUNK rows
-        at a time. The cost column holds a few ladder values, so each distinct
-        one is formatted once."""
+        at a time. A row's fields from a to trace_mse depend only on its
+        state and outcome, so each distinct (state, gamma) is formatted once."""
+        a_of, q_of, xi_of, _, counts_of, traces = self.arrays
+        pairs, which = np.unique(self.states * 2 + self.gamma, return_inverse=True)
+        at, gamma = np.divmod(pairs, 2)
+        q = q_of[at]
+        middles = [
+            ",".join(map(repr, row))
+            for row in zip(
+                a_of[at].tolist(),
+                gamma.tolist(),
+                counts_of[at].sum(axis=1).tolist(),
+                q.tolist(),
+                xi_of[at].tolist(),
+                traces[q - 1].tolist(),
+            )
+        ]
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("k,a,gamma,r,q,xi,trace_mse,running_avg\n")
-            for start in range(0, len(self.k), _CSV_CHUNK):
+            for start in range(0, len(which), _CSV_CHUNK):
                 part = slice(start, start + _CSV_CHUNK)
-                columns = [
-                    map(repr, getattr(self, name)[part].tolist())
-                    for name in ("k", "a", "gamma", "r", "q", "xi")
-                ]
-                # Keyed by bit pattern: equal floats such as 0.0 and -0.0 repr apart.
-                costs, which = np.unique(self.trace_mse[part].view(np.int64), return_inverse=True)
-                costs = [repr(c) for c in costs.view(np.float64).tolist()]
-                columns.append(map(costs.__getitem__, which.tolist()))
-                columns.append(map(repr, self.running_avg[part].tolist()))
-                fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
+                rows = zip(
+                    range(start + 1, start + _CSV_CHUNK + 1),
+                    map(middles.__getitem__, which[part].tolist()),
+                    self.running_avg[part].tolist(),
+                )
+                fh.write("".join([f"{k},{middle},{avg!r}\n" for k, middle, avg in rows]))
             if self.diverged:
                 fh.write(f"# diverged at slot {self.diverged_slot}\n")
 
@@ -308,7 +356,9 @@ def run(
     `machine`, built for these same arguments, carries the states earlier
     replicates visited; without one a fresh machine is built. `stream` is
     this replicate's random stream as `_draw_stream` returns it for this
-    channel and cfg; without one it is drawn here.
+    channel and cfg; without one it is drawn here. The trace keeps the
+    visited states and computes the running average; its other columns are
+    gathered only when read.
     """
     if machine is None:
         machine = TransitionMachine(harq, ch, ladder, policy)
@@ -338,23 +388,17 @@ def run(
                     break
             path.append(s)
     recorded = len(path)
-    at = np.array(path, dtype=np.intp)
-    a_of, q_of, xi_of, p_of, counts_of, traces = machine.arrays()
-    q = q_of[at]
-    cost = traces[q - 1]
+    at = np.fromiter(path, dtype=np.intp, count=recorded)
+    arrays = machine.arrays()
+    q_of, traces = arrays[1], arrays[5]
+    cost = traces[q_of[at] - 1]
     running = np.cumsum(cost) / np.arange(1, recorded + 1) if recorded else np.array([])
-    omega = counts_of.take(at, axis=0)
     diverged = recorded < slots
     return SimulationTrace(
-        k=np.arange(1, recorded + 1, dtype=np.int64),
-        a=a_of[at],
-        gamma=(outcomes[:recorded] >= p_of[at]).astype(np.int8),
-        r=sum(omega.T),  # adds the B count columns; faster than numpy's row sum here
-        q=q,
-        xi=xi_of[at],
-        trace_mse=cost,
+        states=at,
+        outcomes=outcomes,
+        arrays=arrays,
         running_avg=running,
-        omega=omega,
         diverged=diverged,
         diverged_slot=recorded + 1 if diverged else None,
     )
@@ -423,6 +467,16 @@ def _twin_average(machine: TransitionMachine, machines, twins: dict, averages: l
     return None
 
 
+def _stderr(finals) -> float:
+    """The standard error of the mean of `finals`, 0 for one final. The
+    finals are scaled by the power of two that brings the largest below 1,
+    which is exact, so squaring them cannot overflow."""
+    if len(finals) < 2:
+        return 0.0
+    scale = math.ldexp(1.0, -math.frexp(max(map(abs, finals)))[1])
+    return float(np.std(np.multiply(finals, scale), ddof=1) / scale / math.sqrt(len(finals)))
+
+
 def evaluate_policies(
     entries, harq: HarqModel, ch: MarkovChannel, ladder: CostLadder, cfg: SimConfig
 ) -> ComparisonTable:
@@ -482,9 +536,7 @@ def evaluate_policies(
             mean, stderr = math.inf, math.nan
         else:
             mean = float(np.mean(mine))
-            stderr = (
-                float(np.std(mine, ddof=1) / math.sqrt(len(mine))) if len(mine) > 1 else 0.0
-            )
+            stderr = _stderr(mine)
             trajectories[entry.label] = total / cfg.replicates
         rows.append(
             ComparisonRow(

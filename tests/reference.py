@@ -409,6 +409,25 @@ def reference_run(harq, ch, ladder, spec, cfg, replicate=0):
     }
 
 
+# Every per-slot column of a trace, then its divergence flag and slot: the
+# keys of `reference_run`'s record.
+TRACE_FIELDS = (
+    "k", "a", "gamma", "r", "q", "xi", "trace_mse", "running_avg", "omega", "diverged", "diverged_slot"
+)
+
+
+def rowwise_csv(trace) -> bytes:
+    """The trace CSV as one `",".join(map(repr, row))` line per slot."""
+    names = ("k", "a", "gamma", "r", "q", "xi", "trace_mse", "running_avg")
+    lines = [",".join(names)]
+    lines += [
+        ",".join(map(repr, row)) for row in zip(*(getattr(trace, n).tolist() for n in names))
+    ]
+    if trace.diverged:
+        lines.append(f"# diverged at slot {trace.diverged_slot}")
+    return ("\n".join(lines) + "\n").encode()
+
+
 def assert_matches_reference(trace, expected):
     for name, value in expected.items():
         got = getattr(trace, name)

@@ -1,7 +1,8 @@
 """Invariants of policy files, of the kernel and its assembly, of the
 first-passage evaluation, of the worst-error scan, of the high-SNR reduced
-chain, of common random numbers in the simulator, of the simulator against
-its reference loop, of a comparison against each of its entries evaluated
+chain, of common random numbers in the simulator, of the simulator, its
+lazily gathered trace columns and its trace CSV against its reference
+loop, of a comparison against each of its entries evaluated
 alone, of the solver's optimality and of the lockstep solve of many cells
 against each cell's own reference solve, checked on generated tables, grids,
 chains and links.
@@ -10,15 +11,17 @@ Examples are derived from a fixed seed, so every run checks the same cases.
 """
 
 import tempfile
-from dataclasses import fields, replace
+from dataclasses import replace
 from itertools import product
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from reference import (
+    TRACE_FIELDS,
     assert_cells_match_reference,
     assert_matches_reference,
     expanded_error_prob,
@@ -26,6 +29,7 @@ from reference import (
     kernel_row_error,
     reference_assemble,
     reference_run,
+    rowwise_csv,
     threshold_table_cost,
 )
 
@@ -387,13 +391,13 @@ def test_all_fresh_table_replays_no_retransmission(ref_ladder, stay, seed, slots
     cfg = SimConfig(slots=slots, seed=seed)
     got = run(harq, ch, ref_ladder, PolicySpec(kind="table", table=table), cfg)
     want = run(harq, ch, ref_ladder, PolicySpec(kind="no_retransmission"), cfg)
-    for field in fields(got):
-        mine, theirs = getattr(got, field.name), getattr(want, field.name)
+    for name in TRACE_FIELDS:
+        mine, theirs = getattr(got, name), getattr(want, name)
         if isinstance(mine, np.ndarray):
-            assert mine.shape == theirs.shape and mine.dtype == theirs.dtype, field.name
-            assert mine.tobytes() == theirs.tobytes(), field.name
+            assert mine.shape == theirs.shape and mine.dtype == theirs.dtype, name
+            assert mine.tobytes() == theirs.tobytes(), name
         else:
-            assert mine == theirs, field.name
+            assert mine == theirs, name
 
 
 @PROPERTY
@@ -432,6 +436,50 @@ def test_run_equals_the_reference_loop(ref_ladder, snr_db, scheme, seed, stay, k
     assert_matches_reference(run(harq, ch, ref_ladder, spec, cfg), expected)
 
 
+@PROPERTY
+@given(
+    snr_db=st.just(-90.0) | st.floats(2.0, 15.0),
+    scheme=st.sampled_from(["cc", "ir"]),
+    seed=st.integers(0, 2**32 - 1),
+    stay=st.lists(st.floats(0.05, 0.95), min_size=1, max_size=2),
+    kind=st.sampled_from(["table", "myopic", "no_retransmission", "always_retransmit_psi"]),
+    slots=st.integers(1, 200) | st.integers(340, 400),  # a dead link overflows at 356
+    at_slot_one=st.booleans(),
+    data=st.data(),
+)
+def test_lazy_columns_and_csv_equal_the_reference(
+    ref_ladder, snr_db, scheme, seed, stay, kind, slots, at_slot_one, data
+):
+    # A trace holds its states; each column it gathers on first read, and
+    # the CSV it writes from distinct (state, outcome) rows, are those of the
+    # direct loop. Covers bounded runs, divergence mid-run (-90 dB) and an
+    # empty trace that diverged at slot 1.
+    ch = two_state(stay)
+    if kind == "table":
+
+        def actions(n):
+            return data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+
+        spec = PolicySpec(kind="table", table=small_table(ch, actions))
+    else:
+        spec = PolicySpec(kind=kind)
+    cfg = SimConfig(slots=slots, seed=seed)
+    harq = HarqModel.from_db(scheme, snr_db, 100, 4.0)
+    trace = run(harq, ch, ref_ladder, spec, cfg)
+    expected = reference_run(harq, ch, ref_ladder, spec, cfg)
+    if at_slot_one:
+        trace = replace(
+            trace, states=trace.states[:0], running_avg=trace.running_avg[:0], diverged=True, diverged_slot=1
+        )
+        expected = {name: expected[name][:0] for name in TRACE_FIELDS[:-2]}
+        expected.update(diverged=True, diverged_slot=1)
+    assert_matches_reference(trace, expected)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.csv"
+        trace.to_csv(path)
+        assert path.read_bytes() == rowwise_csv(SimpleNamespace(**expected))
+
+
 def two_state(stay):
     """A constant gain of 2 (one `stay` value) or the {2, 1} chain."""
     if len(stay) == 1:
@@ -457,13 +505,13 @@ def assert_evaluates_as_alone(entries, harq, ch, ladder, cfg):
             mine, theirs = together.trajectories[entry.label], alone.trajectories[entry.label]
             assert mine.tobytes() == theirs.tobytes(), entry.label
         if entry is entries[0]:
-            for field in fields(together.first_trace):
-                mine = getattr(together.first_trace, field.name)
-                theirs = getattr(alone.first_trace, field.name)
+            for name in TRACE_FIELDS:
+                mine = getattr(together.first_trace, name)
+                theirs = getattr(alone.first_trace, name)
                 if isinstance(mine, np.ndarray):
-                    assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes(), field.name
+                    assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes(), name
                 else:
-                    assert mine == theirs, field.name
+                    assert mine == theirs, name
     return together
 
 

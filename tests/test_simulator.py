@@ -1,11 +1,14 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 from reference import (
+    TRACE_FIELDS,
     assert_matches_reference,
     myopic_policy,
     reference_run,
+    rowwise_csv,
 )
 
 import harqest.simulator
@@ -13,10 +16,10 @@ from harqest import (
     HarqModel,
     LinkErrors,
     MarkovChannel,
+    Policy,
     PolicyEntry,
     PolicySpec,
     SimConfig,
-    SimulationTrace,
     build_markov_mdp,
     build_static_mdp,
     evaluate_policies,
@@ -25,6 +28,7 @@ from harqest import (
     static_channel,
 )
 from harqest.errors import ConfigError
+from harqest.mdp_markov import Grid
 
 BASELINE = 15.8397
 
@@ -392,21 +396,9 @@ class TestDivergence:
         assert f"# diverged at slot {trace.diverged_slot}" in path.read_text()
 
 
-def rowwise_csv(trace) -> bytes:
-    """The trace CSV as one `",".join(map(repr, row))` line per slot."""
-    names = ("k", "a", "gamma", "r", "q", "xi", "trace_mse", "running_avg")
-    lines = [",".join(names)]
-    lines += [
-        ",".join(map(repr, row)) for row in zip(*(getattr(trace, n).tolist() for n in names))
-    ]
-    if trace.diverged:
-        lines.append(f"# diverged at slot {trace.diverged_slot}")
-    return ("\n".join(lines) + "\n").encode()
-
-
 class TestTraceCsv:
-    """to_csv writes by columns, in chunks, with each distinct cost
-    formatted once; its bytes are those of the row-by-row writer."""
+    """to_csv writes in chunks, with the middle of each distinct (state,
+    outcome) row formatted once; its bytes are those of the row-by-row writer."""
 
     def test_normal_trace_spanning_chunks(self, cc_model, ref_channel, ref_ladder, tmp_path):
         cfg = SimConfig(slots=2 * harqest.simulator._CSV_CHUNK + 37, seed=5)
@@ -428,12 +420,11 @@ class TestTraceCsv:
     def test_trace_diverged_at_slot_one(self, cc_model, ref_channel, ref_ladder, tmp_path):
         cfg = SimConfig(slots=5)
         trace = run(cc_model, ref_channel, ref_ladder, PolicySpec(kind="myopic"), cfg)
-        columns = {
-            f.name: getattr(trace, f.name)[:0]
-            for f in dataclasses.fields(trace)
-            if isinstance(getattr(trace, f.name), np.ndarray)
-        }
-        empty = dataclasses.replace(trace, **columns, diverged=True, diverged_slot=1)
+        empty = dataclasses.replace(
+            trace, states=trace.states[:0], running_avg=trace.running_avg[:0], diverged=True, diverged_slot=1
+        )
+        expected = {name: getattr(trace, name)[:0] for name in TRACE_FIELDS[:-2]}
+        assert_matches_reference(empty, dict(expected, diverged=True, diverged_slot=1))
         empty.to_csv(tmp_path / "t.csv")
         assert (tmp_path / "t.csv").read_bytes() == rowwise_csv(empty)
         assert rowwise_csv(empty).endswith(b"running_avg\n# diverged at slot 1\n")
@@ -555,9 +546,61 @@ class TestEvaluatePolicies:
                 assert got.tobytes() == single.trajectories[entry.label].tobytes()
         assert snr_db != 5.0 or together.row("no_retransmission").n_diverged
         first = alone[0].first_trace
-        fields = dataclasses.fields(SimulationTrace)
-        expected = {f.name: getattr(first, f.name) for f in fields}
+        expected = {name: getattr(first, name) for name in TRACE_FIELDS}
         assert_matches_reference(together.first_trace, expected)
+
+    def test_gathers_columns_for_the_first_trace_only(
+        self, cc_model, ref_channel, ref_ladder, monkeypatch, tmp_path
+    ):
+        # Every run keeps its states; only the trace the CLI writes builds
+        # per-slot columns, and only when it is written.
+        traces = []
+        original = harqest.simulator.run
+
+        def keeping_run(*args, **kwargs):
+            traces.append(original(*args, **kwargs))
+            return traces[-1]
+
+        monkeypatch.setattr(harqest.simulator, "run", keeping_run)
+        cfg = SimConfig(slots=400, replicates=3, seed=6)
+        entries = [
+            PolicyEntry(label=kind, spec=PolicySpec(kind=kind))
+            for kind in ("myopic", "no_retransmission", "always_retransmit_psi")
+        ]
+        table = evaluate_policies(entries, cc_model, ref_channel, ref_ladder, cfg)
+        table.first_trace.to_csv(tmp_path / "t.csv")
+        assert len(traces) == 9 and traces[0] is table.first_trace
+        columns = ("k", "a", "gamma", "r", "q", "xi", "trace_mse", "omega")
+        gathered = [[name for name in columns if name in vars(trace)] for trace in traces]
+        assert gathered == [["gamma"]] + [[]] * 8
+
+    def test_stderr_of_huge_finals_does_not_overflow(self, ref_ladder):
+        # A table on a weak IR link whose two bounded finals are 8.7e237 and
+        # 8.7e257: squaring them overflows, scaled by a power of two it does not.
+        grid = Grid((2,), 4)
+        table = Policy(
+            actions=np.array([0, 0, 0, 1, 0, 1, 1], dtype=np.int8), grid=grid, gains=(2.0,),
+            zeta=0.0, span=0.0, iterations=0, converged=True,
+        )
+        model = HarqModel.from_db("ir", 2.0, 100, 4.0)
+        cfg = SimConfig(slots=340, replicates=2, seed=0)
+        entries = [PolicyEntry(label="table", spec=PolicySpec(kind="table", table=table))]
+        (row,) = evaluate_policies(entries, model, static_channel(2.0), ref_ladder, cfg).rows
+        finals = np.array(row.finals)
+        assert row.n_diverged == 0 and 1e237 < finals.min() and finals.max() < 1e258
+        # For two finals the standard error is half their distance.
+        assert row.stderr == pytest.approx(abs(finals[1] - finals[0]) / 2.0, rel=1e-15, abs=0.0)
+
+    def test_stderr_keeps_the_bits_of_numpys(self):
+        # Scaling by a power of two is exact, so ordinary finals keep the
+        # bits of the unscaled formula.
+        rng = np.random.default_rng(29)
+        for _ in range(2000):
+            n = int(rng.integers(2, 40))
+            finals = (10.0 ** rng.uniform(-3, 12)) * rng.lognormal(0.0, rng.uniform(0, 3), n)
+            got = harqest.simulator._stderr(finals.tolist())
+            want = float(np.std(finals, ddof=1) / math.sqrt(n))
+            assert repr(got) == repr(want), finals
 
     def test_divergence_marks_row(self, ref_static_channel, ref_ladder, tmp_path):
         model = HarqModel(scheme="cc", snr=1e-9, blocklength=100, rate=4.0)
