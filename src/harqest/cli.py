@@ -3,6 +3,13 @@
 Subcommands: stability, solve, simulate, highsnr, sweep. All output is
 plain-text files for external plotting plus a stdout summary. Exit codes:
 0 ok, 2 config error, 3 convergence failure, 4 divergence detected.
+
+A call builds one parser, `harqest <command>`, for the command its first
+argument names, from the one command table. The `harqest` parser that lists
+every command is built only when the first argument names no command (no
+arguments, `-h`, an unknown name) or to report arguments the command left
+over; its entries carry no arguments of their own. Usage, help, errors and
+exit codes are those of one parser with a subparser per command.
 """
 
 import argparse
@@ -35,53 +42,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_CONVERGENCE = 3
 EXIT_DIVERGENCE = 4
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="harqest",
-        description="Retransmit-or-refresh transmission control for remote estimation",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", required=True, help="path to the config file")
-        p.add_argument("--out", default=None, help="output directory (default from config)")
-
-    p = sub.add_parser("stability", help="bounded-MSE existence check and stability region sweep")
-    common(p)
-    p.add_argument(
-        "--rho-sq", type=float, nargs="+", default=[1.1, 2.0, 3.0, 5.0],
-        help="squared spectral radii for the region sweep grid",
-    )
-    p.add_argument("--grid-steps", type=int, default=51, help="region sweep resolution per axis")
-
-    p = sub.add_parser("solve", help="solve the transmission-control MDP")
-    common(p)
-    p.add_argument("--cost", choices=["mse", "delay"], default=None, help="override cost mode")
-
-    p = sub.add_parser("simulate", help="Monte Carlo policy evaluation")
-    common(p)
-    p.add_argument(
-        "--policy", required=True,
-        help="policy file, or one of: myopic, no-retx, psi",
-    )
-    p.add_argument(
-        "--compare", nargs="*", default=[],
-        help="additional policies for the comparison table",
-    )
-    p.add_argument("--seed", type=int, default=None, help="override the simulation seed")
-
-    p = sub.add_parser("highsnr", help="perfect-retransmission threshold optimization")
-    common(p)
-    p.add_argument("--theta-max", type=int, default=8, help="threshold search bound")
-
-    p = sub.add_parser("sweep", help="solve + switching verification over SNR and scheme")
-    common(p)
-    p.add_argument("--snr-db", type=float, nargs="+", default=[5.0, 10.0, 15.0])
-    p.add_argument("--schemes", nargs="+", choices=["cc", "ir"], default=["cc", "ir"])
-
-    return parser
 
 
 def _prepare(args):
@@ -144,20 +104,20 @@ def cmd_stability(args) -> int:
 
 def _write_region_grid(ch: MarkovChannel, rho_sq_values, steps: int, path):
     """Verdict of `check_stability_markov` on every (lambda1, lambda2) cell,
-    with the cells' radii taken in one stacked call and reused for each rho^2."""
+    with the cells' radii taken in one stacked call and reused for each rho^2.
+    Each cell's `lambda1,lambda2,` prefix is formatted once; a rho^2 block
+    joins each prefix to one of its two `rho^2,verdict` ends."""
     grid = np.linspace(0.0, 1.0, steps)
     lambdas = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1)
-    radii = spectral_radius(ch.pi * lambdas[..., None, :]).tolist()
-    grid = [repr(value) for value in grid.tolist()]
+    radii = spectral_radius(ch.pi * lambdas[..., None, :])
+    labels = [repr(value) for value in grid.tolist()]
+    prefixes = [f"{l1},{l2}," for l1 in labels for l2 in labels]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("lambda1,lambda2,rho_sq,stable\n")
         for rho_sq in rho_sq_values:
-            tail = f",{rho_sq!r},"
-            for l1, row in zip(grid, radii):
-                fh.write("".join(
-                    f"{l1},{l2}{tail}{int(radius * rho_sq < 1.0)}\n"
-                    for l2, radius in zip(grid, row)
-                ))
+            ends = (f"{rho_sq!r},0\n", f"{rho_sq!r},1\n")
+            stable = (radii * rho_sq < 1.0).ravel().tolist()
+            fh.write("".join([prefix + ends[s] for prefix, s in zip(prefixes, stable)]))
 
 
 def cmd_solve(args) -> int:
@@ -291,18 +251,81 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "stability": cmd_stability,
-        "solve": cmd_solve,
-        "simulate": cmd_simulate,
-        "highsnr": cmd_highsnr,
-        "sweep": cmd_sweep,
+# Every command takes these first; a command table entry adds its own.
+_COMMON = (
+    ("--config", {"required": True, "help": "path to the config file"}),
+    ("--out", {"default": None, "help": "output directory (default from config)"}),
+)
+
+
+def _commands() -> dict:
+    """name -> (handler, help, arguments), the one table every parser is built
+    from. An argument is (flag, add_argument keywords). Built per call, so no
+    two calls share a default list."""
+    return {
+        "stability": (cmd_stability, "bounded-MSE existence check and stability region sweep", (
+            ("--rho-sq", {"type": float, "nargs": "+", "default": [1.1, 2.0, 3.0, 5.0],
+                          "help": "squared spectral radii for the region sweep grid"}),
+            ("--grid-steps", {"type": int, "default": 51, "help": "region sweep resolution per axis"}),
+        )),
+        "solve": (cmd_solve, "solve the transmission-control MDP", (
+            ("--cost", {"choices": ["mse", "delay"], "default": None, "help": "override cost mode"}),
+        )),
+        "simulate": (cmd_simulate, "Monte Carlo policy evaluation", (
+            ("--policy", {"required": True, "help": "policy file, or one of: myopic, no-retx, psi"}),
+            ("--compare", {"nargs": "*", "default": [], "help": "additional policies for the comparison table"}),
+            ("--seed", {"type": int, "default": None, "help": "override the simulation seed"}),
+        )),
+        "highsnr": (cmd_highsnr, "perfect-retransmission threshold optimization", (
+            ("--theta-max", {"type": int, "default": 8, "help": "threshold search bound"}),
+        )),
+        "sweep": (cmd_sweep, "solve + switching verification over SNR and scheme", (
+            ("--snr-db", {"type": float, "nargs": "+", "default": [5.0, 10.0, 15.0]}),
+            ("--schemes", {"nargs": "+", "choices": ["cc", "ir"], "default": ["cc", "ir"]}),
+        )),
     }
+
+
+def _add_arguments(parser: argparse.ArgumentParser, arguments) -> argparse.ArgumentParser:
+    for flag, keywords in _COMMON + arguments:
+        parser.add_argument(flag, **keywords)
+    return parser
+
+
+def _listing_parser(commands: dict, argv) -> argparse.ArgumentParser:
+    """The `harqest` parser that lists the commands. A command's entry gets its
+    arguments only when `argv` names it, since only then can parsing reach it."""
+    parser = argparse.ArgumentParser(
+        prog="harqest",
+        description="Retransmit-or-refresh transmission control for remote estimation",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_text, arguments) in commands.items():
+        entry = sub.add_parser(name, help=help_text)
+        if name in argv:
+            _add_arguments(entry, arguments)
+    return parser
+
+
+def _parse_args(argv: list, commands: dict) -> argparse.Namespace:
+    """Parse with the parser of the command `argv[0]` names alone; the listing
+    parser is built when `argv[0]` names none, and to report leftovers as
+    `harqest: error: unrecognized arguments: ...`."""
+    name = argv[0] if argv else None
+    if name not in commands:
+        return _listing_parser(commands, argv).parse_args(argv)
+    parser = _add_arguments(argparse.ArgumentParser(prog=f"harqest {name}"), commands[name][2])
+    args, extras = parser.parse_known_args(argv[1:], argparse.Namespace(command=name))
+    if extras:
+        _listing_parser(commands, ()).error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
+def main(argv=None) -> int:
+    commands = _commands()
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv), commands)
     try:
-        return handlers[args.command](args)
+        return commands[args.command][0](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -118,7 +118,11 @@ class LinkErrors:
                 raise ValueError("counts and gains must have the same length")
             if min(counts) < 0:
                 raise ValueError("counts must be nonnegative")
-            gains = tuple(g for i in self._ascending for g in (self.gains[i],) * counts[i])
+            # Built from a list, at its exact length. A tuple built from a
+            # generator starts at ten items and is resized, so a longer one is
+            # taken from the ten-item free list but freed onto its own length's,
+            # which grows with every call until a full collection empties it.
+            gains = tuple([g for i in self._ascending for g in (self.gains[i],) * counts[i]])
             p = self._blocks[counts] = _block_error(self.model, gains)
         return p
 
@@ -177,7 +181,7 @@ def worst_retransmission_error_markov(
     if not 0 <= channel_index < b:
         raise ValueError(f"channel_index {channel_index} out of range for {b} gains")
     histories = _histories(b, omega_budget)[1:]  # all but the empty round
-    values = tuple(link.attempt(c, channel_index) for c in histories)
+    values = tuple([link.attempt(c, channel_index) for c in histories])  # as in LinkErrors.block
     best = max(range(len(values)), key=values.__getitem__)
     return WorstMarkovError(
         value=values[best],

@@ -71,9 +71,12 @@ class LtiSystem:
         _check_symmetric_psd(self.Q_v, "Q_v")
         if self.Q_v.shape[0] != m:
             raise ValueError("Q_v dimension must match C")
-        sigma0 = self.Q_w if self.Sigma0 is None else _as_matrix(self.Sigma0, "Sigma0")
-        _check_symmetric_psd(sigma0, "Sigma0")
-        object.__setattr__(self, "Sigma0", sigma0)
+        if self.Sigma0 is None:
+            object.__setattr__(self, "Sigma0", self.Q_w)  # checked above
+        else:
+            sigma0 = _as_matrix(self.Sigma0, "Sigma0")
+            _check_symmetric_psd(sigma0, "Sigma0")
+            object.__setattr__(self, "Sigma0", sigma0)
         if self.rho_squared <= 1.0:
             warnings.warn(
                 f"rho^2(A) = {self.rho_squared:.4f} <= 1: the process is easy to track "
@@ -110,12 +113,13 @@ def solve_steady_state(sys: LtiSystem, tol: float = 1e-10, max_iters: int = 100_
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
     a, c, q_w, q_v = sys.A, sys.C, sys.Q_w, sys.Q_v
+    a_t, c_t, eye = a.T, c.T, np.eye(sys.n)
     p = sys.Sigma0.copy()
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, max_iters + 1):
-            p_pred = a @ p @ a.T + q_w
-            k = p_pred @ c.T @ np.linalg.inv(c @ p_pred @ c.T + q_v)
-            p_new = (np.eye(sys.n) - k @ c) @ p_pred
+            p_pred = a @ p @ a_t + q_w
+            k = p_pred @ c_t @ np.linalg.inv(c @ p_pred @ c_t + q_v)
+            p_new = (eye - k @ c) @ p_pred
             p_new = (p_new + p_new.T) / 2.0
             residual = float(np.max(np.abs(p_new - p)))
             p = p_new
@@ -167,11 +171,16 @@ class CostLadder:
         """A ladder of at least `new_depth` entries; self if already deep enough."""
         if new_depth <= self.depth:
             return self
+        n_dim = self.sys.n
+        x = np.asarray(self.tail, dtype=float)
+        if x.shape != (n_dim, n_dim):  # f_apply's check; every step keeps the shape
+            raise ValueError(f"covariance shape {x.shape} does not match state dimension {n_dim}")
         traces = list(self.traces)
-        x = self.tail.copy()
+        a, a_t, q_w = self.sys.A, self.sys.A.T, self.sys.Q_w
         with np.errstate(over="ignore", invalid="ignore"):
             for n in range(self.depth + 1, new_depth + 1):
-                x = f_apply(self.sys, x)
+                y = a @ x @ a_t + q_w  # f_apply's step, in its order
+                x = (y + y.T) / 2.0
                 tr = float(np.trace(x))
                 if not np.isfinite(tr) or tr > _TRACE_LIMIT:
                     raise DepthError(

@@ -7,10 +7,13 @@ threshold table on the MDP's own kernel, an attempt's error from its round
 expanded into a flat gain tuple, the channel step, the count-tuple
 attempt-history update and the per-slot simulation loop they drive, and the
 per-state kernel loop of the MDP builder, the per-action form of a
-kernel, and the per-action relative value iteration the row sweep replaced.
-Nothing in the package imports this module.
+kernel, and the per-action relative value iteration the row sweep replaced;
+the CLI's parser with a subparser per command, its row-by-row region-grid
+writer, and the filter recursion and cost-ladder loops with their per-step
+set-up. Nothing in the package imports this module.
 """
 
+import argparse
 import math
 from dataclasses import dataclass
 from itertools import product
@@ -26,7 +29,9 @@ from harqest import (
     relative_value_iteration_cells,
 )
 from harqest.errors import DepthError
+from harqest.lti_estimation import _TRACE_LIMIT, CostLadder, SteadyStateKalman, f_apply
 from harqest.mdp_markov import assemble_markov_mdp
+from harqest.numerics import spectral_radius
 
 # Treat the retransmission as giving no reliability edge below this gap.
 _RELIABILITY_TIE = 1e-15
@@ -491,3 +496,116 @@ def reference_assemble(attempt_error, ch, ladder, omega_caps, q_max, cost_mode="
         stage = np.array([float(q) for (_, q, _) in states])
     core = stacked_mdp(np.stack([stage, stage], axis=1), kernel, available, index[(units[0], 1, 0)])
     return ReferenceMdp(core=core, states=states)
+
+
+# ---------------------------------------------------------------- CLI
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser as one top-level parser with a subparser per command,
+    every command's arguments added on every call."""
+    parser = argparse.ArgumentParser(
+        prog="harqest",
+        description="Retransmit-or-refresh transmission control for remote estimation",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def common(p):
+        p.add_argument("--config", required=True, help="path to the config file")
+        p.add_argument("--out", default=None, help="output directory (default from config)")
+
+    p = sub.add_parser("stability", help="bounded-MSE existence check and stability region sweep")
+    common(p)
+    p.add_argument(
+        "--rho-sq", type=float, nargs="+", default=[1.1, 2.0, 3.0, 5.0],
+        help="squared spectral radii for the region sweep grid",
+    )
+    p.add_argument("--grid-steps", type=int, default=51, help="region sweep resolution per axis")
+
+    p = sub.add_parser("solve", help="solve the transmission-control MDP")
+    common(p)
+    p.add_argument("--cost", choices=["mse", "delay"], default=None, help="override cost mode")
+
+    p = sub.add_parser("simulate", help="Monte Carlo policy evaluation")
+    common(p)
+    p.add_argument(
+        "--policy", required=True,
+        help="policy file, or one of: myopic, no-retx, psi",
+    )
+    p.add_argument(
+        "--compare", nargs="*", default=[],
+        help="additional policies for the comparison table",
+    )
+    p.add_argument("--seed", type=int, default=None, help="override the simulation seed")
+
+    p = sub.add_parser("highsnr", help="perfect-retransmission threshold optimization")
+    common(p)
+    p.add_argument("--theta-max", type=int, default=8, help="threshold search bound")
+
+    p = sub.add_parser("sweep", help="solve + switching verification over SNR and scheme")
+    common(p)
+    p.add_argument("--snr-db", type=float, nargs="+", default=[5.0, 10.0, 15.0])
+    p.add_argument("--schemes", nargs="+", choices=["cc", "ir"], default=["cc", "ir"])
+
+    return parser
+
+
+def rowwise_region_grid(ch, rho_sq_values, steps: int, path):
+    """The stability-region CSV with one f-string per cell and rho^2."""
+    grid = np.linspace(0.0, 1.0, steps)
+    lambdas = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1)
+    radii = spectral_radius(ch.pi * lambdas[..., None, :]).tolist()
+    grid = [repr(value) for value in grid.tolist()]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("lambda1,lambda2,rho_sq,stable\n")
+        for rho_sq in rho_sq_values:
+            tail = f",{rho_sq!r},"
+            for l1, row in zip(grid, radii):
+                fh.write("".join(
+                    f"{l1},{l2}{tail}{int(radius * rho_sq < 1.0)}\n"
+                    for l2, radius in zip(grid, row)
+                ))
+
+
+# ---------------------------------------------------------------- filter and ladder
+
+
+def reference_steady_state(sys, tol: float = 1e-10, max_iters: int = 100_000) -> SteadyStateKalman:
+    """The filter recursion with `np.eye(n)` and `C.T` formed in every step."""
+    a, c, q_w, q_v = sys.A, sys.C, sys.Q_w, sys.Q_v
+    p = sys.Sigma0.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(1, max_iters + 1):
+            p_pred = a @ p @ a.T + q_w
+            k = p_pred @ c.T @ np.linalg.inv(c @ p_pred @ c.T + q_v)
+            p_new = (np.eye(sys.n) - k @ c) @ p_pred
+            p_new = (p_new + p_new.T) / 2.0
+            residual = float(np.max(np.abs(p_new - p)))
+            p = p_new
+            if not np.isfinite(residual):
+                break
+            if residual < tol:
+                return SteadyStateKalman(P_bar0=p, K_bar=k, iterations=it, residual=residual)
+    raise ConvergenceError(
+        f"filter covariance did not settle within {max_iters} iterations "
+        f"(last step changed by {residual:.3e}); the local estimator appears unstable"
+    )
+
+
+def reference_extended(ladder, new_depth: int) -> CostLadder:
+    """`CostLadder.extended` stepping through `f_apply`, one call per rung."""
+    if new_depth <= ladder.depth:
+        return ladder
+    traces = list(ladder.traces)
+    x = ladder.tail.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(ladder.depth + 1, new_depth + 1):
+            x = f_apply(ladder.sys, x)
+            tr = float(np.trace(x))
+            if not np.isfinite(tr) or tr > _TRACE_LIMIT:
+                raise DepthError(
+                    f"cost trace overflows at depth {n}; largest safe depth is {n - 1}",
+                    largest_safe_depth=n - 1,
+                )
+            traces.append(tr)
+    return CostLadder(sys=ladder.sys, traces=tuple(traces), tail=x)

@@ -1,8 +1,12 @@
+import argparse
+import contextlib
+import io
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from reference import build_parser
 
 from harqest import (
     build_cost_ladder,
@@ -13,6 +17,7 @@ from harqest import (
     policy_iteration,
     solve_steady_state,
 )
+from harqest import cli
 from harqest.cli import main
 from harqest.config import load_config
 from harqest.errors import ConfigError
@@ -673,3 +678,96 @@ class TestPeriodicOptimalChain:
         assert mdp.grid.n == 21
         assert policy.converged and policy.iterations < 100
         assert abs(policy.zeta - policy_average_cost(mdp.core, policy.actions)) <= policy.span
+
+
+COMMANDS = ("stability", "solve", "simulate", "highsnr", "sweep")
+
+# argvs the parser refuses or answers with help: one exit code, stdout and
+# stderr each, compared with the reference parser's.
+REFUSED_ARGVS = [
+    [], ["-h"], ["--help"], ["bogus"],
+    *([command, "-h"] for command in COMMANDS),
+    *([command] for command in COMMANDS),
+    ["simulate", "--config", "x"],
+    ["solve", "--config", "x", "extra"],
+    ["solve", "--config", "x", "--bogus", "1"],
+    ["solve", "--config", "x", "--cost", "banana"],
+    ["stability", "--config", "x", "--grid-steps", "two"],
+    ["solve", "--config", "x", "--seed", "3"],
+    # a command named past the first argument is reached through the listing parser
+    ["-x", "solve", "--config", "x"],
+    ["--", "solve", "--config", "x"],
+    ["bogus", "solve", "--config", "x"],
+]
+
+VALID_ARGVS = [
+    ["stability", "--config", "c"],
+    ["stability", "--config", "c", "--out", "o", "--rho-sq", "2", "3.5", "--grid-steps", "7"],
+    ["solve", "--config", "c", "--cost", "delay"],
+    ["simulate", "--config", "c", "--policy", "myopic"],
+    ["simulate", "--policy", "p.txt", "--config", "c", "--compare", "psi", "no-retx", "--seed", "4"],
+    ["highsnr", "--config", "c", "--theta-max", "3"],
+    ["sweep", "--config", "c", "--snr-db", "8.5", "--schemes", "ir"],
+]
+
+
+def _outcome(call, argv):
+    """(exit code, stdout, stderr, result) of `call(argv)`; the exit code is
+    None when it returns."""
+    out, err = io.StringIO(), io.StringIO()
+    code = result = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = call(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue(), result
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """The namespaces `main` hands its handlers, each handler replaced by a recorder."""
+    seen = []
+    for command in COMMANDS:
+        monkeypatch.setattr(cli, f"cmd_{command}", lambda args: seen.append(vars(args)) or 0)
+    return seen
+
+
+class TestParserParity:
+    @pytest.mark.parametrize("argv", REFUSED_ARGVS, ids=" ".join)
+    def test_refused_or_help_as_the_reference_parser(self, argv, recorded):
+        got = _outcome(main, argv)
+        expected = _outcome(lambda a: build_parser().parse_args(a), argv)
+        assert got[:3] == expected[:3]
+        assert got[0] in (0, 2)
+        assert not recorded
+
+    @pytest.mark.parametrize("argv", VALID_ARGVS, ids=" ".join)
+    def test_valid_call_parses_as_the_reference_parser(self, argv, recorded):
+        code, out, err, rc = _outcome(main, argv)
+        assert (code, out, err, rc) == (None, "", "", 0)
+        assert recorded == [vars(build_parser().parse_args(argv))]
+
+    def test_listing_names_every_command(self):
+        code, out, _, _ = _outcome(main, ["-h"])
+        assert code == 0
+        assert "{stability,solve,simulate,highsnr,sweep}" in out
+        assert all(f"    {command} " in out for command in COMMANDS)
+
+    @pytest.mark.parametrize("argv, parsers", [
+        (["solve", "--config", "c"], 1),
+        (["solve", "--config", "c", "extra"], 7),
+        (["-h"], 6),
+    ], ids=["command", "leftover", "listing"])
+    def test_builds_the_parsers_it_needs(self, monkeypatch, recorded, argv, parsers):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        _outcome(main, argv)
+        assert len(built) == parsers
+        assert built[0] == ("harqest" if argv[0] == "-h" else "harqest solve")

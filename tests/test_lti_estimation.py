@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from reference import reference_extended, reference_steady_state
 
 from harqest import (
     ConvergenceError,
+    CostLadder,
     DepthError,
     LtiSystem,
     SteadyStateKalman,
@@ -52,8 +54,11 @@ class TestSolveSteadyState:
             Q_w=np.eye(2),
             Q_v=[[1.0]],
         )
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConvergenceError) as excinfo:
             solve_steady_state(sys, max_iters=2_000)
+        with pytest.raises(ConvergenceError) as expected:
+            reference_steady_state(sys, max_iters=2_000)
+        assert str(excinfo.value) == str(expected.value)
 
     @pytest.mark.parametrize("max_iters", [0, -1])
     def test_rejects_budget_below_one(self, ref_system, max_iters):
@@ -132,6 +137,23 @@ class TestCostLadder:
             build_cost_ladder(sys, kal, 5)
         assert excinfo.value.largest_safe_depth == 1
 
+    @pytest.mark.parametrize("scale", [1e10, 1e40, 1e80])
+    @pytest.mark.parametrize("start", [0, 1])
+    def test_overflows_at_the_depth_of_the_per_step_loop(self, scale, start):
+        sys = LtiSystem(A=[[scale, 1.0], [0.0, 1.5]], C=[[1.0, 1.0]], Q_w=np.eye(2), Q_v=[[1.0]])
+        seed = CostLadder(sys=sys, traces=(), tail=np.eye(2)).extended(start)
+        with pytest.raises(DepthError) as excinfo:
+            seed.extended(60)
+        with pytest.raises(DepthError) as expected:
+            reference_extended(seed, 60)
+        assert excinfo.value.largest_safe_depth == expected.value.largest_safe_depth
+        assert str(excinfo.value) == str(expected.value)
+
+    def test_tail_of_another_dimension_is_refused(self, ref_system):
+        ladder = CostLadder(sys=ref_system, traces=(), tail=np.eye(3))
+        with pytest.raises(ValueError, match=r"covariance shape \(3, 3\) does not match state dimension 2"):
+            ladder.extended(1)
+
     def test_out_of_range_lookup(self, ref_ladder):
         with pytest.raises(IndexError):
             ref_ladder.trace(0)
@@ -146,6 +168,15 @@ class TestLtiSystemValidation:
 
     def test_sigma0_defaults_to_process_noise(self, ref_system):
         np.testing.assert_array_equal(ref_system.Sigma0, ref_system.Q_w)
+
+    @pytest.mark.parametrize("sigma0, message", [
+        ([[1.0, 0.0], [0.0, -1.0]], "Sigma0 must be positive semidefinite"),
+        ([[1.0, 0.5], [0.0, 1.0]], "Sigma0 must be symmetric"),
+        ([[1.0, np.nan], [np.nan, 1.0]], "Sigma0 has non-finite entries"),
+    ], ids=["not-psd", "asymmetric", "nan"])
+    def test_rejects_a_bad_explicit_sigma0(self, sigma0, message):
+        with pytest.raises(ValueError, match=message):
+            LtiSystem(A=np.eye(2) * 2, C=[[1.0, 0.0]], Q_w=np.eye(2), Q_v=[[1.0]], Sigma0=sigma0)
 
     def test_rejects_asymmetric_noise(self):
         with pytest.raises(ValueError):

@@ -3,9 +3,11 @@ first-passage evaluation, of the worst-error scan, of the high-SNR reduced
 chain, of common random numbers in the simulator, of the simulator, its
 lazily gathered trace columns and its trace CSV against its reference
 loop, of a comparison against each of its entries evaluated
-alone, of the solver's optimality and of the lockstep solve of many cells
-against each cell's own reference solve, checked on generated tables, grids,
-chains and links.
+alone, of the solver's optimality, of the lockstep solve of many cells
+against each cell's own reference solve, of the stability-region grid
+against its row-by-row writer and of the filter recursion and cost ladder
+against their per-step loops, checked on generated tables, grids, chains,
+links and systems.
 
 Examples are derived from a fixed seed, so every run checks the same cases.
 """
@@ -28,22 +30,28 @@ from reference import (
     high_snr_zeta_static,
     kernel_row_error,
     reference_assemble,
+    reference_extended,
     reference_run,
+    reference_steady_state,
     rowwise_csv,
+    rowwise_region_grid,
     threshold_table_cost,
 )
 
 import harqest.simulator
 from harqest import (
     ConfigError,
+    CostLadder,
     HarqModel,
     LinkErrors,
+    LtiSystem,
     MarkovChannel,
     Policy,
     PolicyEntry,
     PolicySpec,
     SimConfig,
     assemble_markov_cells,
+    build_cost_ladder,
     build_markov_mdp,
     evaluate_policies,
     first_passage_cost,
@@ -55,8 +63,11 @@ from harqest import (
     run,
     save_policy,
     solve_rvi_markov,
+    solve_steady_state,
+    spectral_radius,
     worst_retransmission_error_markov,
 )
+from harqest.cli import _write_region_grid
 from harqest.mdp_markov import Grid, assemble_markov_mdp
 from harqest.simulator import TransitionMachine
 
@@ -667,3 +678,72 @@ def test_lockstep_cells_equal_their_own_reference_solves(ref_ladder, stack):
     errors = [LinkErrors(harq, ch.gains).attempt for harq in harqs]
     cells = assemble_markov_cells(errors, ch, ref_ladder, caps, q_max, cost_mode)
     assert len(assert_cells_match_reference([cell.core for cell in cells])) == len(harqs)
+
+
+@st.composite
+def region_grids(draw):
+    """A strictly positive two-state chain, 1-40 steps per axis and up to
+    five rho^2 values that include 0.0."""
+    stay = draw(st.tuples(st.floats(0.01, 0.99), st.floats(0.01, 0.99)))
+    pi = np.array([[stay[0], 1.0 - stay[1]], [1.0 - stay[0], stay[1]]])
+    rho_sq = draw(st.lists(st.floats(0.0, 50.0), max_size=4))
+    rho_sq.insert(draw(st.integers(0, len(rho_sq))), 0.0)
+    return MarkovChannel(gains=(2.0, 1.0), pi=pi), rho_sq, draw(st.integers(1, 40))
+
+
+@PROPERTY
+@given(case=region_grids())
+def test_region_grid_equals_the_row_by_row_writer(case):
+    ch, rho_sq, steps = case
+    with tempfile.TemporaryDirectory() as tmp:
+        got, expected = Path(tmp) / "got.csv", Path(tmp) / "expected.csv"
+        _write_region_grid(ch, rho_sq, steps, got)
+        rowwise_region_grid(ch, rho_sq, steps, expected)
+        assert got.read_bytes() == expected.read_bytes()
+
+
+def test_region_grid_boundary_cell_is_not_stable(tmp_path, ref_channel):
+    # On the default chain the cell lambda1 = lambda2 = 0.5 has radius 0.5,
+    # so rho^2 = 2 lands on the product 1.0 exactly: not below one.
+    assert spectral_radius(ref_channel.pi * 0.5) * 2.0 == 1.0
+    got, expected = tmp_path / "got.csv", tmp_path / "expected.csv"
+    _write_region_grid(ref_channel, [2.0], 51, got)
+    rowwise_region_grid(ref_channel, [2.0], 51, expected)
+    assert got.read_bytes() == expected.read_bytes()
+    assert "\n0.5,0.5,2.0,0\n" in got.read_text()
+
+
+@st.composite
+def lti_systems(draw):
+    """A detectable system with 1-4 states and 1-2 outputs: Gaussian A scaled
+    to a spectral radius in [1.05, 2], Gaussian C, positive definite noises,
+    and Sigma0 either the default or a positive semidefinite one of its own."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.normal(size=(n, n))
+    assume(spectral_radius(a) > 1e-3)
+    a *= rng.uniform(1.05, 2.0) / spectral_radius(a)
+
+    def covariance(k, floor):
+        b = rng.normal(size=(k, k))
+        q = b @ b.T + floor * np.eye(k)
+        return (q + q.T) / 2.0
+
+    sigma0 = covariance(n, 0.0) if draw(st.booleans()) else None
+    return LtiSystem(A=a, C=rng.normal(size=(m, n)), Q_w=covariance(n, 0.1), Q_v=covariance(m, 0.1),
+                     Sigma0=sigma0)
+
+
+@PROPERTY
+@given(sys=lti_systems(), depth=st.integers(1, 40), more=st.integers(1, 10))
+def test_filter_and_ladder_equal_their_per_step_loops(sys, depth, more):
+    kal, expected = solve_steady_state(sys), reference_steady_state(sys)
+    assert kal.P_bar0.tobytes() == expected.P_bar0.tobytes()
+    assert kal.K_bar.tobytes() == expected.K_bar.tobytes()
+    assert (kal.iterations, kal.residual) == (expected.iterations, expected.residual)
+    ladder = build_cost_ladder(sys, kal, depth)
+    reference = reference_extended(CostLadder(sys=sys, traces=(), tail=kal.P_bar0.copy()), depth)
+    longer = ladder.extended(depth + more)
+    for got, want in ((ladder, reference), (longer, reference_extended(reference, depth + more))):
+        assert got.traces == want.traces
+        assert got.tail.tobytes() == want.tail.tobytes()
