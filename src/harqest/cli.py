@@ -22,7 +22,7 @@ import numpy as np
 
 from .channel import MarkovChannel
 from .config import Config, load_config
-from .errors import ConfigError, ConvergenceError, HarqestError, ModelError
+from .errors import ConfigError, ConvergenceError, HarqestError
 from .harq_model import HarqModel, LinkErrors, block_error_prob, worst_retransmission_error_markov
 from .lti_estimation import build_cost_ladder, solve_steady_state
 from .mdp_markov import (
@@ -216,20 +216,13 @@ def cmd_highsnr(args) -> int:
 
 def cmd_sweep(args) -> int:
     """Solve every (SNR, scheme) cell on the config's grid in one lockstep
-    RVI, then check each cell's table in cell order."""
+    RVI, then check each cell's table in cell order. Every cell's link is
+    built before any solve, so an SNR the model refuses fails first."""
     cfg, out_dir = _prepare(args)
     ladder = _ladder(cfg)
     cells = list(product(args.snr_db, args.schemes))
-    links, late = [], None
-    for snr_db, scheme in cells:
-        try:
-            model = HarqModel.from_db(scheme, snr_db, cfg.harq.blocklength, cfg.harq.rate)
-        except ModelError as exc:
-            if not links:
-                raise
-            late = exc  # raised in its turn, after the cells before it
-            break
-        links.append(LinkErrors(model, cfg.channel.gains).attempt)
+    models = [HarqModel.from_db(scheme, snr_db, cfg.harq.blocklength, cfg.harq.rate) for snr_db, scheme in cells]
+    links = [LinkErrors(model, cfg.channel.gains).attempt for model in models]
     mdps = assemble_markov_cells(links, cfg.channel, ladder, cfg.solver.omega_caps, cfg.solver.q_max, "mse")
     rows = []
     all_pass = True
@@ -239,8 +232,6 @@ def cmd_sweep(args) -> int:
         verdict = "pass" if switching.passed else f"FAIL({len(switching.violations)})"
         rows.append((snr_db, scheme, policy.zeta, policy.iterations, verdict))
         all_pass = all_pass and switching.passed
-    if late is not None:
-        raise late
     with open(os.path.join(out_dir, "sweep.csv"), "w", encoding="utf-8") as fh:
         fh.write("snr_db,scheme,zeta,iterations,switching\n")
         for snr_db, scheme, zeta, iterations, verdict in rows:

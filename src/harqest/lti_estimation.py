@@ -44,8 +44,8 @@ def _check_symmetric_psd(m, name, tol=1e-8):
 class LtiSystem:
     """Discrete LTI process x' = A x + w observed through y = C x + v.
 
-    Sigma0 is the initial-state covariance; it defaults to Q_w, which only
-    matters as the starting point of the filter recursion.
+    Sigma0 is the n x n initial-state covariance; it defaults to Q_w, which
+    only matters as the starting point of the filter recursion.
     """
 
     A: np.ndarray
@@ -75,6 +75,8 @@ class LtiSystem:
             object.__setattr__(self, "Sigma0", self.Q_w)  # checked above
         else:
             sigma0 = _as_matrix(self.Sigma0, "Sigma0")
+            if sigma0.shape != (n, n):
+                raise ValueError(f"Sigma0 must be {n} x {n}, got {sigma0.shape}")
             _check_symmetric_psd(sigma0, "Sigma0")
             object.__setattr__(self, "Sigma0", sigma0)
         if self.rho_squared <= 1.0:

@@ -57,56 +57,42 @@ class FiniteAverageCostMdp:
         return np.isfinite(self.cost[self.where]).T
 
 
-def relative_value_iteration(
-    mdp: FiniteAverageCostMdp,
-    tol: float = 1e-9,
-    max_iters: int = 100_000,
-    patience: int = 500,
-):
+# Sweeps without a better span before the plateau stop, and the length of
+# the windows the slow stop compares.
+PATIENCE = 500
+
+
+def relative_value_iteration(mdp: FiniteAverageCostMdp, tol: float = 1e-9, max_iters: int = 100_000):
     """Relative value iteration on one MDP: the one-cell case of
     `relative_value_iteration_cells`, whose stop rules it follows. Raises
     ConvergenceError when max_iters sweeps pass without a stop.
 
     Returns (actions, zeta, span, iterations, converged, stop).
     """
-    (outcome,) = relative_value_iteration_cells([mdp], tol, max_iters, patience)
-    if isinstance(outcome, ConvergenceError):
-        raise outcome
+    (outcome,) = relative_value_iteration_cells([mdp], tol, max_iters)
     return outcome
 
 
-class _Cell:
-    """A cell in the lockstep loop: its number, its row of v, and `send`,
-    which hands its stop rules the bounds of each sweep."""
-
-    __slots__ = ("number", "v", "send")
-
-    def __init__(self, number, tol, max_iters, patience):
-        self.number = number
-        self.v = None
-        self.send = _stop_rules(self, tol, max_iters, patience).send
-
-
-def _stop_rules(cell, tol, max_iters, patience):
-    """One cell's stop rules, as a generator. It is sent the (lo, hi) of
-    each sweep, after the sweep has updated cell.v, and returns (stop,
-    iterations) when the cell stops; stop is None when max_iters sweeps
-    passed without one."""
+def _stop_rules(tol, max_iters):
+    """One cell's stop rules, as a generator. It is sent (lo, hi, v) after
+    each sweep, where v is the cell's row of values that sweep left, and
+    returns (stop, iterations) when the cell stops; stop is None when
+    max_iters sweeps passed without one."""
     best_span = math.inf
     stall = 0
     missed = 0  # the last sweep that did not improve the span
-    window_span = None  # the span at the last multiple of patience sweeps
+    window_span = None  # the span at the last multiple of PATIENCE sweeps
     iterations = 0
     # First-repeat cycle detection on the exact bits of v: every sweep since
     # the last improving one files hash(v) -> sweep number, so the table
-    # never holds more than `patience` entries. A hash filed p sweeps ago
+    # never holds more than PATIENCE entries. A hash filed p sweeps ago
     # makes v a candidate, confirmed when v equals it bit for bit p sweeps
     # later (bytes still tell -0.0 from 0.0).
     filed = {}
     held = None  # the bytes of a candidate v
     confirm_at = 0
     while iterations < max_iters:
-        lo, hi = yield
+        lo, hi, v = yield
         iterations += 1
         span = 2.0 * (hi - lo)
         if span < tol:
@@ -120,28 +106,28 @@ def _stop_rules(cell, tol, max_iters, patience):
             missed = iterations
             stall += 1
             if iterations == confirm_at:
-                if cell.v.tobytes() == held:
+                if v.tobytes() == held:
                     # v repeats with period p, so every later sweep repeats
                     # one already made and none improves the span. Skipping
                     # whole periods leaves v, lo and hi as they are now.
-                    jump = min(patience - stall, max_iters - iterations) // period * period
+                    jump = min(PATIENCE - stall, max_iters - iterations) // period * period
                     iterations += jump
                     stall += jump
                     missed = iterations
                 held = None
             elif held is None:
-                key = hash(cell.v.tobytes())
+                key = hash(v.tobytes())
                 first = filed.get(key)
                 if first is not None:
                     period = iterations - first
-                    held, confirm_at = cell.v.tobytes(), iterations + period
+                    held, confirm_at = v.tobytes(), iterations + period
                 filed[key] = iterations
-            if stall >= patience:
+            if stall >= PATIENCE:
                 return "plateau", iterations
-        if iterations % patience == 0:
-            if window_span is not None and iterations - missed >= patience and (
+        if iterations % PATIENCE == 0:
+            if window_span is not None and iterations - missed >= PATIENCE and (
                 tol <= 0.0
-                or iterations + patience * math.log(tol / span) / math.log(span / window_span)
+                or iterations + PATIENCE * math.log(tol / span) / math.log(span / window_span)
                 > max_iters
             ):
                 return "slow", iterations
@@ -149,8 +135,7 @@ def _stop_rules(cell, tol, max_iters, patience):
     return None, iterations
 
 
-def relative_value_iteration_cells(cells, tol: float = 1e-9, max_iters: int = 100_000,
-                                   patience: int = 500) -> list:
+def relative_value_iteration_cells(cells, tol: float = 1e-9, max_iters: int = 100_000) -> list:
     """Span-seminorm relative value iteration for the long-run average cost
     of each cell, run in lockstep.
 
@@ -161,7 +146,7 @@ def relative_value_iteration_cells(cells, tol: float = 1e-9, max_iters: int = 10
     running. Each row reduces only its own products, so every cell's
     iterates are those of its own solve, bit for bit. Each cell keeps its
     own counters, stop, cycle jump and budget, takes its greedy pass when
-    it stops, and then leaves the stack.
+    it stops, and then leaves the stack. A lone MDP is a stack of one.
 
     Each sweep is damped: v becomes tau * T v + (1 - tau) * v with tau = 1/2,
     which is plain RVI on the kernel tau * P + (1 - tau) * I with costs
@@ -176,14 +161,14 @@ def relative_value_iteration_cells(cells, tol: float = 1e-9, max_iters: int = 10
 
     A cell stops for one of three reasons, returned as `stop`:
     - "tol": the span of successive value differences dropped below tol;
-    - "plateau": the span stopped improving for `patience` sweeps (the
+    - "plateau": the span stopped improving for PATIENCE (500) sweeps (the
       float64 noise floor for value functions spanning many orders of
       magnitude);
-    - "slow": each of the last `patience` sweeps improved the span, but at
-      the geometric rate of that window, span / (span `patience` sweeps
+    - "slow": each of the last PATIENCE sweeps improved the span, but at
+      the geometric rate of that window, span / (span PATIENCE sweeps
       ago), reaching tol would take more than max_iters sweeps in all. The
-      windows end at multiples of `patience` sweeps, so this stop fires at
-      the earliest after 2 * patience sweeps.
+      windows end at multiples of PATIENCE sweeps, so this stop fires at
+      the earliest after 2 * PATIENCE sweeps.
     The midpoint of the final difference bounds estimates the gain; the span
     is its certified error bar. The greedy pass reads the undamped Q, whose
     argmin is the damped one's. Once a cell's v repeats bit for bit, the
@@ -191,11 +176,13 @@ def relative_value_iteration_cells(cells, tol: float = 1e-9, max_iters: int = 10
     run, which changes no output.
 
     Returns one outcome per cell, in order: (actions, zeta, span,
-    iterations, converged, stop), or the ConvergenceError of a cell whose
-    max_iters sweeps passed without a stop.
+    iterations, converged, stop). Raises the ConvergenceError of the first
+    cell, in cell order, whose max_iters sweeps passed without a stop, the
+    error that cell's own solve raises.
     """
     cells = list(cells)
     outcomes = [None] * len(cells)
+    failures = []
     first = cells[0]
     if not first.available.any(axis=1).all():
         raise ValueError("every state needs at least one available action")
@@ -209,53 +196,48 @@ def relative_value_iteration_cells(cells, tol: float = 1e-9, max_iters: int = 10
     einsum, add, subtract, multiply = np.einsum, np.add, np.subtract, np.multiply
     min_reduce, max_reduce = np.minimum.reduce, np.maximum.reduce
 
-    def leave(cell, stop, iterations, lo, hi):
-        """Record the outcome of a cell that stopped, or ran out of sweeps
-        (stop None), after a last sweep whose differences lay in [lo, hi]."""
+    def leave(number, v, stop, iterations, lo, hi):
+        """Record the outcome of cell `number`, which stopped, or ran out of
+        sweeps (stop None), after a last sweep that left its values v and
+        whose differences lay in [lo, hi]."""
         if stop is None:
-            outcomes[cell.number] = ConvergenceError(
-                f"relative value iteration did not converge within {max_iters} sweeps "
-                f"(final span {2.0 * (hi - lo):.3e})"
-            )
+            failures.append((number, f"relative value iteration did not converge within {max_iters} sweeps "
+                                     f"(final span {2.0 * (hi - lo):.3e})"))
             return
         # Greedy actions off the final undamped Q table; lower-numbered actions win ties.
-        q = einsum("sk,sk->s", cells[cell.number].prob, cell.v[idx])
+        q = einsum("sk,sk->s", cells[number].prob, v[idx])
         q += cost
         actions = _improve(q[where], np.zeros(n, dtype=np.int8))
-        outcomes[cell.number] = (actions, lo + hi, 2.0 * (hi - lo), iterations, stop == "tol", stop)
+        outcomes[number] = (actions, lo + hi, 2.0 * (hi - lo), iterations, stop == "tol", stop)
 
     live = []
     for number in range(len(cells)):
-        cell = _Cell(number, tol, max_iters, patience)
+        send = _stop_rules(tol, max_iters).send
         try:
-            cell.send(None)
+            send(None)
         except StopIteration as end:  # a budget below one sweep
-            leave(cell, *end.value, 0.0, 0.0)
+            leave(number, None, *end.value, 0.0, 0.0)
         else:
-            live.append(cell)
+            live.append((number, send))
     v = np.zeros((len(live), n))
     while live:
         # The stack of the cells still running, in cell order: row r of the
         # c-th is row c * rows + r, and its state s is state c * n + s.
         m = len(live)
-        # One cell is its own stack, and its bounds and re-centring take the
-        # flat forms: a one-cell solve runs no slower than before cells.
-        if m == 1:
-            stack_idx, stack_prob, stack_cost, stack_where = idx, cells[live[0].number].prob, cost, where
-        else:
-            stack_idx = (idx + (np.arange(m) * n)[:, None, None]).reshape(m * rows, -1)
-            stack_prob = np.concatenate([cells[cell.number].prob for cell in live])
-            stack_cost = np.tile(cost, m)
-            stack_where = (where[:, None, :] + (np.arange(m) * rows)[:, None]).reshape(len(where), m * n)
-        for cell, row in zip(live, v):
-            cell.v = row
+        stack_idx = (idx + (np.arange(m) * n)[:, None, None]).reshape(m * rows, -1)
+        stack_prob = np.concatenate([cells[number].prob for number, _ in live])
+        stack_cost = np.tile(cost, m)
+        stack_where = (where[:, None, :] + (np.arange(m) * rows)[:, None]).reshape(len(where), m * n)
         flat = v.reshape(-1)
         q = np.empty(m * rows)
         tv = np.empty((m, n))
         diff = np.empty((m, n))
         flat_tv, flat_diff = tv.reshape(-1), diff.reshape(-1)
         ref_tv = tv[:, ref, None]
-        gone = False
+        ends = np.empty((2, m))
+        lowest, highest = ends
+        running = [(number, send, row) for (number, send), row in zip(live, v)]
+        gone = []
         while not gone:
             # Keep this einsum: from width 3 on its row sum differs from a
             # left-to-right sum of products, so a column-wise sum would move
@@ -269,22 +251,21 @@ def relative_value_iteration_cells(cells, tol: float = 1e-9, max_iters: int = 10
             add(flat_tv, flat, out=flat_tv)
             multiply(flat_tv, 0.5, out=flat_tv)  # the damped sweep (T v + v) / 2
             subtract(flat_tv, flat, out=flat_diff)
-            if m == 1:
-                bounds = ((float(min_reduce(flat_diff)), float(max_reduce(flat_diff))),)
-                subtract(flat_tv, flat_tv[ref], out=flat)
-            else:
-                bounds = zip(min_reduce(diff, axis=1).tolist(), max_reduce(diff, axis=1).tolist())
-                subtract(tv, ref_tv, out=v)
-            for cell, lo_hi in zip(live, bounds):
+            subtract(tv, ref_tv, out=v)
+            min_reduce(diff, axis=1, out=lowest)
+            max_reduce(diff, axis=1, out=highest)
+            lows, highs = ends.tolist()
+            for (number, send, row), lo, hi in zip(running, lows, highs):
                 try:
-                    cell.send(lo_hi)
+                    send((lo, hi, row))
                 except StopIteration as end:
-                    leave(cell, *end.value, *lo_hi)
-                    gone = True
-        keep = [place for place, cell in enumerate(live) if outcomes[cell.number] is None]
-        if keep:
-            v = v[keep]
+                    leave(number, row, *end.value, lo, hi)
+                    gone.append(number)
+        keep = [place for place, (number, _) in enumerate(live) if number not in gone]
+        v = v[keep]
         live = [live[place] for place in keep]
+    if failures:
+        raise ConvergenceError(min(failures)[1])
     return outcomes
 
 

@@ -17,7 +17,7 @@ from itertools import islice, product
 import numpy as np
 
 from .channel import MarkovChannel
-from .errors import ConfigError, ConvergenceError, ModelError
+from .errors import ConfigError, ModelError
 from .harq_model import HarqModel, LinkErrors
 from .lti_estimation import CostLadder
 from .mdp_core import FiniteAverageCostMdp, policy_iteration, relative_value_iteration_cells
@@ -279,28 +279,25 @@ def solve_rvi_markov(mdp: MarkovMdp, tol: float = 1e-9, max_iters: int = 100_000
     return policy
 
 
-def solve_rvi_cells(mdps, tol: float = 1e-9, max_iters: int = 100_000):
+def solve_rvi_cells(mdps, tol: float = 1e-9, max_iters: int = 100_000) -> list:
     """Solve the cells of `assemble_markov_cells` by relative value
-    iteration in lockstep, then yield each cell's Policy in cell order.
+    iteration in lockstep, and return each cell's Policy in cell order.
+    Raises the ConvergenceError of the first cell that ran out of sweeps.
 
     When a cell's RVI stops because its rate cannot reach tol within
     max_iters, Howard policy iteration finishes from its greedy policy: the
     reported zeta is then the exact cost of the returned actions, the span
     is that of the final relative values, and the iterations count sweeps
-    plus policy steps. That hand-over, and the ConvergenceError of a cell
-    that ran out of sweeps, come at the cell's turn, after every cell before
-    it has been yielded.
+    plus policy steps.
     """
     mdps = list(mdps)
     outcomes = relative_value_iteration_cells([mdp.core for mdp in mdps], tol=tol, max_iters=max_iters)
-    for mdp, outcome in zip(mdps, outcomes):
-        if isinstance(outcome, ConvergenceError):
-            raise outcome
-        actions, zeta, span, iterations, converged, stop = outcome
+    policies = []
+    for mdp, (actions, zeta, span, iterations, converged, stop) in zip(mdps, outcomes):
         if stop == "slow":
             actions, zeta, span, steps = policy_iteration(mdp.core, actions)
             iterations, converged = iterations + steps, True
-        yield Policy(
+        policies.append(Policy(
             actions=actions,
             grid=mdp.grid,
             gains=mdp.channel.gains,
@@ -309,7 +306,8 @@ def solve_rvi_cells(mdps, tol: float = 1e-9, max_iters: int = 100_000):
             iterations=iterations,
             converged=converged,
             cost_mode=mdp.cost_mode,
-        )
+        ))
+    return policies
 
 
 @dataclass(frozen=True)

@@ -137,10 +137,6 @@ class SimulationTrace:
         """Per-slot attempt counts, one row per slot, kept for conformance checks."""
         return self.arrays[4].take(self.states, axis=0)
 
-    @property
-    def final_average(self) -> float:
-        return float(self.running_avg[-1]) if len(self.running_avg) else math.inf
-
     def to_csv(self, path):
         """One row per slot, each value written as its repr, _CSV_CHUNK rows
         at a time. A row's fields from a to trace_mse depend only on its

@@ -192,11 +192,12 @@ class TestConfigErrors:
              "[solver] tol must be finite and at least 0, got -1e-09"),
             ("q_max = 10", "q_max = 10\nmax_iters = 0", "[solver] max_iters must be at least 1, got 0"),
             ("q_max = 10", "q_max = 10\nmax_iters = -5", "[solver] max_iters must be at least 1, got -5"),
+            ("Q_v = 1", "Q_v = 1\nSigma0 = 1", "[system]: Sigma0 must be 2 x 2, got (1, 1)"),
         ],
         ids=[
             "zero-slots", "zero-replicates", "negative-seed", "fractional-slots", "r_max-1",
             "percent-sign", "omega_caps-on-constant-gain", "snr_db-overflow", "tol-inf", "tol-nan",
-            "tol-negative", "max_iters-0", "max_iters-negative",
+            "tol-negative", "max_iters-0", "max_iters-negative", "Sigma0-1x1",
         ],
     )
     def test_bad_value(self, tmp_path, capsys, line, replacement, message):
@@ -295,6 +296,17 @@ class TestConfigErrors:
     def test_sweep_snr_beyond_float_range(self, static_cfg, capsys, snr_db):
         path, out = static_cfg
         assert main(["sweep", "--config", str(path), "--snr-db", *snr_db]) == 2
+        assert capsys.readouterr().err == (
+            "error: snr_db = 1e+308 gives no finite positive linear SNR 10 ** (snr_db / 10)\n"
+        )
+        assert not (out / "sweep.csv").exists()
+
+    def test_sweep_checks_every_snr_before_it_solves(self, tmp_path, capsys):
+        # 50 sweeps are too few for the 8.5 dB cells, but no cell is solved
+        # while an SNR is refused.
+        path = default_static_with(tmp_path, "budget_50.cfg", max_iters=50)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(path), "--out", str(out), "--snr-db", "8.5", "1e308"]) == 2
         assert capsys.readouterr().err == (
             "error: snr_db = 1e+308 gives no finite positive linear SNR 10 ** (snr_db / 10)\n"
         )

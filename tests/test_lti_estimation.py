@@ -173,7 +173,8 @@ class TestLtiSystemValidation:
         ([[1.0, 0.0], [0.0, -1.0]], "Sigma0 must be positive semidefinite"),
         ([[1.0, 0.5], [0.0, 1.0]], "Sigma0 must be symmetric"),
         ([[1.0, np.nan], [np.nan, 1.0]], "Sigma0 has non-finite entries"),
-    ], ids=["not-psd", "asymmetric", "nan"])
+        (np.eye(3), r"Sigma0 must be 2 x 2, got \(3, 3\)"),
+    ], ids=["not-psd", "asymmetric", "nan", "wrong-shape"])
     def test_rejects_a_bad_explicit_sigma0(self, sigma0, message):
         with pytest.raises(ValueError, match=message):
             LtiSystem(A=np.eye(2) * 2, C=[[1.0, 0.0]], Q_w=np.eye(2), Q_v=[[1.0]], Sigma0=sigma0)

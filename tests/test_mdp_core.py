@@ -121,7 +121,7 @@ class TestRelativeValueIteration:
     def test_max_iters_exceeded_raises(self):
         mdp = random_mdp(1)
         with pytest.raises(ConvergenceError):
-            relative_value_iteration(mdp, tol=1e-15, max_iters=2, patience=10_000)
+            relative_value_iteration(mdp, tol=1e-15, max_iters=2)
 
 
 def assert_same_solve(mdp, **kwargs):
@@ -189,11 +189,11 @@ class TestReferenceConformance:
 
     def test_plateau_stop(self):
         mdp = random_mdp(7, max_states=30, n_actions=3, unavailable=0.3)
-        assert assert_same_solve(mdp, tol=0.0, patience=50) == "plateau"
+        assert assert_same_solve(mdp, tol=0.0) == "plateau"
 
     def test_budget_failure(self):
         mdp = random_mdp(8, max_states=30, n_actions=3, unavailable=0.3)
-        assert assert_same_solve(mdp, tol=0.0, max_iters=40, patience=10_000) == "budget"
+        assert assert_same_solve(mdp, tol=0.0, max_iters=40) == "budget"
 
     @pytest.mark.parametrize("cost_mode", ["mse", "delay"])
     @pytest.mark.parametrize("scheme", ["cc", "ir"])
@@ -224,8 +224,8 @@ class TestReferenceConformance:
         [
             (200, 2, {"tol": 1e-11}, "tol"),
             (203, 3, {"tol": 1e-11}, "tol"),
-            (7, 3, {"tol": 0.0, "patience": 50}, "plateau"),
-            (8, 3, {"tol": 0.0, "max_iters": 40, "patience": 10_000}, "budget"),
+            (7, 3, {"tol": 0.0}, "plateau"),
+            (8, 3, {"tol": 0.0, "max_iters": 40}, "budget"),
         ],
         ids=["tol-2", "tol-3", "plateau", "budget"],
     )
@@ -403,16 +403,17 @@ class TestCycleJump:
         assert sorted(counts) == list(range(min(counts), min(counts) + 4))
         assert max(counts) < 400
 
-    def test_jump_lands_on_the_plateau_stop(self, ref_ladder, ref_channel, sweeps_run):
-        # As above: one of four consecutive patience values makes the jump
-        # end exactly where the plain loop stops.
+    def test_jump_skips_whole_periods_to_the_plateau_stop(self, ref_ladder, ref_channel, sweeps_run):
+        # At the solver's patience the period-4 grid stops on the plateau
+        # where the reference does, after one jump of whole periods.
         mdp = self.build("fading-ir-8.5dB", ref_ladder, ref_channel)
-        counts = []
-        for patience in range(500, 504):
-            assert assert_same_solve(mdp, patience=patience) == "plateau"
-            counts.append(sweeps_run())
-        assert sorted(counts) == list(range(min(counts), min(counts) + 4))
-        assert max(counts) < 500
+        expected = reference_rvi(mdp, patience=harqest.mdp_core.PATIENCE)
+        outcome = relative_value_iteration(mdp)
+        ran = sweeps_run()
+        iterations = outcome[3]
+        assert (iterations, outcome[5]) == (expected[3], "plateau")
+        assert ran < harqest.mdp_core.PATIENCE < iterations
+        assert (iterations - ran) % 4 == 0
 
     def test_static_solve_runs_few_sweeps(self, cc_model, ref_ladder, sweeps_run):
         # Damped sweeps contract by at most 1/2 each, so this fast-mixing
@@ -478,24 +479,24 @@ class TestLockstepCells:
 
     def test_budget_failure_raises_the_first_failing_cell(self, ref_ladder):
         # With 57 sweeps, CC 15 dB stops on tol after 55; CC 5 dB is the
-        # first cell in order that runs out, and its error is the one raised,
-        # after the cells before it are yielded.
+        # first cell in order that runs out, and its error is the one raised.
         links = [("cc", 15.0), ("cc", 5.0), ("ir", 6.5), ("cc", 6.5)]
         cells = self.cells(static_channel(1.0), (3,), 8, links, ref_ladder)
         stops = assert_cells_match_reference([cell.core for cell in cells], max_iters=57)
         assert stops == ["tol", "budget", "budget", "budget"]
         with pytest.raises(ConvergenceError) as alone:
             relative_value_iteration(cells[1].core, max_iters=57)
-        yielded = []
         with pytest.raises(ConvergenceError) as stacked:
-            for policy in solve_rvi_cells(cells, max_iters=57):
-                yielded.append(policy)
+            solve_rvi_cells(cells, max_iters=57)
         assert str(stacked.value) == str(alone.value)
-        assert len(yielded) == 1 and yielded[0].iterations == 55
+        with pytest.raises(ConvergenceError) as later:
+            relative_value_iteration(cells[2].core, max_iters=57)
+        assert str(later.value) != str(alone.value)
 
-    def test_no_sweep_within_a_zero_budget(self, ref_ladder):
+    def test_no_sweep_within_a_zero_budget(self, ref_ladder, sweeps_run):
         cells = [cell.core for cell in self.cells(static_channel(1.0), (3,), 8, [("cc", 5.0)] * 2, ref_ladder)]
         assert assert_cells_match_reference(cells, max_iters=0) == ["budget", "budget"]
+        assert sweeps_run() + 1 == 0  # the loop made no sweep and no greedy pass
 
     def test_sweep_runs_its_longest_cell_not_the_sum(self, tmp_path, sweeps_run):
         # The static default's 8 cells: the loop makes one einsum per stacked

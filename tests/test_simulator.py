@@ -283,7 +283,7 @@ class TestPerfectLink:
         traces = [run(model, ref_channel, ref_ladder, s, cfg) for s in specs]
         for trace in traces:
             assert np.all(trace.q == 1)
-            assert trace.final_average == pytest.approx(ref_ladder.trace(1), rel=1e-12)
+            assert trace.running_avg[-1] == pytest.approx(ref_ladder.trace(1), rel=1e-12)
         for other in traces[1:]:
             np.testing.assert_array_equal(traces[0].gamma, other.gamma)
             np.testing.assert_array_equal(traces[0].xi, other.xi)
@@ -366,7 +366,7 @@ class TestDivergence:
     def test_no_retransmission_diverges_on_fading_link(self, cc_model, ref_channel, ref_ladder):
         cfg = SimConfig(slots=10_000, replicates=1, seed=1)
         trace = run(cc_model, ref_channel, ref_ladder, PolicySpec(kind="no_retransmission"), cfg)
-        assert trace.diverged or trace.final_average > 10.0 * BASELINE
+        assert trace.diverged or trace.running_avg[-1] > 10.0 * BASELINE
 
     def test_no_retransmission_bounded_on_reference_static_link(
         self, cc_model, ref_static_channel, ref_ladder
@@ -378,7 +378,7 @@ class TestDivergence:
             cc_model, ref_static_channel, ref_ladder, PolicySpec(kind="no_retransmission"), cfg
         )
         assert not trace.diverged
-        assert trace.final_average < 2.0 * BASELINE
+        assert trace.running_avg[-1] < 2.0 * BASELINE
 
     def test_divergence_flag_and_truncation(self, ref_static_channel, ref_ladder, tmp_path):
         # a dead link (fresh and combined attempts all fail) grows q every
@@ -475,7 +475,7 @@ class TestEvaluatePolicies:
         cfg = SimConfig(slots=800, replicates=6, seed=4)
         spec = PolicySpec(kind="myopic")
         serial = [
-            run(cc_model, ref_channel, ref_ladder, spec, cfg, replicate=rep).final_average
+            run(cc_model, ref_channel, ref_ladder, spec, cfg, replicate=rep).running_avg[-1]
             for rep in range(cfg.replicates)
         ]
         with ThreadPoolExecutor(max_workers=6) as pool:
@@ -483,7 +483,7 @@ class TestEvaluatePolicies:
                 pool.map(
                     lambda rep: run(
                         cc_model, ref_channel, ref_ladder, spec, cfg, replicate=rep
-                    ).final_average,
+                    ).running_avg[-1],
                     range(cfg.replicates),
                 )
             )
